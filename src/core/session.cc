@@ -91,9 +91,7 @@ BacktrackSession::BacktrackSession(SessionOptions options)
   env.owner = store_owner_;
   env.stats = &stats_;
   env.page_map_kind = options_.page_map_kind;
-  // Hot-page prediction only makes sense under CoW; other engines ignore it.
-  env.hot_page_limit =
-      options_.snapshot_mode == SnapshotMode::kCow ? options_.hot_page_limit : 0;
+  env.hot_page_limit = options_.hot_page_limit;
   engine_ = MakeSnapshotEngine(options_.snapshot_mode, env);
 
   if (options_.parallel_materialize_workers > 1) {
@@ -327,7 +325,6 @@ void BacktrackSession::EvaluateExtension(Extension ext) {
 }
 
 void BacktrackSession::SwapToGuest(ucontext_t* target) {
-  engine_->OnGuestResume();
   in_guest_ = true;
   // Swap the guest's allocation hooks in for the duration of guest execution;
   // scheduler-side allocations (snapshot materialization, strategy frontier)
@@ -374,7 +371,7 @@ void BacktrackSession::EnforceBudget() {
 
 void BacktrackSession::MaterializeInto(const SnapshotRef& snap) {
   StopWatch sw;
-  MaterializeContext ctx;
+  EngineContext ctx;
   ctx.parallel = materializer_.get();
   engine_->Materialize(*snap, ctx);
   snap->aux.reserve(attachments_.size());
@@ -388,7 +385,7 @@ void BacktrackSession::MaterializeInto(const SnapshotRef& snap) {
 
 void BacktrackSession::RestoreTo(const Snapshot& snap) {
   StopWatch sw;
-  RestoreContext ctx;
+  EngineContext ctx;
   ctx.parallel = materializer_.get();
   engine_->Restore(snap, ctx);
   for (size_t i = 0; i < attachments_.size(); ++i) {

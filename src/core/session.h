@@ -20,8 +20,8 @@
 //     incremental solver service of §3.2.
 //
 // The snapshot mechanics themselves — how a page image is captured and
-// reinstated — live behind the SnapshotEngine interface (src/snapshot/engine.h),
-// selected by SessionOptions::snapshot_mode. The session is pure search
+// reinstated — live in SnapshotEngine (src/snapshot/engine.h), whose
+// dirty-discovery mechanism SessionOptions::snapshot_mode selects. The session is pure search
 // orchestration: it never touches mprotect, hot-page prediction, or page copies.
 
 #ifndef LWSNAP_SRC_CORE_SESSION_H_
@@ -99,8 +99,8 @@ struct SessionOptions {
   // Parallel materialization inside this session (the ROADMAP's "publish the
   // dirty set with multiple threads"): a session-owned worker team of this
   // many threads (the session thread participates) publishes each snapshot's
-  // page set to the internally synchronized store; the incremental engine's
-  // content scan fans out too. The same team serves Restore: every engine's
+  // page set to the internally synchronized store; the scan mechanism's
+  // content scan fans out too. The same team serves Restore: every mode's
   // restore copy loop fans out over it (the CoW path batch-unprotects the
   // coalesced restore runs first, so workers never fault). Snapshot
   // structures and restored memory are bit-identical to serial (see
@@ -121,12 +121,12 @@ struct SessionOptions {
   // release-storm ablation.
   bool batched_release = true;
 
-  // Hot-page prediction (CoW engine): a page dirtied in enough consecutive
+  // Hot-page prediction (kCow only): a page dirtied in enough consecutive
   // snapshots is left permanently writable; snapshots memcmp it and restores
   // memcpy it eagerly, skipping the SIGSEGV + 2×mprotect round trip that
   // dominates fine-grained workloads (the stand-in for Dune's cheap ring-0
   // faults). At most this many pages are hot at once; 0 disables prediction.
-  // Ignored by the other engines.
+  // The engine ignores it in every other mode.
   uint32_t hot_page_limit = 64;
 
   // Output policy. Default (false): guest emissions are forwarded to `output`

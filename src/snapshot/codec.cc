@@ -38,7 +38,12 @@ inline bool PutExtendedLength(uint8_t** dst, const uint8_t* dst_end, size_t len)
 
 }  // namespace
 
-size_t Compress(const uint8_t* src, size_t src_len, uint8_t* dst, size_t dst_cap) {
+// Both byte loops below are sensitive to where they sit relative to 64-byte
+// fetch boundaries: a 16-byte shift of unrelated code linked before this file
+// moved the budgeted queens search (lwbench search_spill) by ~15% on an Intel
+// Xeon host. A fixed entry alignment pins the loops' placement.
+__attribute__((aligned(64))) size_t Compress(const uint8_t* src, size_t src_len, uint8_t* dst,
+                                             size_t dst_cap) {
   uint32_t table[1u << kHashBits];
   std::memset(table, 0xff, sizeof(table));  // 0xffffffff = empty
 
@@ -106,7 +111,8 @@ size_t Compress(const uint8_t* src, size_t src_len, uint8_t* dst, size_t dst_cap
   return static_cast<size_t>(out - dst);
 }
 
-size_t Decompress(const uint8_t* src, size_t src_len, uint8_t* dst, size_t dst_cap) {
+__attribute__((aligned(64))) size_t Decompress(const uint8_t* src, size_t src_len, uint8_t* dst,
+                                               size_t dst_cap) {
   const uint8_t* p = src;
   const uint8_t* const src_end = src + src_len;
   size_t written = 0;

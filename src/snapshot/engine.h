@@ -1,49 +1,54 @@
-// SnapshotEngine: the pluggable snapshot substrate behind BacktrackSession.
+// SnapshotEngine: the snapshot substrate behind BacktrackSession.
 //
 // The paper's thesis is that lightweight snapshot/restore is a *system-level
 // service* shared by many search workloads; the session (search orchestration:
 // guess/fail/yield, strategies, checkpoints) and the snapshot mechanics (how an
 // address-space image is captured and reinstated) are separate concerns. This
-// interface is the seam: the session drives the search graph and calls the
-// engine exactly twice per extension — Materialize at a guess point, Restore
-// before resuming a sibling — plus a byte-budget hook after each guess.
+// class is the seam: the session drives the search graph and calls the engine
+// exactly twice per extension — Materialize at a guess point, Restore before
+// resuming a sibling — plus a byte-budget hook after each guess.
 //
-// Backends (see DESIGN.md for the layering and trade-off discussion):
-//   * CowEngine         — page-granular copy-on-write via mprotect/SIGSEGV (the
-//                         paper's design; the host MMU stands in for Dune's
-//                         nested pages), with hot-page prediction that lifts
-//                         persistently dirty pages out of the fault path.
-//   * FullCopyEngine    — classic whole-arena checkpointing [libckpt]: cost is
-//                         proportional to arena size, independent of the write
-//                         set. The baseline the paper argues against.
-//   * IncrementalCopyEngine — fault-free incremental checkpointing: no mprotect
-//                         traffic at all; a per-snapshot content scan feeds a
-//                         DirtyTracker and only flagged pages are memcpy'd.
-//                         Reads ∝ arena, copies ∝ delta — the middle point of
-//                         the design space for fault-cost-dominated hosts.
-//   * SoftDirtyEngine   — kernel-assisted dirty tracking: the kernel's
-//                         soft-dirty PTE bits (/proc/self/pagemap +
-//                         clear_refs) yield the exact dirty set with no
-//                         SIGSEGV faults and no content scan. Needs kernel
-//                         support — probe SoftDirtyTracker::Supported() first.
-//   * AdaptiveEngine    — meta-engine that re-picks the cheapest of the four
-//                         mechanisms per checkpoint from an online dirty-rate
-//                         estimate and the bench_crossover cost model.
+// There is one engine. What varies is how it discovers the pages that changed
+// since the last checkpoint — the DirtySource mechanism — and each arm of
+// Materialize/Restore is one mechanism:
+//   * faults  — page-granular copy-on-write via mprotect/SIGSEGV (the paper's
+//               design; the host MMU stands in for Dune's nested pages).
+//   * scan    — memcmp every non-guard page against the current map: no
+//               mprotect traffic at all; reads ∝ arena, copies ∝ delta.
+//   * pagemap — the kernel's soft-dirty PTE bits (/proc/self/pagemap +
+//               clear_refs): the exact write set with no faults and no scan.
+//               Needs kernel support — probe SoftDirtyTracker::Supported().
+//   * full    — no detection: republish the whole arena [libckpt], the
+//               baseline the paper argues against.
+// SnapshotMode pins the engine to one mechanism — kCow → faults,
+// kIncremental → scan, kSoftDirty → pagemap, kFullCopy → full — except
+// kAdaptive, which re-picks the cheapest mechanism at every checkpoint from
+// an online dirty-rate estimate (SelectMechanism in engine.cc). Only kCow runs
+// hot-page prediction: a page dirtied in enough consecutive snapshots is left
+// writable and compared/copied eagerly instead of taking the SIGSEGV +
+// 2×mprotect round trip; a long unchanged streak demotes it.
 //
-// Future backends (compressed blobs, remote/disaggregated pools) implement
-// this interface without touching the scheduler. Parallel materialization is
-// not a backend but a cross-cutting layer: every engine's publish loop routes
-// through MaterializeContext/ParallelMaterializer (below), so any backend —
-// current or future — can fan its page publishing out over a session-owned
-// worker team while keeping snapshot structure bit-identical to serial.
+// Current-map invariant: immediately after any Materialize or Restore, the
+// current map is byte-identical to live arena memory (guard pages excluded).
+// Mechanism (re-)arming happens at the end of Materialize, the one point where
+// every mechanism's tracking state can be established from scratch:
+//   into faults   — SetCowEnabled(true): protect everything, empty dirty set;
+//   out of faults — SetCowEnabled(false): everything writable again;
+//   into pagemap  — DiscardAndClear(): fresh soft-dirty interval;
+//   into scan/full — nothing to arm (the compare/copy IS the detection).
 //
-// SIGSEGV-protocol invariant: only engines whose NeedsSignalProtocol() returns
-// true (CoW, and Adaptive because it may arm CoW) may ever write-protect guest
-// pages, and the process-wide SIGSEGV handler plus per-thread sigaltstacks are
-// installed lazily by GuestArena::SetCowEnabled(true) — constructing an arena
-// or running a fault-free engine leaves the process signal disposition
-// untouched. Sessions gate EnsureThreadSignalStack on NeedsSignalProtocol(),
-// so a fleet of fault-free sessions never pays (or perturbs) signal state.
+// Parallelism: every publish, scan and restore copy loop runs through
+// RunSlots, which fans slot work out over the session-owned worker team in
+// EngineContext (src/snapshot/parallel_materializer.h has the determinism
+// contract). Protection changes, tracker state and map adoption stay on the
+// session thread, so results are bit-identical to a serial run.
+//
+// SIGSEGV-protocol invariant: only kCow and kAdaptive (which may arm faults)
+// ever write-protect guest pages — NeedsSignalProtocol() — and the
+// process-wide SIGSEGV handler plus per-thread sigaltstacks are installed
+// lazily by GuestArena::SetCowEnabled(true). Constructing an arena or running
+// a fault-free mode leaves the process signal disposition untouched; sessions
+// gate EnsureThreadSignalStack on NeedsSignalProtocol().
 
 #ifndef LWSNAP_SRC_SNAPSHOT_ENGINE_H_
 #define LWSNAP_SRC_SNAPSHOT_ENGINE_H_
@@ -63,31 +68,17 @@ namespace lw {
 
 class GuestArena;
 class ParallelMaterializer;
+class SoftDirtyTracker;
 
-// Per-materialize options threaded from the session through the engine seam.
-// `parallel` non-null routes the engine's publish loops (and the incremental
-// engine's content scan) through the session-owned worker team — see
-// src/snapshot/parallel_materializer.h for the determinism contract; the
-// snapshot structure produced is bit-identical to a serial materialize. Null
-// (the default) keeps everything on the calling thread. Engine-side protocol
-// state — the CoW SIGSEGV/mprotect machinery, hot-page prediction, the dirty
-// tracker, the map itself — is only ever touched on the session thread.
-struct MaterializeContext {
+// Per-call options threaded from the session into Materialize and Restore.
+// `parallel` non-null fans the engine's slot loops out over the session-owned
+// worker team; null (the default) keeps everything on the calling thread.
+struct EngineContext {
   ParallelMaterializer* parallel = nullptr;
 };
-
-// Per-restore options threaded from the session through the engine seam —
-// Restore's mirror of MaterializeContext (restore runs once per backtrack, so
-// it deserves the same fan-out the materialize path got). `parallel` non-null
-// routes every engine's restore copy loop over the session-owned worker team:
-// workers memcmp/memcpy disjoint pages of the parked arena from the
-// internally synchronized store, so end-state memory is byte-identical to a
-// serial restore by construction. Protection changes, tracker clears, and
-// cur_map_ adoption stay on the session thread (the same determinism contract
-// as materialization). Null (the default) keeps everything on the caller.
-struct RestoreContext {
-  ParallelMaterializer* parallel = nullptr;
-};
+// Per-direction names for the same context, kept for existing callers.
+using MaterializeContext = EngineContext;
+using RestoreContext = EngineContext;
 
 enum class SnapshotMode {
   kCow,
@@ -99,9 +90,8 @@ enum class SnapshotMode {
 
 const char* SnapshotModeName(SnapshotMode mode);
 
-// How the most recent Materialize discovered its dirty set. Engines record
-// this in stats->dirty_source so benches and ablations are self-describing
-// (and so tests can assert, e.g., that SoftDirtyEngine never scanned).
+// How the most recent Materialize discovered its dirty set, recorded in
+// stats->dirty_source so benches and ablations are self-describing.
 enum class DirtySource : uint8_t {
   kFaults,         // SIGSEGV/mprotect write faults (CoW)
   kScan,           // full-arena content scan (incremental)
@@ -125,11 +115,11 @@ struct SnapshotEngineStats {
   uint64_t content_dedup_hits = 0;        // publishes collapsed to an existing nonzero blob
   uint64_t cross_session_dedup_hits = 0;  // ...first published by a different session
   uint64_t compressed_blobs = 0;          // blobs currently in the cold-compressed tier
-  uint64_t incr_pages_scanned = 0;  // incremental engine: pages memcmp'd
-  uint64_t incr_pages_copied = 0;   // incremental engine: pages actually copied
+  uint64_t incr_pages_scanned = 0;  // scan/compare passes: pages memcmp'd
+  uint64_t incr_pages_copied = 0;   // scan mechanism: pages actually copied
   // Dirty-set provenance: how the latest Materialize found its delta, plus
-  // per-source materialize counts (the adaptive engine mixes sources over a
-  // session's lifetime; fixed engines bump exactly one of these).
+  // per-source materialize counts (kAdaptive mixes sources over a session's
+  // lifetime; every other mode bumps exactly one of these).
   DirtySource dirty_source = DirtySource::kFull;
   uint64_t materializes_by_faults = 0;
   uint64_t materializes_by_scan = 0;
@@ -140,16 +130,15 @@ struct SnapshotEngineStats {
   uint64_t adaptive_switches = 0;     // adaptive: mechanism changes between checkpoints
   // Restore-side provenance: syscall coalescing and skip accounting, so tests
   // and benches can assert the mprotect reduction instead of inferring it
-  // from timings. Only the engines that write-protect guest pages (CoW, and
-  // adaptive while the faults mechanism is armed) ever issue restore-side
-  // mprotect calls; for them every restore costs exactly two calls per
-  // coalesced run (batch-unprotect + batch-reprotect), so
+  // from timings. Only the faults mechanism issues restore-side mprotect
+  // calls, and every restore costs exactly two calls per coalesced run
+  // (batch-unprotect + batch-reprotect), so
   // restore_mprotect_calls == 2 × restore_runs_coalesced by construction.
   uint64_t restore_mprotect_calls = 0;  // mprotect syscalls issued by restores
   uint64_t restore_runs_coalesced = 0;  // contiguous page runs those calls covered
   // Tracked restore candidates (CoW hot pages, soft-dirty write-set pages)
   // memcmp'd and found already byte-identical — copies saved. Full-arena
-  // compare loops (incremental/scan restores) are not counted here;
+  // compare loops (scan/full restores) are not counted here;
   // incr_pages_scanned covers those.
   uint64_t pages_restore_skipped = 0;
   // Release-side provenance (store-wide totals, like the dedup counters):
@@ -173,130 +162,147 @@ struct SnapshotEngineStats {
 
 class SnapshotEngine {
  public:
-  // Everything an engine is allowed to touch. The arena is the live guest
-  // memory (and, for CoW, the protection/dirty machinery); the store is where
-  // immutable page blobs live — possibly shared with other sessions' engines;
-  // stats is the shared counter block. `owner` tags this engine's publishes so
-  // the store can attribute cross-session dedup hits.
+  // Everything the engine is allowed to touch. The arena is the live guest
+  // memory (and the protection/dirty machinery); the store is where immutable
+  // page blobs live — possibly shared with other sessions' engines; stats is
+  // the shared counter block. `owner` tags this engine's publishes so the
+  // store can attribute cross-session dedup hits.
   struct Env {
     GuestArena* arena = nullptr;
     PageStore* store = nullptr;
     SnapshotEngineStats* stats = nullptr;
     PageMapKind page_map_kind = PageMapKind::kRadix;
-    uint32_t hot_page_limit = 0;  // CoW only; other engines ignore it
+    uint32_t hot_page_limit = 0;  // kCow only; every other mode ignores it
     uint32_t owner = 0;           // PageStore owner id (see PageStore::RegisterOwner)
   };
 
-  explicit SnapshotEngine(const Env& env);
+  // Establishes the mode's arena invariant (protection state, initial current
+  // map). Call before any guest code runs in the arena. kSoftDirty aborts in
+  // SoftDirtyTracker's LW_CHECK on hosts without soft-dirty support.
+  SnapshotEngine(SnapshotMode mode, const Env& env);
   // Teardown drains the current map through PageStore::ReleaseBatch: spine
   // nodes shared with still-live snapshots are dropped by refcount, and the
   // uniquely-owned refs reclaim under batched shard holds.
-  virtual ~SnapshotEngine();
+  ~SnapshotEngine();
 
   SnapshotEngine(const SnapshotEngine&) = delete;
   SnapshotEngine& operator=(const SnapshotEngine&) = delete;
 
-  virtual SnapshotMode mode() const = 0;
-  const char* name() const { return SnapshotModeName(mode()); }
+  SnapshotMode mode() const { return mode_; }
 
-  // Captures the live arena image into snap.map (sharing the engine's current
-  // map; the snapshot becomes immutable from this point on). Called with the
-  // guest parked, so the page image exactly matches the saved registers.
-  // `ctx` optionally supplies the session's parallel-materialize worker team;
-  // the serial overload forwards an empty context.
-  virtual void Materialize(Snapshot& snap, const MaterializeContext& ctx) = 0;
-  void Materialize(Snapshot& snap) { Materialize(snap, MaterializeContext{}); }
+  // Captures the live arena image into snap.map (sharing the current map; the
+  // snapshot becomes immutable from this point on). Called with the guest
+  // parked, so the page image exactly matches the saved registers.
+  void Materialize(Snapshot& snap, const EngineContext& ctx = EngineContext{});
 
   // Rebuilds live arena memory to byte-equality with snap.map and adopts it as
-  // the current map. `ctx` optionally supplies the session's worker team (the
-  // same team Materialize fans out over); the serial overload forwards an
-  // empty context. End-state memory is byte-identical either way.
-  virtual void Restore(const Snapshot& snap, const RestoreContext& ctx) = 0;
-  void Restore(const Snapshot& snap) { Restore(snap, RestoreContext{}); }
+  // the current map. End-state memory is identical with or without a team.
+  void Restore(const Snapshot& snap, const EngineContext& ctx = EngineContext{});
 
-  // Called immediately before control transfers into the guest. Engines that
-  // arm per-resume tracking state hook here; the built-in engines keep their
-  // invariants across resumes and do nothing.
-  virtual void OnGuestResume() {}
-
-  // True iff this engine may write-protect guest pages and rely on the
-  // SIGSEGV/mprotect protocol (see the invariant note at the top of this
-  // file). Sessions and the parallel materializer skip sigaltstack/handler
-  // installation entirely when this is false — fault-free engines must not
-  // perturb process signal state.
-  virtual bool NeedsSignalProtocol() const { return false; }
+  // True iff this mode may write-protect guest pages (see the invariant note
+  // at the top of this file).
+  bool NeedsSignalProtocol() const {
+    return mode_ == SnapshotMode::kCow || mode_ == SnapshotMode::kAdaptive;
+  }
 
   // Host bytes consumed by engine-side bookkeeping (current map structure,
-  // prediction tables, trackers) — excludes page blobs and snapshot maps.
-  virtual size_t StructureBytes() const;
+  // prediction tables, trackers, scratch) — excludes page blobs and snapshot
+  // maps.
+  size_t StructureBytes() const;
 
   // Post-materialize budget hook: the shared ByteBudgetPolicy runs
-  // evict → compress → spill → drop against the store until live bytes fit `budget`
-  // (`evict` returns false when nothing is evictable; `budget == 0` means
-  // unbounded). Engines may override to weigh structure bytes or dedup
-  // savings differently.
-  virtual void EnforceByteBudget(uint64_t budget, const std::function<bool()>& evict);
+  // evict → compress → spill → drop against the store until live bytes fit
+  // `budget` (`evict` returns false when nothing is evictable; `budget == 0`
+  // means unbounded).
+  void EnforceByteBudget(uint64_t budget, const std::function<bool()>& evict);
 
   const PageMap& current_map() const { return cur_map_; }
+  // The mechanism armed for the *next* checkpoint.
+  DirtySource current_mechanism() const { return mech_; }
+  size_t hot_page_count() const { return hot_pages_.size(); }
 
- protected:
-  // Publishes one live page through the shared store with this engine's owner
-  // tag (the single choke point for dedup accounting).
+ private:
+  // Publishes one live page through the store with this engine's owner tag
+  // (the single choke point for dedup accounting).
   PageRef PublishPage(const void* src) { return env_.store->Publish(src, env_.owner); }
 
   // Runs fn(slot) for every slot in [0, count): serially when ctx carries no
-  // team, otherwise on ctx.parallel's workers. This is the choke point every
-  // engine's publish loop routes through; fn must write only its own slot's
-  // outputs (disjoint entries of an engine-owned PageRef/flag table) so the
-  // caller can assemble the map serially, in slot order, afterwards. Engine
-  // slot work cannot fail, so an error here is an invariant violation.
-  void RunSlots(const MaterializeContext& ctx, size_t count,
-                const std::function<Status(size_t)>& fn);
-  // Restore-side twin: identical contract, team taken from the RestoreContext.
-  void RunSlots(const RestoreContext& ctx, size_t count,
-                const std::function<Status(size_t)>& fn);
+  // team, otherwise on ctx.parallel's workers. fn must write only its own
+  // slot's outputs so the caller can reduce serially, in slot order.
+  void RunSlots(const EngineContext& ctx, size_t count, const std::function<Status(size_t)>& fn);
 
-  // Shared restore tail for engines that write-protect guest pages (CoW, and
-  // adaptive while the faults mechanism is armed). The caller fills
-  // restore_pages_ (sorted, unique, non-guard page indices) and restore_refs_
-  // (the matching snapshot blobs, same order); this coalesces the pages into
-  // contiguous runs, batch-unprotects each run with one mprotect, fans the
-  // memcpys out over ctx's team (or runs them serially), then batch-reprotects
-  // the same runs — exactly 2 syscalls per run instead of 2 per page. Because
-  // every touched page is writable before any worker starts, no SIGSEGV can
-  // fire off the session thread. Bumps restore_mprotect_calls /
-  // restore_runs_coalesced and returns the number of pages copied.
-  uint64_t RestoreProtectedSet(const RestoreContext& ctx);
+  // kCow hot pages at Materialize: republish the changed ones, demote long
+  // unchanged streaks back into the fault protocol.
+  void PublishHot(const EngineContext& ctx);
+  // kCow: bump dirty streaks in fault order and promote persistent writers.
+  void PromoteHot();
+  bool IsHot(uint32_t page) const { return !hot_.empty() && hot_[page] != 0; }
 
-  // Bytes held by the reusable restore scratch tables below (counted into
-  // StructureBytes so capacity retained across restores is visible).
-  size_t RestoreScratchBytes() const;
+  // Collects the current mechanism's dirty candidates into dirty_pages_
+  // (may overapproximate the changed set).
+  void CollectDirty(const EngineContext& ctx);
+  // Publishes dirty_pages_ into cur_map_, returning the number of pages whose
+  // map entry actually changed (the exact delta, via blob pointer equality).
+  uint64_t PublishDirty(const EngineContext& ctx);
+  // kAdaptive: the cheapest mechanism under the current dirty-rate estimate.
+  DirtySource SelectMechanism() const;
+  // Re-arms the current mechanism, or switches to `next`. Called at the end
+  // of Materialize (live == cur_map_).
+  void Arm(DirtySource next);
 
-  // Mirrors store-level dedup/compression accounting into the shared stats
-  // block (called by engines at the end of Materialize).
+  // Restore of tracked candidates whose live bytes are unknown (kCow hot
+  // pages, soft-dirty write sets): compare each page against snap's blob and
+  // copy only on divergence (fanned out); the rest count as restore skips.
+  // Returns the pages copied.
+  uint64_t CopyBackChanged(const std::vector<uint32_t>& pages, const Snapshot& snap,
+                           const EngineContext& ctx);
+  // Faults-mechanism restore tail. The caller fills restore_pages_ (sorted,
+  // unique, non-guard) and restore_refs_ (matching blobs); this coalesces the
+  // pages into contiguous runs, batch-unprotects each run with one mprotect,
+  // fans the memcpys out, then batch-reprotects the same runs — exactly 2
+  // syscalls per run. Every touched page is writable before any worker
+  // starts, so no SIGSEGV can fire off the session thread. Returns the number
+  // of pages copied.
+  uint64_t RestoreProtectedSet(const EngineContext& ctx);
+
+  // Mirrors store-level and soft-dirty tracker accounting into the stats block.
   void SyncStoreStats();
+  void MirrorTrackerStats();
 
+  const SnapshotMode mode_;
   Env env_;
   PageMap cur_map_;
   ByteBudgetPolicy budget_policy_;
+  DirtySource mech_;
+  uint32_t non_guard_pages_ = 0;
 
-  // Reusable restore slot tables: page index -> blob to copy in, plus a
-  // per-slot outcome flag for CopyToIfDifferent fan-outs (workers write
-  // disjoint slots; the session thread reduces afterwards). Kept as members so
-  // restore-heavy workloads stop paying per-restore allocation.
+  // kAdaptive selection state: EWMA of changed pages (<0 = unseeded) and the
+  // latest exact delta.
+  double d_hat_ = -1.0;
+  uint64_t last_delta_ = 0;
+
+  // kSoftDirty always; kAdaptive where the kernel supports it.
+  std::unique_ptr<SoftDirtyTracker> tracker_;
+
+  // kCow hot-page prediction (allocated only when hot_page_limit > 0).
+  std::vector<uint8_t> hot_;           // page -> currently hot
+  std::vector<uint8_t> dirty_streak_;  // page -> saturating dirty-snapshot count
+  std::vector<uint8_t> clean_streak_;  // hot page -> consecutive unchanged snapshots
+  std::vector<uint32_t> hot_pages_;    // dense list of hot pages
+
+  // Reusable slot tables, kept as members so checkpoint-heavy workloads stop
+  // paying per-call allocation. Workers write disjoint slots; the session
+  // thread reduces afterwards.
+  std::vector<uint32_t> dirty_pages_;  // candidates for the current checkpoint
+  std::vector<uint8_t> scan_changed_;  // scan mechanism: page -> changed flag
+  std::vector<PageRef> publish_refs_;  // publish slot -> new blob
   std::vector<uint32_t> restore_pages_;
   std::vector<PageRef> restore_refs_;
   std::vector<uint8_t> restore_flags_;
   std::vector<std::pair<uint32_t, uint32_t>> restore_runs_;  // (first page, count)
-
- private:
-  // Common slot-loop body behind both RunSlots overloads.
-  void RunSlotsOn(ParallelMaterializer* team, size_t count,
-                  const std::function<Status(size_t)>& fn);
 };
 
-// Builds the engine for `mode` and establishes its arena invariant (protection
-// state, initial current map). Call before any guest code runs in the arena.
+// Builds the engine for `mode` (see the constructor).
 std::unique_ptr<SnapshotEngine> MakeSnapshotEngine(SnapshotMode mode, const SnapshotEngine::Env& env);
 
 }  // namespace lw

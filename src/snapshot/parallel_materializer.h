@@ -4,7 +4,7 @@
 // concurrent (lock-striped shards, atomic refcounts); this is the session/
 // engine side that was still publishing on one thread. The same team also
 // serves the restore direction: engines fan their restore compare/copy loops
-// over it (RestoreContext in engine.h), with workers memcpying disjoint
+// over it (EngineContext in engine.h), with workers memcpying disjoint
 // arena pages from the store — the CoW path batch-unprotects its coalesced
 // restore runs before the fan-out, so no worker ever takes a fault.
 //

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "src/core/backtrack.h"
-#include "src/snapshot/cow_engine.h"
+#include "src/snapshot/engine.h"
 
 namespace lw {
 namespace {
@@ -64,7 +64,7 @@ TEST(HotPagesTest, PromotionPreservesChainSemantics) {
   options.arena_bytes = 8ull << 20;
   options.output = [](std::string_view) {};
   BacktrackSession session(options);
-  // Hot-page prediction lives in the extracted CowEngine, selected by mode.
+  // Hot-page prediction is the engine's kCow mode.
   ASSERT_EQ(session.engine().mode(), SnapshotMode::kCow);
   ASSERT_TRUE(session.Run(&ChainGuest, &args).ok());
   EXPECT_FALSE(args.corrupted);
@@ -73,7 +73,7 @@ TEST(HotPagesTest, PromotionPreservesChainSemantics) {
   EXPECT_GT(session.stats().snapshots, 60u);
 }
 
-// Drive the extracted CowEngine directly — no session, no guest: a host-side
+// Drive a kCow engine directly — no session, no guest: a host-side
 // write/materialize loop must promote a repeatedly dirtied page, demote it
 // after a clean streak, and keep round-trip contents exact throughout.
 TEST(HotPagesTest, ExtractedCowEngineHotCycleDirect) {
@@ -91,29 +91,29 @@ TEST(HotPagesTest, ExtractedCowEngineHotCycleDirect) {
     env.stats = &stats;
     env.page_map_kind = PageMapKind::kRadix;
     env.hot_page_limit = 8;
-    CowEngine engine(env);
+    auto engine = MakeSnapshotEngine(SnapshotMode::kCow, env);
 
     // Phase 1: dirty the same page across many snapshots — it must go hot.
     std::vector<Snapshot> snaps(40);
     for (int round = 0; round < 12; ++round) {
       arena.PageAddr(5)[0] = static_cast<uint8_t>(round + 1);
-      engine.Materialize(snaps[static_cast<size_t>(round)]);
+      engine->Materialize(snaps[static_cast<size_t>(round)]);
     }
     EXPECT_GT(stats.hot_promotions, 0u);
-    EXPECT_GT(engine.hot_page_count(), 0u);
+    EXPECT_GT(engine->hot_page_count(), 0u);
 
     // Phase 2: stop touching it — unchanged-skip accounting, then demotion.
     for (int round = 12; round < 32; ++round) {
-      engine.Materialize(snaps[static_cast<size_t>(round)]);
+      engine->Materialize(snaps[static_cast<size_t>(round)]);
     }
     EXPECT_GT(stats.hot_unchanged_skips, 0u);
     EXPECT_GT(stats.hot_demotions, 0u);
-    EXPECT_EQ(engine.hot_page_count(), 0u);
+    EXPECT_EQ(engine->hot_page_count(), 0u);
 
     // Phase 3: restores still reproduce each round's byte image exactly.
-    engine.Restore(snaps[3]);
+    engine->Restore(snaps[3]);
     EXPECT_EQ(arena.PageAddr(5)[0], 4);
-    engine.Restore(snaps[10]);
+    engine->Restore(snaps[10]);
     EXPECT_EQ(arena.PageAddr(5)[0], 11);
   }
   EXPECT_LE(store.stats().live_blobs, 1u);  // only the store-held zero blob remains

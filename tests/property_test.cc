@@ -7,11 +7,16 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "src/core/arena.h"
 #include "src/core/guest_heap.h"
 #include "src/prolog/machine.h"
 #include "src/prolog/term.h"
+#include "src/snapshot/engine.h"
+#include "src/snapshot/parallel_materializer.h"
+#include "src/snapshot/soft_dirty.h"
 #include "src/util/rng.h"
 
 namespace lw {
@@ -197,6 +202,134 @@ TEST(TermHeapPropertyTest, CopyPreservesSharingAcrossHeaps) {
     EXPECT_EQ(shape(a), shape(b));
   }
 }
+
+// --- Snapshot engines: cross-mode differential against a shadow image ---
+
+// Seeded random page-write / materialize / restore scripts run against every
+// snapshot mode at 1 and 4 workers. A shadow copy of the write window is taken
+// at each materialize; every restore must reproduce it byte for byte and leave
+// the rest of the arena zero. Wide bursts move the adaptive engine between
+// mechanisms mid-script; dropped snapshots exercise release along the way.
+class EngineDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+constexpr uint32_t kWindowPages = 256;  // writes land in pages [0, kWindowPages)
+
+std::string RunDifferentialScript(uint64_t seed, SnapshotMode mode, uint32_t workers) {
+  GuestArena::Layout layout;
+  layout.arena_bytes = 2ull << 20;
+  layout.stack_bytes = 256 * 1024;
+  layout.guard_bytes = 16 * kPageSize;
+  GuestArena arena(layout);
+  PageStore store;
+  SnapshotEngineStats stats;
+  SnapshotEngine::Env env;
+  env.arena = &arena;
+  env.store = &store;
+  env.stats = &stats;
+  env.hot_page_limit = 8;
+  auto engine = MakeSnapshotEngine(mode, env);
+  std::unique_ptr<ParallelMaterializer> team;
+  EngineContext ctx;
+  if (workers > 1) {
+    ParallelMaterializerOptions options;
+    options.workers = workers;
+    options.chunk_slots = 4;
+    options.needs_signal_stack = engine->NeedsSignalProtocol();
+    team = std::make_unique<ParallelMaterializer>(options);
+    ctx.parallel = team.get();
+  }
+
+  const size_t window = static_cast<size_t>(kWindowPages) * kPageSize;
+  std::vector<uint8_t> live(window, 0);  // shadow of the window's current bytes
+  struct Kept {
+    std::unique_ptr<Snapshot> snap;
+    std::vector<uint8_t> image;
+  };
+  std::vector<Kept> kept;
+  Rng rng(seed);
+  auto write = [&](uint32_t page, uint32_t offset, uint32_t len, uint8_t value) {
+    std::memset(arena.PageAddr(page) + offset, value, len);
+    std::memset(live.data() + static_cast<size_t>(page) * kPageSize + offset, value, len);
+  };
+
+  for (int op = 0; op < 120; ++op) {
+    const uint64_t dice = rng.Next() % 100;
+    if (dice < 45) {  // narrow write: a byte range of one or two pages
+      // Nearly half land on pages 0-3, a working set that kCow promotes hot.
+      const uint32_t page =
+          static_cast<uint32_t>(rng.Next() % (dice < 20 ? 4 : kWindowPages - 1));
+      const uint32_t offset = static_cast<uint32_t>(rng.Next() % kPageSize);
+      const uint32_t len = 1 + static_cast<uint32_t>(rng.Next() % (kPageSize - offset));
+      const uint8_t value = static_cast<uint8_t>(rng.Next());
+      write(page, offset, len, value);
+      if (dice < 10) {
+        write(page + 1, 0, kPageSize, value);  // a second page with equal bytes
+      }
+    } else if (dice < 50) {  // wide burst across most of the window
+      const uint8_t value = static_cast<uint8_t>(rng.Next());
+      for (uint32_t page = kWindowPages; page-- > 16;) {
+        write(page, static_cast<uint32_t>(rng.Next() % kPageSize), 1, value);
+      }
+    } else if (dice < 55) {  // zero a page, or rewrite one with its own bytes
+      const uint32_t page = static_cast<uint32_t>(rng.Next() % kWindowPages);
+      if (rng.Next() % 2 == 0) {
+        write(page, 0, kPageSize, 0);
+      } else {
+        std::memcpy(arena.PageAddr(page), live.data() + static_cast<size_t>(page) * kPageSize,
+                    kPageSize);
+      }
+    } else if (dice < 75) {  // materialize
+      Kept k{std::make_unique<Snapshot>(), live};
+      engine->Materialize(*k.snap, ctx);
+      kept.push_back(std::move(k));
+      if (kept.size() > 12) {
+        kept.erase(kept.begin() + static_cast<long>(rng.Next() % kept.size()));
+      }
+    } else if (!kept.empty()) {  // restore to a random kept snapshot
+      const Kept& target = kept[rng.Next() % kept.size()];
+      engine->Restore(*target.snap, ctx);
+      live = target.image;
+      for (uint32_t page = 0; page < arena.num_pages(); ++page) {
+        if (arena.InGuard(page)) {
+          continue;
+        }
+        const uint8_t* bytes = arena.PageAddr(page);
+        bool ok = true;
+        if (page < kWindowPages) {
+          ok = std::memcmp(bytes, live.data() + static_cast<size_t>(page) * kPageSize,
+                           kPageSize) == 0;
+        } else {
+          for (size_t i = 0; i < kPageSize && ok; ++i) {
+            ok = bytes[i] == 0;
+          }
+        }
+        if (!ok) {
+          return "page " + std::to_string(page) + " differs after the restore at op " +
+                 std::to_string(op);
+        }
+      }
+    }
+  }
+  return "";
+}
+
+TEST_P(EngineDifferentialTest, EveryModeRestoresTheShadowImage) {
+  const uint64_t seed = GetParam();
+  for (SnapshotMode mode : {SnapshotMode::kCow, SnapshotMode::kFullCopy,
+                            SnapshotMode::kIncremental, SnapshotMode::kSoftDirty,
+                            SnapshotMode::kAdaptive}) {
+    if (mode == SnapshotMode::kSoftDirty && !SoftDirtyTracker::Supported()) {
+      continue;
+    }
+    for (uint32_t workers : {1u, 4u}) {
+      const std::string failure = RunDifferentialScript(seed, mode, workers);
+      EXPECT_TRUE(failure.empty()) << "seed " << seed << " mode " << SnapshotModeName(mode)
+                                   << " workers " << workers << ": " << failure;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EngineDifferentialTest, ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 }  // namespace
 }  // namespace lw

@@ -1,6 +1,6 @@
 // Kernel-assisted dirty tracking: the SoftDirtyTracker capability probe and
-// arbiter, the SoftDirtyEngine's zero-fault/zero-scan contract, the adaptive
-// engine's mechanism selection and graceful fallback, and the lazy
+// arbiter, the kSoftDirty zero-fault/zero-scan contract, kAdaptive's
+// mechanism selection, accounting and graceful fallback, and the lazy
 // signal-state invariant (handler + sigaltstack installed only when an engine
 // actually needs the SIGSEGV protocol).
 //
@@ -21,10 +21,8 @@
 
 #include "src/core/arena.h"
 #include "src/core/backtrack.h"
-#include "src/snapshot/adaptive_engine.h"
 #include "src/snapshot/engine.h"
 #include "src/snapshot/soft_dirty.h"
-#include "src/snapshot/soft_dirty_engine.h"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer) && !defined(__SANITIZE_THREAD__)
@@ -229,7 +227,7 @@ TEST_F(SoftDirtyTrackerTest, PendingWritesSurviveAnotherTrackersClear) {
       << "a page written before another tracker's clear_refs was lost";
 }
 
-// --- SoftDirtyEngine: the zero-fault / zero-scan acceptance contract -------------
+// --- kSoftDirty: the zero-fault / zero-scan acceptance contract ------------------
 
 TEST_F(SoftDirtyTrackerTest, EngineMaterializesOnePageDeltaWithNoFaultsNoScan) {
   // Large arena: 64 MiB, so a full scan or full copy would be ~16k pages.
@@ -272,7 +270,7 @@ TEST_F(SoftDirtyTrackerTest, EngineMaterializesOnePageDeltaWithNoFaultsNoScan) {
   EXPECT_LE(store.stats().live_blobs, 1u);
 }
 
-// --- AdaptiveEngine: selection, switching, fallback ------------------------------
+// --- kAdaptive: selection, switching, accounting, fallback -----------------------
 
 TEST(AdaptiveEngineTest, SwitchesMechanismWithObservedDirtyRate) {
 #ifdef __SANITIZE_THREAD__
@@ -281,10 +279,10 @@ TEST(AdaptiveEngineTest, SwitchesMechanismWithObservedDirtyRate) {
   GuestArena arena(SmallLayout());
   PageStore store;
   SnapshotEngineStats stats;
-  AdaptiveEngine engine(MakeEnv(&arena, &store, &stats));
+  auto engine = MakeSnapshotEngine(SnapshotMode::kAdaptive, MakeEnv(&arena, &store, &stats));
   // Opens in faults: exact delta from checkpoint one, and no scan probe
-  // demand-faulting the whole fresh arena (see adaptive_engine.h).
-  EXPECT_EQ(engine.current_mechanism(), DirtySource::kFaults);
+  // demand-faulting the whole fresh arena (see InitialMechanism in engine.cc).
+  EXPECT_EQ(engine->current_mechanism(), DirtySource::kFaults);
 
   // Tiny deltas: per-page fault cost beats whole-arena work; the engine must
   // stay in the faults mechanism, and the CoW protocol is live.
@@ -292,9 +290,9 @@ TEST(AdaptiveEngineTest, SwitchesMechanismWithObservedDirtyRate) {
   size_t si = 0;
   for (int round = 0; round < 6; ++round) {
     arena.PageAddr(5)[0] = static_cast<uint8_t>(round + 1);
-    engine.Materialize(snaps[si++]);
+    engine->Materialize(snaps[si++]);
   }
-  EXPECT_EQ(engine.current_mechanism(), DirtySource::kFaults);
+  EXPECT_EQ(engine->current_mechanism(), DirtySource::kFaults);
   EXPECT_EQ(stats.adaptive_switches, 0u);
   EXPECT_GT(stats.materializes_by_faults, 0u);
   EXPECT_GT(arena.cow_faults(), 0u);
@@ -305,17 +303,85 @@ TEST(AdaptiveEngineTest, SwitchesMechanismWithObservedDirtyRate) {
     for (uint32_t page = 0; page < 400; ++page) {
       arena.PageAddr(page)[0] = static_cast<uint8_t>(round * 31 + page);
     }
-    engine.Materialize(snaps[si++]);
+    engine->Materialize(snaps[si++]);
   }
-  EXPECT_NE(engine.current_mechanism(), DirtySource::kFaults);
+  EXPECT_NE(engine->current_mechanism(), DirtySource::kFaults);
   EXPECT_GE(stats.adaptive_switches, 1u);
 
   // Round trips stay exact across mechanism changes.
   std::memset(arena.PageAddr(5), 0xEE, kPageSize);
-  engine.Restore(snaps[3]);
+  engine->Restore(snaps[3]);
   EXPECT_EQ(arena.PageAddr(5)[0], 4u);
-  engine.Restore(snaps[si - 1]);
+  engine->Restore(snaps[si - 1]);
   EXPECT_EQ(arena.PageAddr(0)[0], static_cast<uint8_t>(3 * 31));
+}
+
+// A restore in the scan or full mechanism memcmps every non-guard page
+// against the target map, and counts that pass in incr_pages_scanned.
+TEST(AdaptiveEngineTest, CompareRestoreCountsScannedPages) {
+#ifdef __SANITIZE_THREAD__
+  GTEST_SKIP() << "adaptive may arm the CoW SIGSEGV protocol (TSan conflict)";
+#endif
+  GuestArena arena(SmallLayout());
+  PageStore store;
+  SnapshotEngineStats stats;
+  auto engine = MakeSnapshotEngine(SnapshotMode::kAdaptive, MakeEnv(&arena, &store, &stats));
+  std::vector<Snapshot> snaps(3);
+  engine->Materialize(snaps[0]);
+  for (int round = 1; round < 3; ++round) {  // wide deltas leave the faults mechanism
+    for (uint32_t page = 0; page < 400; ++page) {
+      arena.PageAddr(page)[0] = static_cast<uint8_t>(round);
+    }
+    engine->Materialize(snaps[round]);
+  }
+  const DirtySource mech = engine->current_mechanism();
+  ASSERT_TRUE(mech == DirtySource::kScan || mech == DirtySource::kFull) << DirtySourceName(mech);
+  uint64_t non_guard = 0;
+  for (uint32_t page = 0; page < arena.num_pages(); ++page) {
+    non_guard += arena.InGuard(page) ? 0 : 1;
+  }
+  const uint64_t scanned = stats.incr_pages_scanned;
+  engine->Restore(snaps[0]);
+  EXPECT_EQ(stats.incr_pages_scanned, scanned + non_guard);
+  EXPECT_EQ(arena.PageAddr(399)[0], 0);
+}
+
+// A restore in the pagemap mechanism reads pagemap and clears soft-dirty bits,
+// and mirrors the tracker's counters afterwards just as Materialize does.
+TEST_F(SoftDirtyTrackerTest, AdaptivePagemapRestoreMirrorsTrackerCounters) {
+#ifdef __SANITIZE_THREAD__
+  GTEST_SKIP() << "adaptive may arm the CoW SIGSEGV protocol (TSan conflict)";
+#endif
+  // 64 MiB: big enough that pagemap beats both full and faults for mid-sized
+  // deltas. One very wide delta moves the engine to full; mid-sized deltas
+  // then pull the decaying estimate into pagemap's range.
+  GuestArena::Layout layout;
+  layout.arena_bytes = 64ull << 20;
+  layout.stack_bytes = 1ull << 20;
+  layout.guard_bytes = 16 * kPageSize;
+  GuestArena arena(layout);
+  PageStore store;
+  SnapshotEngineStats stats;
+  auto engine = MakeSnapshotEngine(SnapshotMode::kAdaptive, MakeEnv(&arena, &store, &stats));
+  std::vector<Snapshot> snaps(8);
+  size_t next = 0;
+  for (int round = 0;
+       round < 8 && engine->current_mechanism() != DirtySource::kKernelPagemap; ++round) {
+    const uint32_t width = round == 0 ? 6000 : 1000;
+    for (uint32_t page = 0; page < width; ++page) {
+      arena.PageAddr(page)[0] = static_cast<uint8_t>(round + 1);
+    }
+    engine->Materialize(snaps[next++]);
+  }
+  ASSERT_EQ(engine->current_mechanism(), DirtySource::kKernelPagemap);
+  arena.PageAddr(7)[0] = 0xEE;
+  const uint64_t entries = stats.pagemap_entries_read;
+  const uint64_t clears = stats.soft_dirty_clears;
+  engine->Restore(snaps[0]);
+  EXPECT_GT(stats.pagemap_entries_read, entries);
+  EXPECT_GT(stats.soft_dirty_clears, clears);
+  EXPECT_EQ(arena.PageAddr(7)[0], 1);
+  EXPECT_EQ(arena.PageAddr(1000)[0], 1);
 }
 
 TEST(AdaptiveEngineTest, FallsBackCleanlyWithoutSoftDirty) {
