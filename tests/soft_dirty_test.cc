@@ -54,14 +54,20 @@ SnapshotEngine::Env MakeEnv(GuestArena* arena, PageStore* store, SnapshotEngineS
 
 // A whole fault-free session end to end — arena, engine, guest, snapshots,
 // restores — must leave the process SIGSEGV disposition at default and never
-// install a sigaltstack on its driving thread. "Skipped, not just unused."
+// install or replace a sigaltstack on its driving thread. "Skipped, not just
+// unused." The driver thread's altstack is compared against what it was before
+// the session existed rather than against "none": sanitizer runtimes (ASan)
+// install their own altstack on every thread they start.
 TEST(ASignalStateTest, FaultFreeSessionLeavesSignalStateUntouched) {
 #ifdef __SANITIZE_THREAD__
   GTEST_SKIP() << "TSan interposes signal dispositions";
 #endif
-  bool thread_has_altstack = true;
+  stack_t before{};
+  stack_t after{};
+  bool recorded = false;
   uint64_t solutions = 0;
-  std::thread driver([&thread_has_altstack, &solutions] {
+  std::thread driver([&before, &after, &recorded, &solutions] {
+    ASSERT_EQ(sigaltstack(nullptr, &before), 0);
     int n = 6;
     SessionOptions options;
     options.arena_bytes = 1ull << 20;
@@ -95,12 +101,15 @@ TEST(ASignalStateTest, FaultFreeSessionLeavesSignalStateUntouched) {
     };
     ASSERT_TRUE(session.Run(guest, &n).ok());
     solutions = session.stats().solutions;
-    stack_t ss{};
-    thread_has_altstack = !(sigaltstack(nullptr, &ss) == 0 && (ss.ss_flags & SS_DISABLE) != 0);
+    ASSERT_EQ(sigaltstack(nullptr, &after), 0);
+    recorded = true;
   });
   driver.join();
   EXPECT_EQ(solutions, 4u);  // 6-queens
-  EXPECT_FALSE(thread_has_altstack) << "fault-free session installed a sigaltstack";
+  ASSERT_TRUE(recorded);
+  EXPECT_EQ(after.ss_sp, before.ss_sp) << "fault-free session installed a sigaltstack";
+  EXPECT_EQ(after.ss_size, before.ss_size) << "fault-free session installed a sigaltstack";
+  EXPECT_EQ(after.ss_flags, before.ss_flags) << "fault-free session installed a sigaltstack";
 
   struct sigaction sa{};
   ASSERT_EQ(sigaction(SIGSEGV, nullptr, &sa), 0);
