@@ -90,7 +90,6 @@ BacktrackSession::BacktrackSession(SessionOptions options)
   env.store = store_.get();
   env.owner = store_owner_;
   env.stats = &stats_;
-  env.page_map_kind = options_.page_map_kind;
   env.hot_page_limit = options_.hot_page_limit;
   engine_ = MakeSnapshotEngine(options_.snapshot_mode, env);
 

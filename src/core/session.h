@@ -63,7 +63,6 @@ class SessionAttachment {
 struct SessionOptions {
   size_t arena_bytes = 64ull << 20;
   size_t guest_stack_bytes = 1ull << 20;
-  PageMapKind page_map_kind = PageMapKind::kRadix;
   // Snapshot backend (src/snapshot/engine.h): kCow (default), kFullCopy,
   // kIncremental, kSoftDirty, kAdaptive. kSoftDirty requires kernel support —
   // callers must check SoftDirtyTracker::Supported() first (construction

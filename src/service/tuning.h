@@ -27,7 +27,6 @@ namespace lw {
 struct ServiceTuning {
   size_t arena_bytes = 64ull << 20;
   size_t mailbox_bytes = 1ull << 16;
-  PageMapKind page_map_kind = PageMapKind::kRadix;
   // Any SnapshotMode works here, including kSoftDirty (probe
   // SoftDirtyTracker::Supported() first) and kAdaptive (works everywhere);
   // see SessionOptions::snapshot_mode.
@@ -60,7 +59,6 @@ struct ServiceTuning {
 inline SessionOptions MakeSessionOptions(const ServiceTuning& tuning) {
   SessionOptions session_options;
   session_options.arena_bytes = tuning.arena_bytes;
-  session_options.page_map_kind = tuning.page_map_kind;
   session_options.snapshot_mode = tuning.snapshot_mode;
   session_options.store = tuning.store;
   session_options.store_options = tuning.store_options;

@@ -98,7 +98,7 @@ const char* DirtySourceName(DirtySource source) {
 SnapshotEngine::SnapshotEngine(SnapshotMode mode, const Env& env)
     : mode_(mode),
       env_(env),
-      cur_map_(env.page_map_kind, env.arena->num_pages()),
+      cur_map_(env.arena->num_pages()),
       mech_(InitialMechanism(mode)) {
   LW_CHECK(env_.arena != nullptr && env_.store != nullptr && env_.stats != nullptr);
   GuestArena& arena = *env_.arena;

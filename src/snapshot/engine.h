@@ -171,7 +171,6 @@ class SnapshotEngine {
     GuestArena* arena = nullptr;
     PageStore* store = nullptr;
     SnapshotEngineStats* stats = nullptr;
-    PageMapKind page_map_kind = PageMapKind::kRadix;
     uint32_t hot_page_limit = 0;  // kCow only; every other mode ignores it
     uint32_t owner = 0;           // PageStore owner id (see PageStore::RegisterOwner)
   };

@@ -1,13 +1,11 @@
 // PageMap: the immutable address-space image of a snapshot — a mapping from guest
 // page index to PageRef.
 //
-// Two representations (the E7 ablation in DESIGN.md):
-//  * kFlat  — dense vector of PageRefs. Sharing a snapshot copies the whole vector
-//             (O(pages) pointer copies + refcount bumps); diff is a linear scan.
-//  * kRadix — persistent radix tree. Sharing is O(1); a point update copies only
-//             the spine; diff skips pointer-equal subtrees, so nearby snapshots
-//             diff in O(pages that differ · log). This is the paper's
-//             "space-efficient encoding" of the parent relationship (§3.1).
+// The map is a persistent radix tree (PersistentRadixMap) with bounds checks.
+// Sharing a snapshot is O(1); a point update copies only the spine; diff skips
+// pointer-equal subtrees, so nearby snapshots diff in O(pages that differ · log).
+// This is the paper's "space-efficient encoding" of the parent relationship
+// (§3.1), and O(spine) release depends on the same structural sharing.
 //
 // Identity: two map entries are equal iff they reference the same blob. Blobs are
 // immutable, so pointer equality implies content equality (the converse need not
@@ -17,7 +15,6 @@
 #define LWSNAP_SRC_SNAPSHOT_PAGE_MAP_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "src/snapshot/page_store.h"
@@ -26,84 +23,45 @@
 
 namespace lw {
 
-enum class PageMapKind {
-  kFlat,
-  kRadix,
-};
-
-const char* PageMapKindName(PageMapKind kind);
-
 class PageMap {
  public:
-  PageMap() : PageMap(PageMapKind::kFlat, 0) {}
+  PageMap() : PageMap(0) {}
 
-  PageMap(PageMapKind kind, uint32_t num_pages)
-      : kind_(kind), num_pages_(num_pages), radix_(kind == PageMapKind::kRadix ? num_pages : 0) {
-    if (kind_ == PageMapKind::kFlat) {
-      flat_.resize(num_pages);
-    }
-  }
+  explicit PageMap(uint32_t num_pages) : num_pages_(num_pages), radix_(num_pages) {}
 
-  // Copying *is* sharing: cost depends on the representation (see header comment).
+  // Copying *is* sharing: O(1), the radix root is refcounted.
   PageMap(const PageMap&) = default;
   PageMap& operator=(const PageMap&) = default;
   PageMap(PageMap&&) = default;
   PageMap& operator=(PageMap&&) = default;
 
-  PageMapKind kind() const { return kind_; }
   uint32_t num_pages() const { return num_pages_; }
 
   PageRef Get(uint32_t page) const {
     LW_CHECK(page < num_pages_);
-    if (kind_ == PageMapKind::kFlat) {
-      return flat_[page];
-    }
     return radix_.Get(page);
   }
 
   void Set(uint32_t page, PageRef ref) {
     LW_CHECK(page < num_pages_);
-    if (kind_ == PageMapKind::kFlat) {
-      flat_[page] = std::move(ref);
-    } else {
-      // Moves through PersistentRadixMap's rvalue Set: the ref lands in the
-      // copied spine without an atomic bump/drop pair per page.
-      radix_.Set(page, std::move(ref));
-    }
+    // Moves through PersistentRadixMap's rvalue Set: the ref lands in the
+    // copied spine without an atomic bump/drop pair per page.
+    radix_.Set(page, std::move(ref));
   }
 
   // Explicit release: moves every ref this map uniquely owns into `*drain`
   // and empties the map, for batch-grained reclamation via
-  // PageStore::ReleaseBatch. kRadix walks only the owned spine — subtrees
-  // shared with sibling snapshots are dropped with one refcount decrement and
-  // never descended (returns the radix nodes visited, so callers can assert
-  // the O(delta · height) bound). kFlat has no shared structure: every valid
-  // ref is drained and the return value is 0.
-  size_t ReleaseInto(std::vector<PageRef>* drain) {
-    if (kind_ == PageMapKind::kFlat) {
-      for (PageRef& ref : flat_) {
-        if (ref.valid()) {
-          drain->push_back(std::move(ref));
-        }
-      }
-      return 0;
-    }
-    return radix_.ReleaseInto(drain);
-  }
+  // PageStore::ReleaseBatch. Walks only the owned spine — subtrees shared
+  // with sibling snapshots are dropped with one refcount decrement and never
+  // descended (returns the radix nodes visited, so callers can assert the
+  // O(delta · height) bound).
+  size_t ReleaseInto(std::vector<PageRef>* drain) { return radix_.ReleaseInto(drain); }
 
   // Invokes fn(page, mine, theirs) for every page where the two maps reference
-  // different blobs. Both maps must have the same kind and page count.
+  // different blobs. Both maps must have the same page count.
   template <typename Fn>
   void Diff(const PageMap& other, Fn&& fn) const {
-    LW_CHECK(kind_ == other.kind_ && num_pages_ == other.num_pages_);
-    if (kind_ == PageMapKind::kFlat) {
-      for (uint32_t page = 0; page < num_pages_; ++page) {
-        if (flat_[page] != other.flat_[page]) {
-          fn(page, flat_[page], other.flat_[page]);
-        }
-      }
-      return;
-    }
+    LW_CHECK(num_pages_ == other.num_pages_);
     radix_.Diff(other.radix_, [&fn](uint32_t page, const PageRef& mine, const PageRef& theirs) {
       fn(page, mine, theirs);
     });
@@ -111,31 +69,13 @@ class PageMap {
 
   // Approximate host bytes consumed by this map's own structure (excluding blobs,
   // and counting radix nodes shared with other maps once per map).
-  size_t StructureBytes() const {
-    if (kind_ == PageMapKind::kFlat) {
-      return flat_.capacity() * sizeof(PageRef);
-    }
-    return radix_.CountNodes() * (kFanoutNodeBytes);
-  }
-
-  // Structure bytes *new to this map* relative to everything already counted
-  // through `seen`: accumulating over a snapshot family counts each shared
-  // radix node exactly once (flat maps never share, so this equals
-  // StructureBytes for them). The honest residency metric for E7.
-  size_t UniqueStructureBytes(std::unordered_set<const void*>* seen) const {
-    if (kind_ == PageMapKind::kFlat) {
-      return flat_.capacity() * sizeof(PageRef);
-    }
-    return radix_.CountUniqueNodes(seen) * kFanoutNodeBytes;
-  }
+  size_t StructureBytes() const { return radix_.CountNodes() * kFanoutNodeBytes; }
 
  private:
   static constexpr size_t kFanoutNodeBytes =
       PersistentRadixMap<PageRef>::kFanout * (sizeof(void*) * 2 + sizeof(PageRef));
 
-  PageMapKind kind_;
   uint32_t num_pages_;
-  std::vector<PageRef> flat_;
   PersistentRadixMap<PageRef> radix_;
 };
 

@@ -248,7 +248,6 @@ Status SnapshotExplorer::Explore(const Program& program, ExploreStats* stats,
 
   SessionOptions session_options;
   session_options.arena_bytes = options_.arena_bytes;
-  session_options.page_map_kind = options_.page_map_kind;
   session_options.snapshot_mode = options_.snapshot_mode;
   if (options_.max_paths != 0) {
     // Terminal paths ≈ evaluated extensions / 2 on a binary tree; budget with

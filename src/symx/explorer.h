@@ -55,9 +55,8 @@ struct ExploreOptions {
   uint64_t max_paths = 0;
   // Per-query solver budget; a budget hit conservatively keeps the path alive.
   uint64_t solver_conflict_budget = 1u << 20;
-  // SnapshotExplorer only: arena size and page-map kind for the session.
+  // SnapshotExplorer only: arena size and snapshot mode for the session.
   size_t arena_bytes = 64ull << 20;
-  PageMapKind page_map_kind = PageMapKind::kRadix;
   SnapshotMode snapshot_mode = SnapshotMode::kCow;
 };
 

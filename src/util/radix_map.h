@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -137,13 +136,6 @@ class PersistentRadixMap {
   // counts shared nodes once per call, not deduplicated across maps).
   size_t CountNodes() const { return CountRec(root_.get(), height_ - 1); }
 
-  // Nodes reachable from this root that are not already in `seen` (adds them).
-  // Calling this over a family of maps yields the family's true structural
-  // residency — shared subtrees are counted exactly once.
-  size_t CountUniqueNodes(std::unordered_set<const void*>* seen) const {
-    return CountUniqueRec(root_.get(), height_ - 1, seen);
-  }
-
   bool RootEquals(const PersistentRadixMap& other) const { return root_ == other.root_; }
 
  private:
@@ -241,20 +233,6 @@ class PersistentRadixMap {
     if (level > 0) {
       for (uint32_t slot = 0; slot < kFanout; ++slot) {
         n += CountRec(node->children[slot].get(), level - 1);
-      }
-    }
-    return n;
-  }
-
-  static size_t CountUniqueRec(const Node* node, int level,
-                               std::unordered_set<const void*>* seen) {
-    if (node == nullptr || !seen->insert(node).second) {
-      return 0;
-    }
-    size_t n = 1;
-    if (level > 0) {
-      for (uint32_t slot = 0; slot < kFanout; ++slot) {
-        n += CountUniqueRec(node->children[slot].get(), level - 1, seen);
       }
     }
     return n;

@@ -34,7 +34,6 @@ SnapshotEngine::Env MakeEnv(GuestArena* arena, PageStore* store, SnapshotEngineS
   env.arena = arena;
   env.store = store;
   env.stats = stats;
-  env.page_map_kind = PageMapKind::kRadix;
   env.hot_page_limit = mode == SnapshotMode::kCow ? 64 : 0;
   return env;
 }

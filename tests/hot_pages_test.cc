@@ -89,7 +89,6 @@ TEST(HotPagesTest, ExtractedCowEngineHotCycleDirect) {
     env.arena = &arena;
     env.store = &store;
     env.stats = &stats;
-    env.page_map_kind = PageMapKind::kRadix;
     env.hot_page_limit = 8;
     auto engine = MakeSnapshotEngine(SnapshotMode::kCow, env);
 

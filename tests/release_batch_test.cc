@@ -169,7 +169,7 @@ TEST(ReleaseBatchRadixTest, SharedSubtreesAreNeverDescended) {
   constexpr int kHeight = 3;
   uint8_t buf[kPageSize];
 
-  PageMap base(PageMapKind::kRadix, kPages);
+  PageMap base(kPages);
   for (uint32_t page = 0; page < kPages; ++page) {
     FillPage(buf, 3, page);
     base.Set(page, store.Publish(buf));

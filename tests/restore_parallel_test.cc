@@ -58,7 +58,6 @@ SnapshotEngine::Env MakeEnv(GuestArena* arena, PageStore* store, SnapshotEngineS
   env.arena = arena;
   env.store = store;
   env.stats = stats;
-  env.page_map_kind = PageMapKind::kRadix;
   env.hot_page_limit = hot_page_limit;
   env.owner = 1;
   return env;

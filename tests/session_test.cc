@@ -203,7 +203,6 @@ int ExpectedQueens(int n) {
 }
 
 struct SessionVariant {
-  PageMapKind map_kind;
   SnapshotMode mode;
   StrategyKind strategy;
 };
@@ -215,7 +214,6 @@ TEST_P(NQueensVariantTest, CountsAllSolutions) {
   for (int n : {4, 5, 6}) {
     SessionOptions options = SmallOptions();
     options.arena_bytes = 4ull << 20;
-    options.page_map_kind = variant.map_kind;
     options.snapshot_mode = variant.mode;
     std::string captured;
     options.output = [&captured](std::string_view text) { captured.append(text); };
@@ -231,25 +229,15 @@ TEST_P(NQueensVariantTest, CountsAllSolutions) {
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, NQueensVariantTest,
-    ::testing::Values(SessionVariant{PageMapKind::kRadix, SnapshotMode::kCow, StrategyKind::kDfs},
-                      SessionVariant{PageMapKind::kFlat, SnapshotMode::kCow, StrategyKind::kDfs},
-                      SessionVariant{PageMapKind::kRadix, SnapshotMode::kFullCopy,
-                                     StrategyKind::kDfs},
-                      SessionVariant{PageMapKind::kRadix, SnapshotMode::kIncremental,
-                                     StrategyKind::kDfs},
-                      SessionVariant{PageMapKind::kFlat, SnapshotMode::kIncremental,
-                                     StrategyKind::kDfs},
-                      SessionVariant{PageMapKind::kRadix, SnapshotMode::kIncremental,
-                                     StrategyKind::kBfs},
-                      SessionVariant{PageMapKind::kRadix, SnapshotMode::kCow, StrategyKind::kBfs},
-                      SessionVariant{PageMapKind::kRadix, SnapshotMode::kCow,
-                                     StrategyKind::kRandom},
-                      SessionVariant{PageMapKind::kRadix, SnapshotMode::kCow,
-                                     StrategyKind::kIddfs}),
+    ::testing::Values(SessionVariant{SnapshotMode::kCow, StrategyKind::kDfs},
+                      SessionVariant{SnapshotMode::kFullCopy, StrategyKind::kDfs},
+                      SessionVariant{SnapshotMode::kIncremental, StrategyKind::kDfs},
+                      SessionVariant{SnapshotMode::kIncremental, StrategyKind::kBfs},
+                      SessionVariant{SnapshotMode::kCow, StrategyKind::kBfs},
+                      SessionVariant{SnapshotMode::kCow, StrategyKind::kRandom},
+                      SessionVariant{SnapshotMode::kCow, StrategyKind::kIddfs}),
     [](const ::testing::TestParamInfo<SessionVariant>& param) {
-      std::string name = PageMapKindName(param.param.map_kind);
-      name += "_";
-      name += SnapshotModeName(param.param.mode);
+      std::string name = SnapshotModeName(param.param.mode);
       name += "_";
       name += StrategyKindName(param.param.strategy);
       std::replace(name.begin(), name.end(), '-', '_');

@@ -1,5 +1,5 @@
 // Tests for the snapshot substrate: PageStore refcounting and recycling, PageMap
-// (both representations) sharing/diff semantics, and DirtyTracker.
+// sharing/diff semantics, and DirtyTracker.
 
 #include <gtest/gtest.h>
 
@@ -139,13 +139,11 @@ TEST(DirtyTrackerTest, FullCapacity) {
   EXPECT_EQ(t.count(), 128u);
 }
 
-// --- PageMap (parameterized over both representations) ---------------------------
+// --- PageMap ---------------------------------------------------------------------
 
-class PageMapTest : public ::testing::TestWithParam<PageMapKind> {};
-
-TEST_P(PageMapTest, GetSetRoundTrip) {
+TEST(PageMapTest, GetSetRoundTrip) {
   PageStore store;
-  PageMap m(GetParam(), 512);
+  PageMap m(512);
   auto page = PatternPage(7);
   PageRef ref = store.Publish(page.data());
   m.Set(100, ref);
@@ -153,9 +151,9 @@ TEST_P(PageMapTest, GetSetRoundTrip) {
   EXPECT_FALSE(m.Get(101).valid());
 }
 
-TEST_P(PageMapTest, ShareThenDivergeDiff) {
+TEST(PageMapTest, ShareThenDivergeDiff) {
   PageStore store;
-  PageMap a(GetParam(), 4096);
+  PageMap a(4096);
   auto z = PatternPage(0);
   PageRef zero = store.Publish(z.data());
   for (uint32_t p = 0; p < 4096; ++p) {
@@ -177,9 +175,9 @@ TEST_P(PageMapTest, ShareThenDivergeDiff) {
   EXPECT_TRUE(diffs.count(3000));
 }
 
-TEST_P(PageMapTest, DiffOfIdenticalMapsIsEmpty) {
+TEST(PageMapTest, DiffOfIdenticalMapsIsEmpty) {
   PageStore store;
-  PageMap a(GetParam(), 1024);
+  PageMap a(1024);
   auto page = PatternPage(9);
   for (uint32_t p = 0; p < 1024; p += 5) {
     a.Set(p, store.Publish(page.data()));
@@ -190,18 +188,18 @@ TEST_P(PageMapTest, DiffOfIdenticalMapsIsEmpty) {
   EXPECT_EQ(diffs, 0);
 }
 
-TEST_P(PageMapTest, RefcountsFollowSharing) {
+TEST(PageMapTest, RefcountsFollowSharing) {
   PageStore store;
   auto page = PatternPage(4);
   PageRef ref = store.Publish(page.data());
   EXPECT_EQ(ref.refcount(), 1u);
   {
-    PageMap a(GetParam(), 64);
+    PageMap a(64);
     a.Set(0, ref);
     EXPECT_EQ(ref.refcount(), 2u);
     PageMap b = a;
-    // Flat copies the slot (3 refs); radix shares the node (still 2).
-    EXPECT_GE(ref.refcount(), 2u);
+    // Sharing copies no slots: the radix node is shared (still 2 refs).
+    EXPECT_EQ(ref.refcount(), 2u);
     b.Set(0, PageRef());
     b.Set(1, ref);
   }
@@ -210,12 +208,10 @@ TEST_P(PageMapTest, RefcountsFollowSharing) {
 
 // Property test: a chain of shared maps with random mutations matches a
 // std::map model, and Diff agrees with brute-force comparison.
-class PageMapPropertyTest
-    : public ::testing::TestWithParam<std::tuple<PageMapKind, uint64_t>> {};
+class PageMapPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PageMapPropertyTest, RandomSharingMatchesModel) {
-  auto [kind, seed] = GetParam();
-  Rng rng(seed);
+  Rng rng(GetParam());
   PageStore store;
   const uint32_t npages = 2048;
 
@@ -226,7 +222,7 @@ TEST_P(PageMapPropertyTest, RandomSharingMatchesModel) {
   }
 
   using Model = std::map<uint32_t, int>;  // page -> palette index (-1 = invalid)
-  PageMap subject(kind, npages);
+  PageMap subject(npages);
   Model model;
   std::vector<std::pair<PageMap, Model>> snaps;
 
@@ -269,13 +265,7 @@ TEST_P(PageMapPropertyTest, RandomSharingMatchesModel) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    KindsAndSeeds, PageMapPropertyTest,
-    ::testing::Combine(::testing::Values(PageMapKind::kFlat, PageMapKind::kRadix),
-                       ::testing::Values(11, 22, 33)));
-
-INSTANTIATE_TEST_SUITE_P(Kinds, PageMapTest,
-                         ::testing::Values(PageMapKind::kFlat, PageMapKind::kRadix));
+INSTANTIATE_TEST_SUITE_P(Seeds, PageMapPropertyTest, ::testing::Values(11, 22, 33));
 
 }  // namespace
 }  // namespace lw

@@ -46,7 +46,6 @@ SnapshotEngine::Env MakeEnv(GuestArena* arena, PageStore* store, SnapshotEngineS
   env.arena = arena;
   env.store = store;
   env.stats = stats;
-  env.page_map_kind = PageMapKind::kRadix;
   return env;
 }
 
