@@ -18,11 +18,10 @@
 //                            shape (fanout restores per snapshot) with a
 //                            W-thread worker team; reports ns/restore and the
 //                            mprotect-coalescing counters (E13)
-//   {Cow,Incremental,Adaptive}ReleaseStorm/N/B — N-sibling checkpoint release
-//                            storm, timed on the release phase only; B=1
-//                            reclaims through the O(spine) walk +
-//                            PageStore::ReleaseBatch, B=0 is the per-ref
-//                            baseline (E14)
+//   {Cow,Incremental,Adaptive}ReleaseStorm/N — N-sibling checkpoint release
+//                            storm, timed on the release phase only; the
+//                            session reclaims through the O(spine) walk +
+//                            PageStore::ReleaseBatch (E14)
 //
 // Counters report the engine's own ns/snapshot and ns/restore so the
 // comparison is invariant to the harness loop; the label column names the
@@ -363,17 +362,16 @@ void BM_SoftDirtyRestore(benchmark::State& state) {
 }
 
 // E14 — release-storm rows (the teardown half of the snapshot lifecycle).
-// Args are {num_checkpoints, batched}. The guest parks at a root checkpoint;
+// The arg is num_checkpoints. The guest parks at a root checkpoint;
 // the host forks `num_checkpoints` sibling checkpoints off it, each with a
 // unique 64-page dirty delta (unique content per page, so none of it dedups
 // away and every sibling's delta dies with its release), then releases every
 // handle at once — the storm.
-// Only the release phase is timed (manual time). batched=1 reclaims each
+// Only the release phase is timed (manual time). The session reclaims each
 // snapshot through the O(spine) walk + PageStore::ReleaseBatch (one shard-lock
-// hold per shard touched per batch); batched=0 is the per-ref baseline (every
-// dying blob takes its shard lock individually). Counters surface the batch
-// provenance: rel_batches / rel_blobs (blobs recycled through batches) /
-// rel_locks (shard-lock holds those batches paid).
+// hold per shard touched per batch). Counters surface the batch provenance:
+// rel_batches / rel_blobs (blobs recycled through batches) / rel_locks
+// (shard-lock holds those batches paid).
 struct ReleaseStormArgs {
   uint32_t window_pages = 256;
   uint32_t dirty_pages = 64;  // per checkpoint delta — the D of the O(D·log) walk
@@ -414,7 +412,6 @@ void ReleaseStormGuest(void* arg) {
 
 void RunReleaseStorm(benchmark::State& state, lw::SnapshotMode mode) {
   const int num_checkpoints = static_cast<int>(state.range(0));
-  const bool batched = state.range(1) != 0;
   ReleaseStormArgs args;
 
   uint64_t rel_batches = 0;
@@ -425,7 +422,6 @@ void RunReleaseStorm(benchmark::State& state, lw::SnapshotMode mode) {
     lw::SessionOptions options;
     options.arena_bytes = 16ull << 20;
     options.snapshot_mode = mode;
-    options.batched_release = batched;
     options.output = [](std::string_view) {};
     lw::BacktrackSession session(options);
     lw::Status status = session.Run(&ReleaseStormGuest, &args);
@@ -470,8 +466,7 @@ void RunReleaseStorm(benchmark::State& state, lw::SnapshotMode mode) {
     rel_blobs = store.blobs_recycled_batched;
     rel_locks = store.release_shard_locks;
   }
-  state.SetLabel(std::string(lw::SnapshotModeName(mode)) +
-                 (batched ? " release=batched" : " release=per-ref"));
+  state.SetLabel(lw::SnapshotModeName(mode));
   if (released != 0) {
     state.counters["releases"] = static_cast<double>(released);
     state.counters["rel_batches"] = static_cast<double>(rel_batches);
@@ -484,8 +479,7 @@ void BM_CowReleaseStorm(benchmark::State& state) {
   RunReleaseStorm(state, lw::SnapshotMode::kCow);
 }
 BENCHMARK(BM_CowReleaseStorm)
-    ->Args({64, 0})
-    ->Args({64, 1})
+    ->Arg(64)
     ->Iterations(10)
     ->Unit(benchmark::kMicrosecond)
     ->UseManualTime();
@@ -494,8 +488,7 @@ void BM_IncrementalReleaseStorm(benchmark::State& state) {
   RunReleaseStorm(state, lw::SnapshotMode::kIncremental);
 }
 BENCHMARK(BM_IncrementalReleaseStorm)
-    ->Args({64, 0})
-    ->Args({64, 1})
+    ->Arg(64)
     ->Iterations(10)
     ->Unit(benchmark::kMicrosecond)
     ->UseManualTime();
@@ -504,8 +497,7 @@ void BM_AdaptiveReleaseStorm(benchmark::State& state) {
   RunReleaseStorm(state, lw::SnapshotMode::kAdaptive);
 }
 BENCHMARK(BM_AdaptiveReleaseStorm)
-    ->Args({64, 0})
-    ->Args({64, 1})
+    ->Arg(64)
     ->Iterations(10)
     ->Unit(benchmark::kMicrosecond)
     ->UseManualTime();

@@ -23,13 +23,12 @@ MAX_PCT=${LWSNAP_PERF_MAX_REGRESSION_PCT:-25}
 # a thin and a fat dirty set, the parallel-materialize sweep endpoints, the
 # adaptive engine at the same two dirty sets, the restore-heavy E13 rows
 # (serial + 4-worker endpoints for the coalesced-mprotect CoW path and the
-# fan-out scan/adaptive paths), the E14 release-storm rows (per-ref and
-# batched, so a regression in either reclamation path gates), the E11
+# fan-out scan/adaptive paths), the E14 release-storm rows, the E11
 # queens fixture plus its spill-budgeted variant, and the E15 fault-back
 # microbenchmark at a thin and a fat spilled set (spill needs no capability
 # probe — it is plain file I/O). Fast enough to repeat $REPS times;
 # medians gate.
-SNAPSHOT_FILTER='^BM_CowSnapshot/(8|512)/16$|^BM_IncrementalSnapshot/(8|512)/16$|^BM_AdaptiveSnapshot/(8|512)/16$|^BM_(Cow|Incremental)SnapshotParallel/512/16/(1|4)/|^BM_CowRestore/(64|512)/16/(1|4)/|^BM_IncrementalRestore/512/16/(1|4)/|^BM_AdaptiveRestore/64/16/(1|4)/|^BM_(Cow|Incremental|Adaptive)ReleaseStorm/64/(0|1)/'
+SNAPSHOT_FILTER='^BM_CowSnapshot/(8|512)/16$|^BM_IncrementalSnapshot/(8|512)/16$|^BM_AdaptiveSnapshot/(8|512)/16$|^BM_(Cow|Incremental)SnapshotParallel/512/16/(1|4)/|^BM_CowRestore/(64|512)/16/(1|4)/|^BM_IncrementalRestore/512/16/(1|4)/|^BM_AdaptiveRestore/64/16/(1|4)/|^BM_(Cow|Incremental|Adaptive)ReleaseStorm/64/'
 STORE_FILTER='^BM_QueensParallelMaterialize(Spill)?/(1|4)/|^BM_SpillFaultback/(256|1024)$'
 
 # Soft-dirty rows exist only on kernels that track soft-dirty PTE bits

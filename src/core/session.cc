@@ -509,10 +509,6 @@ void BacktrackSession::ReclaimSnapshot(SnapshotRef snap) {
   if (snap == nullptr) {
     return;
   }
-  if (!options_.batched_release) {
-    snap.reset();  // per-ref baseline: the destructor cascade releases blobs one by one
-    return;
-  }
   // Walk the parent chain iteratively while this was the last reference:
   // each uniquely-owned map contributes only its owned spine (shared radix
   // subtrees are dropped with a single refcount decrement, never descended)

@@ -110,16 +110,6 @@ struct SessionOptions {
   // ServicePool<S> in src/service/pool.h).
   uint32_t parallel_materialize_workers = 0;
 
-  // Batched snapshot release (default): reclaiming a snapshot walks only the
-  // radix spine this session uniquely owns, harvests the dying page refs into
-  // a drain buffer, and hands them to PageStore::ReleaseBatch — one shard-lock
-  // acquisition per shard touched instead of one per dying blob. false falls
-  // back to the per-ref destructor cascade (each PageRef::Release takes the
-  // shard lock on its own); end-state store bytes are bit-identical either
-  // way. Exposed mainly as the serial baseline for parity tests and the E14
-  // release-storm ablation.
-  bool batched_release = true;
-
   // Hot-page prediction (kCow only): a page dirtied in enough consecutive
   // snapshots is left permanently writable; snapshots memcmp it and restores
   // memcpy it eagerly, skipping the SIGSEGV + 2×mprotect round trip that
@@ -236,8 +226,7 @@ class BacktrackSession : public GuessExecutor {
   void DrainReleasedCheckpoints();
   // Releases a snapshot (and any parents it uniquely owns) through the O(spine)
   // path: each uniquely-held map drains its page refs into release_drain_ and
-  // one PageStore::ReleaseBatch recycles them shard-by-shard. With
-  // options_.batched_release false this is a plain reset (per-ref baseline).
+  // one PageStore::ReleaseBatch recycles them shard-by-shard.
   void ReclaimSnapshot(SnapshotRef snap);
   void HandleGuestEvent();
   // Runs the evict → compress → spill → drop ladder against
