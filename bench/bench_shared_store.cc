@@ -198,7 +198,7 @@ void BM_QueensFleetThreaded(benchmark::State& state) {
 }
 
 // The §3.2 fleet through ServicePool<SolverService>: N services = N worker threads over
-// one shared store (with background compaction), each solving the shared base
+// one shared store, each solving the shared base
 // then branching with a private increment — the threaded twin of
 // BM_SharedStore/N.
 void BM_SolverPool(benchmark::State& state) {

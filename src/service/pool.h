@@ -89,9 +89,7 @@ struct ServicePoolOptions {
   typename S::Options service;
 
   // The fleet's shared substrate. Null (default): the pool creates a store
-  // with content dedup, compression, and background compaction enabled — the
-  // service-fleet steady state wants cold parked problems compressed off the
-  // critical path.
+  // with default PageStoreOptions, shared by every service in the fleet.
   std::shared_ptr<PageStore> store;
 };
 
@@ -102,13 +100,7 @@ class ServicePool {
 
   explicit ServicePool(Options options) : options_(std::move(options)) {
     LW_CHECK_MSG(options_.num_services > 0, "service pool needs at least one service");
-    if (options_.store != nullptr) {
-      store_ = options_.store;
-    } else {
-      PageStoreOptions store_options;
-      store_options.background_compaction = true;
-      store_ = std::make_shared<PageStore>(store_options);
-    }
+    store_ = options_.store != nullptr ? options_.store : std::make_shared<PageStore>();
     options_.service.tuning.store = store_;
     workers_.reserve(static_cast<size_t>(options_.num_services));
     for (int i = 0; i < options_.num_services; ++i) {

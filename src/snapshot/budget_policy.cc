@@ -14,14 +14,6 @@ void ByteBudgetPolicy::Enforce(PageStore& store, uint64_t budget,
       break;
     }
   }
-  if (store.background_compaction()) {
-    // Compression and the drop stage run on the store's compactor thread; the
-    // session returns to the search immediately. Cheapest pending target wins.
-    if (store.stats().bytes_live() > budget) {
-      store.RequestCompaction(budget);
-    }
-    return;
-  }
   while (store.stats().bytes_live() > budget) {
     if (!store.CompressOneCold()) {
       break;

@@ -32,13 +32,6 @@
 // fault-back). When the spill tier is disabled the rung is skipped and the
 // ladder behaves exactly as before.
 //
-// On a store with `background_compaction`, rungs 2–4 move off the critical
-// path: Enforce still evicts synchronously (only the session can drop its
-// own frontier), then enqueues the byte target with
-// `PageStore::RequestCompaction` and returns — the store's compactor thread
-// works the cold tails while the search continues. Residency converges to the
-// budget rather than meeting it at every return.
-//
 // The budget is enforced against the whole store. With a shared store
 // (SessionOptions::store) that is a deliberate fleet-wide residency cap: each
 // sharer's Enforce sees every sharer's live bytes but can only evict its own

@@ -67,20 +67,9 @@ PageStore::PageStore(const PageStoreOptions& options) : options_(options) {
       spill_status_ = tier.status();
     }
   }
-  if (options_.background_compaction) {
-    compactor_ = std::thread([this] { CompactorMain(); });
-  }
 }
 
 PageStore::~PageStore() {
-  if (compactor_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(compactor_mu_);
-      compactor_stop_ = true;
-    }
-    compactor_cv_.notify_all();
-    compactor_.join();
-  }
   zero_page_.Reset();
   TrimFreeList();
   // All snapshots/sessions referencing this store must be destroyed first; a
@@ -843,70 +832,6 @@ uint64_t PageStore::SpillAllCold() {
     }
   }
   return count;
-}
-
-// ---------------------------------------------------------------------------
-// Background compactor.
-// ---------------------------------------------------------------------------
-
-void PageStore::RequestCompaction(uint64_t target_bytes) {
-  if (!compactor_.joinable()) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(compactor_mu_);
-    compaction_target_ = compaction_pending_
-                             ? (target_bytes < compaction_target_ ? target_bytes
-                                                                  : compaction_target_)
-                             : target_bytes;
-    compaction_pending_ = true;
-  }
-  compactor_cv_.notify_one();
-}
-
-void PageStore::WaitForCompaction() {
-  if (!compactor_.joinable()) {
-    return;
-  }
-  std::unique_lock<std::mutex> lock(compactor_mu_);
-  compactor_idle_cv_.wait(lock, [this] { return !compaction_pending_ && !compactor_busy_; });
-}
-
-void PageStore::CompactorMain() {
-  std::unique_lock<std::mutex> lock(compactor_mu_);
-  while (true) {
-    compactor_cv_.wait(lock, [this] { return compaction_pending_ || compactor_stop_; });
-    if (compactor_stop_) {
-      return;
-    }
-    uint64_t target = compaction_target_;
-    compaction_pending_ = false;
-    compactor_busy_ = true;
-    lock.unlock();
-    // Work without the queue lock: sessions keep publishing (and enqueueing
-    // lower targets) while we chew the cold tails.
-    while (counters_.live_bytes.load(std::memory_order_relaxed) > target) {
-      if (!CompressOneCold()) {
-        break;
-      }
-    }
-    // The spill rung, off the critical path too: push cold payloads to disk
-    // until resident bytes fit (no-op when the tier is disabled).
-    while (counters_.live_bytes.load(std::memory_order_relaxed) > target) {
-      if (!SpillOneCold()) {
-        break;
-      }
-    }
-    if (counters_.live_bytes.load(std::memory_order_relaxed) > target) {
-      // The drop stage of the budget policy, off the critical path too.
-      TrimFreeList();
-    }
-    lock.lock();
-    compactor_busy_ = false;
-    if (!compaction_pending_) {
-      compactor_idle_cv_.notify_all();
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

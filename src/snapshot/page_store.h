@@ -13,11 +13,8 @@
 // store approximates "parked-only" by publish/access recency); the byte-budget
 // policy compresses them with the in-tree LZ codec, and the guarded accessors
 // (`CopyTo`/`EqualsPage`/`ReadBytes`) transparently re-inflate on first touch,
-// so Restore never sees compressed bytes. With
-// `PageStoreOptions::background_compaction` the compression itself runs on a
-// store-owned compactor thread: `ByteBudgetPolicy` only enqueues a target and
-// the session returns to the search immediately. Raw payloads are recycled
-// through per-shard free lists when the last reference drops (snapshot trees
+// so Restore never sees compressed bytes. Compression runs synchronously on
+// the caller's thread. Raw payloads are recycled through per-shard free lists when the last reference drops (snapshot trees
 // churn pages at high frequency; malloc per page would dominate).
 //
 // Spill tier (opt-in via PageStoreOptions::spill_dir): below the compressed
@@ -39,14 +36,14 @@
 //     different content rarely contend. Blob refcounts and all stats counters
 //     are atomic.
 //   * `Publish`, `ZeroPage`, the guarded page accessors, `CompressOneCold` /
-//     `CompressAllCold`, `TrimFreeList`, `RequestCompaction`, and `stats()` are
-//     all safe to call from any number of threads concurrently.
+//     `CompressAllCold`, `TrimFreeList`, and `stats()` are all safe to call
+//     from any number of threads concurrently.
 //   * Payload bytes are read through the owning shard's lock (`CopyTo`,
 //     `EqualsPage`, `ReadBytes`), which is what makes in-place
 //     compression/decompression safe against concurrent readers. `data()`
 //     remains for externally-synchronized callers (single-threaded tools and
-//     tests): the raw pointer it returns is only stable while no other thread —
-//     including the background compactor — can compress the blob.
+//     tests): the raw pointer it returns is only stable while no other thread
+//     can compress the blob.
 //   * Each PageRef (and therefore each session, snapshot, and frontier entry)
 //     stays owned by one thread at a time; copying/destroying PageRefs is
 //     lock-free refcounting. Sessions themselves are thread-affine — one thread
@@ -72,14 +69,12 @@
 #define LWSNAP_SRC_SNAPSHOT_PAGE_STORE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/util/status.h"
@@ -174,8 +169,8 @@ class PageRef {
   bool valid() const { return blob_ != nullptr; }
 
   // Guarded accessors: each runs under the blob's shard lock, re-inflating a
-  // cold blob first, so they are safe against concurrent publishes and the
-  // background compactor. Engines restore through these.
+  // cold blob first, so they are safe against concurrent publishes and
+  // compression on other threads. Engines restore through these.
   void CopyTo(void* dst) const;                            // full-page memcpy
   bool EqualsPage(const void* src) const;                  // full-page memcmp
   bool CopyToIfDifferent(void* dst) const;                 // memcmp, memcpy on mismatch
@@ -183,9 +178,8 @@ class PageRef {
 
   // Raw page bytes for externally-synchronized callers (single-threaded tools,
   // tests). Touching a cold (compressed) blob re-inflates it in place; the
-  // pointer is stable only while no other thread — including a background
-  // compactor — can compress this blob. Concurrent contexts must use the
-  // guarded accessors above.
+  // pointer is stable only while no other thread can compress this blob.
+  // Concurrent contexts must use the guarded accessors above.
   inline const uint8_t* data() const;
 
   uint32_t refcount() const {
@@ -226,12 +220,6 @@ class PageRef {
 struct PageStoreOptions {
   bool content_dedup = true;  // 64-bit hash index; off = zero-page dedup only
   bool compression = true;    // cold tier available to the byte-budget policy
-  // Run cold compression on a store-owned compactor thread. When set,
-  // ByteBudgetPolicy::Enforce only enqueues a byte target (RequestCompaction)
-  // and returns; the compactor works the LRU cold tails off the critical path.
-  // When clear (default), compression stays synchronous and deterministic —
-  // the right mode for single-threaded tools and tests.
-  bool background_compaction = false;
   // Non-empty = enable the spill tier (fourth budget rung): cold blobs can be
   // evicted to append-only segment files under this directory and are faulted
   // back transparently on access. The directory is created if missing; its
@@ -292,17 +280,6 @@ class PageStore {
   bool spill_enabled() const { return spill_ != nullptr; }
   // Why the tier is disabled (OK when spill_enabled() or spill never asked for).
   const Status& spill_status() const { return spill_status_; }
-
-  // Background compactor interface (no-ops unless
-  // options().background_compaction):
-  //   RequestCompaction(target) — enqueue "compress cold blobs until live
-  //     bytes ≤ target, then drop free lists if still over"; cheapest target
-  //     wins when requests pile up. Returns immediately.
-  //   WaitForCompaction() — block until the queue is drained and the compactor
-  //     is idle (tests and benches use this to make residency deterministic).
-  void RequestCompaction(uint64_t target_bytes);
-  void WaitForCompaction();
-  bool background_compaction() const { return compactor_.joinable(); }
 
   struct Stats {
     uint64_t live_blobs = 0;     // blobs with refcount > 0
@@ -460,8 +437,6 @@ class PageStore {
 
   static void BumpPeak(std::atomic<uint64_t>& peak, uint64_t value);
 
-  void CompactorMain();
-
   PageStoreOptions options_;
   std::unique_ptr<SpillTier> spill_;  // null = spill disabled
   Status spill_status_;               // why, when spill_dir was set but open failed
@@ -471,16 +446,6 @@ class PageStore {
   PageRef zero_page_;
   std::atomic<uint32_t> next_owner_{1};
   Counters counters_;
-
-  // Compactor state (used only when options_.background_compaction).
-  std::mutex compactor_mu_;
-  std::condition_variable compactor_cv_;
-  std::condition_variable compactor_idle_cv_;
-  uint64_t compaction_target_ = 0;  // byte target of the pending request
-  bool compaction_pending_ = false;
-  bool compactor_busy_ = false;
-  bool compactor_stop_ = false;
-  std::thread compactor_;
 };
 
 inline void PageRef::Release() {

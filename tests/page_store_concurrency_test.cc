@@ -89,18 +89,24 @@ TEST(PageStoreConcurrencyTest, ConcurrentPublishersAgreeOnIdentity) {
 }
 
 TEST(PageStoreConcurrencyTest, CompressionRacingPublishKeepsBytesExact) {
-  PageStoreOptions options;
-  options.background_compaction = true;
-  PageStore store(options);
+  PageStore store;
   constexpr uint32_t kTags = 48;
   constexpr int kRounds = 40;
   std::atomic<bool> stop{false};
 
-  // Compactor pressure from two directions: the background thread (via
-  // RequestCompaction) and a foreground thread hammering the synchronous API.
+  // Compression pressure from two plain threads racing the publishers: one
+  // works the ladder's compress and drop rungs under an unmeetable target
+  // (compress every cold blob, then trim the free lists), the other hammers
+  // CompressOneCold.
+  std::thread compactor([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      while (store.CompressOneCold()) {
+      }
+      store.TrimFreeList();
+    }
+  });
   std::thread squeezer([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      store.RequestCompaction(0);  // "compress everything you can"
       store.CompressOneCold();
     }
   });
@@ -128,8 +134,8 @@ TEST(PageStoreConcurrencyTest, CompressionRacingPublishKeepsBytesExact) {
     thread.join();
   }
   stop.store(true, std::memory_order_relaxed);
+  compactor.join();
   squeezer.join();
-  store.WaitForCompaction();
 
   // Every surviving ref must read back byte-exact through the guarded reader,
   // whether it is currently cold or raw.
