@@ -198,9 +198,8 @@ void BM_QueensFleetThreaded(benchmark::State& state) {
 }
 
 // The §3.2 fleet through ServicePool<SolverService>: N services = N worker threads over
-// one shared store, each solving the shared base
-// then branching with a private increment — the threaded twin of
-// BM_SharedStore/N.
+// one shared store, each solving the shared base then branching with a
+// private increment — the threaded twin of BM_SharedStore/N.
 void BM_SolverPool(benchmark::State& state) {
   const int services = static_cast<int>(state.range(0));
   uint64_t resident_bytes = 0;

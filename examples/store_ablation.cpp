@@ -1,20 +1,6 @@
-// PageStore ablation harness: hash-dedup on/off × compression on/off on the
-// two workloads DESIGN.md tables (E9):
-//
-//   * sat-extend — one SolverService: root solve of a random 3-SAT problem,
-//     then 6 incremental extensions; every solved problem stays parked as a
-//     checkpoint (the §3.2 service shape).
-//   * n-queens  — two BacktrackSessions sharing one store, each enumerating
-//     8-queens with a page-aligned placement trail and parking every solution
-//     as a checkpoint.
-//
-// After the workload, cold compression runs (CompressAllCold — the "service is
-// idle, everything is parked" moment); with compression off that is a no-op.
-// Reported live bytes are the post-park residency a long-running host would
-// actually hold. Run: ./example_store_ablation
-//
-// Spill-tier demo (E15): pass --spill_dir <dir> (optionally --budget <bytes>)
-// to instead run an out-of-core workload: a session parks checkpoints whose
+// PageStore spill-tier demo (E15): run
+//   ./example_store_ablation --spill_dir <dir> [--budget <bytes>]
+// to drive an out-of-core workload: a session parks checkpoints whose
 // unique, incompressible trails logically hold ~10× the RAM budget; the
 // evict → compress → spill → drop ladder keeps residency under the budget by
 // paging the cold payloads into spill segments under <dir>, and every parked
@@ -33,129 +19,8 @@
 #include "src/core/backtrack.h"
 #include "src/snapshot/budget_policy.h"
 #include "src/snapshot/spill_tier.h"
-#include "src/solver/service.h"
-#include "src/util/rng.h"
 
 namespace {
-
-struct Row {
-  uint64_t live_bytes = 0;
-  uint64_t peak_live_bytes = 0;
-  uint64_t dedup_hits = 0;
-  uint64_t compressed_blobs = 0;
-};
-
-void QueensGuest(void* arg) {
-  int n = *static_cast<int*>(arg);
-  auto* session = static_cast<lw::BacktrackSession*>(lw::CurrentExecutor());
-  struct Board {
-    int row[16];
-    int ld[32];
-    int rd[32];
-  };
-  auto* b = lw::GuestNew<Board>(session->heap());
-  std::memset(b, 0, sizeof(Board));
-  auto* raw = static_cast<uint8_t*>(session->heap()->Alloc((16 + 1) * lw::kPageSize));
-  auto* trail = reinterpret_cast<uint8_t*>(
-      (reinterpret_cast<uintptr_t>(raw) + lw::kPageSize - 1) & ~(lw::kPageSize - 1));
-  if (lw::sys_guess_strategy(lw::StrategyKind::kDfs)) {
-    for (int c = 0; c < n; ++c) {
-      int r = lw::sys_guess(n);
-      if (b->row[r] || b->ld[r + c] || b->rd[n + r - c]) {
-        lw::sys_guess_fail();
-      }
-      b->row[r] = 1;
-      b->ld[r + c] = 1;
-      b->rd[n + r - c] = 1;
-      std::memset(trail + static_cast<size_t>(c) * lw::kPageSize, r + 1, lw::kPageSize);
-    }
-    lw::sys_note_solution();
-    lw::sys_yield(nullptr, 0);  // park the solution: its pages stay resident
-    lw::sys_guess_fail();
-  }
-}
-
-Row FinishRow(lw::PageStore& store) {
-  store.CompressAllCold();  // no-op when compression is off
-  Row row;
-  row.live_bytes = store.stats().bytes_live();
-  row.peak_live_bytes = store.stats().peak_live_bytes;
-  row.dedup_hits = store.stats().zero_dedup_hits + store.stats().content_dedup_hits;
-  row.compressed_blobs = store.stats().compressed_blobs;
-  return row;
-}
-
-Row RunSatExtend(const lw::PageStoreOptions& store_options) {
-  auto store = std::make_shared<lw::PageStore>(store_options);
-  lw::SolverServiceOptions options;
-  options.tuning.arena_bytes = 16ull << 20;
-  options.tuning.store = store;
-  lw::SolverService service(options);
-
-  lw::Rng rng(20260730);
-  lw::Cnf base = lw::RandomKSat(&rng, 300, 1200, 3);
-  auto node = service.SolveRoot(base);
-  if (!node.ok()) {
-    std::fprintf(stderr, "root solve failed: %s\n", node.status().ToString().c_str());
-    std::exit(1);
-  }
-  lw::Checkpoint cur = std::move(node->token);
-  for (int round = 0; round < 6; ++round) {
-    lw::Cnf q = lw::RandomKSat(&rng, 300, 8, 3);
-    auto next =
-        service.Extend(cur, std::vector<std::vector<lw::Lit>>(q.clauses.begin(), q.clauses.end()));
-    if (!next.ok()) {
-      std::fprintf(stderr, "extend failed: %s\n", next.status().ToString().c_str());
-      std::exit(1);
-    }
-    cur = std::move(next->token);
-  }
-  return FinishRow(*store);
-}
-
-Row RunQueens(const lw::PageStoreOptions& store_options) {
-  auto store = std::make_shared<lw::PageStore>(store_options);
-  lw::SessionOptions options;
-  options.arena_bytes = 2ull << 20;
-  options.store = store;
-  options.output = [](std::string_view) {};
-  int n = 8;
-  lw::BacktrackSession first(options);
-  lw::BacktrackSession second(options);
-  lw::Status status = first.Run(&QueensGuest, &n);
-  if (status.ok()) {
-    status = second.Run(&QueensGuest, &n);
-  }
-  if (!status.ok() || first.stats().solutions != 92 || second.stats().solutions != 92) {
-    std::fprintf(stderr, "queens parity failure\n");
-    std::exit(1);
-  }
-  return FinishRow(*store);
-}
-
-void PrintTable(const char* workload, Row (*run)(const lw::PageStoreOptions&)) {
-  std::printf("%s\n", workload);
-  std::printf("  %-28s %12s %12s %12s %12s\n", "config", "live KiB", "peak KiB", "dedup_hits",
-              "cold_blobs");
-  const bool flags[2] = {false, true};
-  for (bool dedup : flags) {
-    for (bool compression : flags) {
-      lw::PageStoreOptions options;
-      options.content_dedup = dedup;
-      options.compression = compression;
-      Row row = run(options);
-      char config[64];
-      std::snprintf(config, sizeof(config), "dedup=%s compression=%s", dedup ? "on" : "off",
-                    compression ? "on" : "off");
-      std::printf("  %-28s %12" PRIu64 " %12" PRIu64 " %12" PRIu64 " %12" PRIu64 "\n", config,
-                  row.live_bytes / 1024, row.peak_live_bytes / 1024, row.dedup_hits,
-                  row.compressed_blobs);
-    }
-  }
-  std::printf("\n");
-}
-
-// --- Spill-tier demo (E15) -------------------------------------------------------
 
 constexpr int kSpillBranches = 16;
 constexpr int kSpillPages = 32;
@@ -316,6 +181,11 @@ int RunSpillDemo(const std::string& spill_dir, uint64_t budget) {
   return row.corrupt == 0 && row.live <= budget ? 0 : 1;
 }
 
+int Usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s --spill_dir <dir> [--budget <bytes>]\n", argv0);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -332,14 +202,8 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--budget=", 0) == 0) {
       budget = std::strtoull(arg.c_str() + strlen("--budget="), nullptr, 0);
     } else {
-      std::fprintf(stderr, "usage: %s [--spill_dir <dir> [--budget <bytes>]]\n", argv[0]);
-      return 2;
+      return Usage(argv[0]);
     }
   }
-  if (!spill_dir.empty()) {
-    return RunSpillDemo(spill_dir, budget);
-  }
-  PrintTable("sat-extend (1 service, 6 parked increments)", &RunSatExtend);
-  PrintTable("n-queens (2 sessions, shared store, parked solutions)", &RunQueens);
-  return 0;
+  return spill_dir.empty() ? Usage(argv[0]) : RunSpillDemo(spill_dir, budget);
 }

@@ -21,13 +21,11 @@
 //                budget holds, the free list is what keeps Publish cheap).
 //
 // Eviction precedes compression so the lossy stage never runs while the
-// lossless ones could still be deferred by freeing evictable work, and so the
-// policy reduces exactly to the pre-policy engines when compression is
-// disabled. Note the converse does not hold round over round: once
-// compression or spilling has shrunk live bytes mid-search, later Enforce
-// calls evict *fewer* frontier entries than an uncompressed run would — the
-// cold tiers trade byte-for-byte eviction parity for keeping more of the
-// search. Spilling follows compression so disk pays the codec's ratio (and a
+// lossless ones could still be deferred by freeing evictable work. Note the
+// converse does not hold round over round: once compression or spilling has
+// shrunk live bytes mid-search, later Enforce calls evict *fewer* frontier
+// entries than an uncompressed run would — the cold tiers trade byte-for-byte
+// eviction parity for keeping more of the search. Spilling follows compression so disk pays the codec's ratio (and a
 // faulted-back blob re-spills for free: its disk record is retained across
 // fault-back). When the spill tier is disabled the rung is skipped and the
 // ladder behaves exactly as before.

@@ -49,10 +49,8 @@ size_t PayloadBytes(const PageBlob* blob) {
 }  // namespace
 
 PageStore::PageStore(const PageStoreOptions& options) : options_(options) {
-  if (options_.content_dedup) {
-    for (Shard& shard : shards_) {
-      shard.index.assign(kInitialIndexSlots, nullptr);
-    }
+  for (Shard& shard : shards_) {
+    shard.index.assign(kInitialIndexSlots, nullptr);
   }
   if (!options_.spill_dir.empty()) {
     SpillTierOptions spill_options;
@@ -301,33 +299,23 @@ PageRef PageStore::Publish(const void* src, uint32_t owner) {
     counters_.zero_dedup_hits.fetch_add(1, std::memory_order_relaxed);
     return ZeroPage();
   }
-  uint64_t hash = 0;
-  uint32_t shard_id;
-  if (options_.content_dedup) {
-    hash = HashPage(src);
-    shard_id = ShardOfHash(hash);
-  } else {
-    shard_id = shard_cursor_.fetch_add(1, std::memory_order_relaxed) & (kPageStoreShards - 1);
-  }
+  const uint64_t hash = HashPage(src);
+  const uint32_t shard_id = ShardOfHash(hash);
   Shard& shard = shards_[shard_id];
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (options_.content_dedup) {
-    if (PageBlob* hit = IndexFindLocked(shard, hash, src)) {
-      counters_.content_dedup_hits.fetch_add(1, std::memory_order_relaxed);
-      if (hit->owner != owner) {
-        counters_.cross_session_dedup_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      LruTouchLocked(shard, hit);
-      return PageRef(hit);  // IndexFindLocked already took the reference
+  if (PageBlob* hit = IndexFindLocked(shard, hash, src)) {
+    counters_.content_dedup_hits.fetch_add(1, std::memory_order_relaxed);
+    if (hit->owner != owner) {
+      counters_.cross_session_dedup_hits.fetch_add(1, std::memory_order_relaxed);
     }
+    LruTouchLocked(shard, hit);
+    return PageRef(hit);  // IndexFindLocked already took the reference
   }
   PageBlob* blob = AcquireBlobLocked(shard, shard_id);
   std::memcpy(blob->payload, src, kPageSize);
   blob->owner = owner;
-  if (options_.content_dedup) {
-    blob->hash = hash;
-    IndexInsertLocked(shard, blob);
-  }
+  blob->hash = hash;
+  IndexInsertLocked(shard, blob);
   LruPushFrontLocked(shard, blob);
   return PageRef(blob);
 }
@@ -657,9 +645,6 @@ bool PageStore::CompressOneColdInShard(uint32_t shard_id) {
 }
 
 bool PageStore::CompressOneCold() {
-  if (!options_.compression) {
-    return false;
-  }
   // Round-robin over shards: "coldest per shard" approximates the global LRU
   // order well enough for a budget policy (the hash spreads content evenly).
   uint32_t start = shard_cursor_.fetch_add(1, std::memory_order_relaxed);
@@ -672,9 +657,6 @@ bool PageStore::CompressOneCold() {
 }
 
 uint64_t PageStore::CompressAllCold() {
-  if (!options_.compression) {
-    return 0;
-  }
   uint64_t count = 0;
   for (uint32_t shard_id = 0; shard_id < kPageStoreShards; ++shard_id) {
     while (CompressOneColdInShard(shard_id)) {
@@ -794,12 +776,9 @@ void PageStore::DropSpillStateLocked(PageBlob* blob, uint64_t* spilled_dropped,
 bool PageStore::SpillOneColdInShard(uint32_t shard_id) {
   Shard& shard = shards_[shard_id];
   std::lock_guard<std::mutex> lock(shard.mu);
-  // Coldest spill candidate first; when compression is off the candidate
-  // list never fills, so the raw LRU tail is the coldest thing there is.
+  // Coldest spill candidate first: only blobs the compress rung is done with
+  // (compressed or proven incompressible) are candidates.
   PageBlob* victim = shard.spill_tail;
-  if (victim == nullptr && !options_.compression) {
-    victim = shard.lru_tail;
-  }
   if (victim == nullptr) {
     return false;
   }

@@ -218,8 +218,6 @@ class PageRef {
 };
 
 struct PageStoreOptions {
-  bool content_dedup = true;  // 64-bit hash index; off = zero-page dedup only
-  bool compression = true;    // cold tier available to the byte-budget policy
   // Non-empty = enable the spill tier (fourth budget rung): cold blobs can be
   // evicted to append-only segment files under this directory and are faulted
   // back transparently on access. The directory is created if missing; its
@@ -259,7 +257,7 @@ class PageStore {
 
   // Compresses one cold compressible blob (per-shard LRU tails, visited round
   // robin — the approximation of "referenced only by parked snapshots").
-  // Returns false when nothing is left to compress or compression is disabled.
+  // Returns false when nothing is left to compress.
   bool CompressOneCold();
 
   // Compresses every compressible blob; returns how many were compressed.
@@ -267,9 +265,9 @@ class PageStore {
   uint64_t CompressAllCold();
 
   // Spills one cold blob's payload to the disk tier (per-shard spill-candidate
-  // tails — blobs the compress rung already handled — visited round robin;
-  // falls back to the raw LRU tails when compression is disabled). Returns
-  // false when nothing is left to spill or the tier is disabled/unavailable.
+  // tails — blobs the compress rung already handled — visited round robin).
+  // Returns false when nothing is left to spill or the tier is
+  // disabled/unavailable.
   bool SpillOneCold();
 
   // Spills every spillable blob; returns how many were spilled. The disk-tier
@@ -441,7 +439,7 @@ class PageStore {
   std::unique_ptr<SpillTier> spill_;  // null = spill disabled
   Status spill_status_;               // why, when spill_dir was set but open failed
   Shard shards_[kPageStoreShards];
-  std::atomic<uint32_t> shard_cursor_{0};  // round-robin for non-dedup placement + compaction
+  std::atomic<uint32_t> shard_cursor_{0};  // round-robin start for the compress/spill rungs
   std::once_flag zero_once_;
   PageRef zero_page_;
   std::atomic<uint32_t> next_owner_{1};

@@ -155,20 +155,6 @@ TEST(PageStoreContentDedupTest, CrossOwnerHitsAreAttributed) {
   EXPECT_EQ(store.stats().cross_session_dedup_hits, 1u);
 }
 
-TEST(PageStoreContentDedupTest, DedupOffFallsBackToDistinctBlobs) {
-  PageStoreOptions options;
-  options.content_dedup = false;
-  PageStore store(options);
-  auto page = PatternPage(3);
-  PageRef a = store.Publish(page.data());
-  PageRef b = store.Publish(page.data());
-  EXPECT_NE(a, b);  // the pre-PageStore baseline behaviour
-  EXPECT_EQ(store.stats().content_dedup_hits, 0u);
-  std::vector<uint8_t> zeros(kPageSize, 0);
-  PageRef z = store.Publish(zeros.data());
-  EXPECT_EQ(z, store.ZeroPage());  // zero dedup stays on: it is the degenerate entry
-}
-
 TEST(PageStoreContentDedupTest, ManyDistinctPagesSurviveIndexGrowth) {
   PageStore store;
   std::vector<PageRef> refs;
@@ -327,15 +313,14 @@ TEST(ByteBudgetPolicyTest, EvictionRunsBeforeCompression) {
 
 TEST(ByteBudgetPolicyTest, CompressionCatchesWhatEvictionCannot) {
   // The acceptance scenario: same budget, nothing evictable (all pages pinned
-  // by parked snapshots) — the compressed store ends below the uncompressed
-  // baseline's floor.
-  auto run = [](bool compression) {
-    PageStoreOptions options;
-    options.compression = compression;
-    PageStore store(options);
+  // by parked snapshots) — the compressible store ends below the floor of a
+  // baseline whose pages are random bytes, where the compress rung fails on
+  // every blob.
+  auto run = [](bool compressible) {
+    PageStore store;
     std::vector<PageRef> parked;
     for (uint8_t i = 1; i <= 16; ++i) {
-      auto page = CompressiblePage(i);
+      auto page = compressible ? CompressiblePage(i) : RandomPage(i);
       parked.push_back(store.Publish(page.data()));
     }
     uint64_t budget = store.stats().bytes_live() / 2;
@@ -353,14 +338,13 @@ TEST(ByteBudgetPolicyTest, CompressionCatchesWhatEvictionCannot) {
 }
 
 TEST(ByteBudgetPolicyTest, DropStageIsLastResortOnly) {
-  PageStoreOptions options;
-  options.compression = false;  // force stage 2 to fail
-  PageStore store(options);
+  // Random-byte pages are incompressible, so stage 2 fails on every blob.
+  PageStore store;
   std::vector<PageRef> pinned;
   {
     std::vector<PageRef> churn;
     for (uint8_t i = 1; i <= 4; ++i) {
-      auto page = PatternPage(i);
+      auto page = RandomPage(i);
       churn.push_back(store.Publish(page.data()));
     }
   }
@@ -373,7 +357,7 @@ TEST(ByteBudgetPolicyTest, DropStageIsLastResortOnly) {
 
   // Budget unmeetable (nothing evictable, nothing compressible): the free
   // list is pure overhead now — the drop stage returns it to the host.
-  auto page = PatternPage(9);
+  auto page = RandomPage(9);
   pinned.push_back(store.Publish(page.data()));
   ByteBudgetPolicy().Enforce(store, 1, [] { return false; });
   EXPECT_EQ(store.stats().free_blobs, 0u);
