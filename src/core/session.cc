@@ -26,12 +26,9 @@ std::string SessionStats::ToString() const {
   char buf[1536];
   std::snprintf(buf, sizeof(buf),
                 "guesses=%llu snapshots=%llu restores=%llu exts=%llu fail=%llu done=%llu "
-                "sol=%llu pages_mat=%llu pages_rst=%llu zero_dedup=%llu content_dedup=%llu "
-                "xsession_dedup=%llu cold_blobs=%llu incr_scan=%llu incr_copy=%llu "
+                "sol=%llu pages_mat=%llu pages_rst=%llu incr_scan=%llu incr_copy=%llu "
                 "dirty_src=%s mat_by=%llu/%llu/%llu/%llu pagemap_reads=%llu sd_clears=%llu "
                 "adaptive_switches=%llu rst_mprotect=%llu rst_runs=%llu rst_skip=%llu "
-                "rel_batches=%llu rel_blobs=%llu rel_locks=%llu "
-                "spilled=%llu spill_bytes=%llu faultbacks=%llu spill_compactions=%llu "
                 "snap_us=%.1f restore_us=%.1f",
                 static_cast<unsigned long long>(guesses),
                 static_cast<unsigned long long>(snapshots),
@@ -42,10 +39,6 @@ std::string SessionStats::ToString() const {
                 static_cast<unsigned long long>(solutions),
                 static_cast<unsigned long long>(pages_materialized),
                 static_cast<unsigned long long>(pages_restored),
-                static_cast<unsigned long long>(zero_dedup_hits),
-                static_cast<unsigned long long>(content_dedup_hits),
-                static_cast<unsigned long long>(cross_session_dedup_hits),
-                static_cast<unsigned long long>(compressed_blobs),
                 static_cast<unsigned long long>(incr_pages_scanned),
                 static_cast<unsigned long long>(incr_pages_copied),
                 DirtySourceName(dirty_source),  // faults/scan/pagemap/full order below
@@ -59,13 +52,6 @@ std::string SessionStats::ToString() const {
                 static_cast<unsigned long long>(restore_mprotect_calls),
                 static_cast<unsigned long long>(restore_runs_coalesced),
                 static_cast<unsigned long long>(pages_restore_skipped),
-                static_cast<unsigned long long>(release_batches),
-                static_cast<unsigned long long>(blobs_recycled_batched),
-                static_cast<unsigned long long>(release_shard_locks),
-                static_cast<unsigned long long>(spilled_blobs),
-                static_cast<unsigned long long>(spill_bytes),
-                static_cast<unsigned long long>(faultbacks),
-                static_cast<unsigned long long>(spill_segments_compacted),
                 static_cast<double>(snapshot_ns) / 1e3, static_cast<double>(restore_ns) / 1e3);
   return buf;
 }
@@ -526,13 +512,6 @@ void BacktrackSession::ReclaimSnapshot(SnapshotRef snap) {
     return;
   }
   store_->ReleaseBatch(release_drain_);
-  // Release happens after the last SyncStoreStats of the drive; re-mirror the
-  // store-wide release counters so stats()/ToString() see this batch. Three
-  // relaxed loads — not the full Stats copy — since this runs per reclaim.
-  const PageStore::ReleaseStats s = store_->release_stats();
-  stats_.release_batches = s.release_batches;
-  stats_.blobs_recycled_batched = s.blobs_recycled_batched;
-  stats_.release_shard_locks = s.release_shard_locks;
 }
 
 std::vector<Checkpoint> BacktrackSession::TakeNewCheckpoints() {

@@ -127,7 +127,8 @@ struct SessionOptions {
 };
 
 // Search-side counters; the inherited SnapshotEngineStats block carries the
-// engine-side counters (pages, hot-page prediction, dedup, scan/copy work).
+// engine-side counters (pages, hot-page prediction, scan/copy work). Store-wide
+// counters live in store().stats().
 struct SessionStats : SnapshotEngineStats {
   uint64_t guesses = 0;
   uint64_t snapshots = 0;

@@ -444,7 +444,6 @@ void SnapshotEngine::Materialize(Snapshot& snap, const EngineContext& ctx) {
   Arm(next);
 
   snap.map = cur_map_;  // live memory now matches cur_map_ byte-for-byte
-  SyncStoreStats();
 }
 
 void SnapshotEngine::Restore(const Snapshot& snap, const EngineContext& ctx) {
@@ -600,21 +599,6 @@ size_t SnapshotEngine::StructureBytes() const {
 
 void SnapshotEngine::EnforceByteBudget(uint64_t budget, const std::function<bool()>& evict) {
   budget_policy_.Enforce(*env_.store, budget, evict);
-}
-
-void SnapshotEngine::SyncStoreStats() {
-  const PageStore::Stats store = env_.store->stats();
-  env_.stats->zero_dedup_hits = store.zero_dedup_hits;
-  env_.stats->content_dedup_hits = store.content_dedup_hits;
-  env_.stats->cross_session_dedup_hits = store.cross_session_dedup_hits;
-  env_.stats->compressed_blobs = store.compressed_blobs;
-  env_.stats->release_batches = store.release_batches;
-  env_.stats->blobs_recycled_batched = store.blobs_recycled_batched;
-  env_.stats->release_shard_locks = store.release_shard_locks;
-  env_.stats->spilled_blobs = store.spilled_blobs;
-  env_.stats->spill_bytes = store.spill_bytes;
-  env_.stats->faultbacks = store.faultbacks;
-  env_.stats->spill_segments_compacted = store.spill_segments_compacted;
 }
 
 void SnapshotEngine::MirrorTrackerStats() {

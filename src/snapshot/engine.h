@@ -101,20 +101,17 @@ enum class DirtySource : uint8_t {
 
 const char* DirtySourceName(DirtySource source);
 
-// Counters owned by the snapshot substrate. SessionStats inherits these so the
+// Counters owned by the snapshot engine. SessionStats inherits these so the
 // session's stats block reports engine behaviour alongside search behaviour.
+// Store-wide counters (dedup, compression, release batches, spill) are not
+// mirrored here: read them from PageStore::stats(), which stays correct when
+// several sessions share one store.
 struct SnapshotEngineStats {
   uint64_t pages_materialized = 0;
   uint64_t pages_restored = 0;
   uint64_t hot_promotions = 0;
   uint64_t hot_demotions = 0;
   uint64_t hot_unchanged_skips = 0;  // hot pages found byte-identical at snapshot
-  // Store-side counters mirrored at the end of each Materialize. With a shared
-  // store these are store-wide totals (all sessions), not per-session deltas.
-  uint64_t zero_dedup_hits = 0;           // publishes collapsed to the canonical zero blob
-  uint64_t content_dedup_hits = 0;        // publishes collapsed to an existing nonzero blob
-  uint64_t cross_session_dedup_hits = 0;  // ...first published by a different session
-  uint64_t compressed_blobs = 0;          // blobs currently in the cold-compressed tier
   uint64_t incr_pages_scanned = 0;  // scan/compare passes: pages memcmp'd
   uint64_t incr_pages_copied = 0;   // scan mechanism: pages actually copied
   // Dirty-set provenance: how the latest Materialize found its delta, plus
@@ -141,21 +138,6 @@ struct SnapshotEngineStats {
   // compare loops (scan/full restores) are not counted here;
   // incr_pages_scanned covers those.
   uint64_t pages_restore_skipped = 0;
-  // Release-side provenance (store-wide totals, like the dedup counters):
-  // shard-batched reclamation through PageStore::ReleaseBatch — batches
-  // issued, blobs recycled under batched shard holds, and the shard-lock
-  // acquisitions those holds cost (≤ shards touched per batch, vs one lock
-  // per dying blob on the per-ref path).
-  uint64_t release_batches = 0;
-  uint64_t blobs_recycled_batched = 0;
-  uint64_t release_shard_locks = 0;
-  // Spill-tier provenance (store-wide totals): blobs whose payload currently
-  // lives on disk, their payload bytes, disk → RAM fault-backs, and spill
-  // segment files reclaimed by compaction.
-  uint64_t spilled_blobs = 0;
-  uint64_t spill_bytes = 0;
-  uint64_t faultbacks = 0;
-  uint64_t spill_segments_compacted = 0;
   uint64_t snapshot_ns = 0;
   uint64_t restore_ns = 0;
 };
@@ -264,8 +246,7 @@ class SnapshotEngine {
   // of pages copied.
   uint64_t RestoreProtectedSet(const EngineContext& ctx);
 
-  // Mirrors store-level and soft-dirty tracker accounting into the stats block.
-  void SyncStoreStats();
+  // Mirrors soft-dirty tracker accounting into the stats block.
   void MirrorTrackerStats();
 
   const SnapshotMode mode_;

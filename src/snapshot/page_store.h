@@ -316,21 +316,6 @@ class PageStore {
   // operations on other threads.
   Stats stats() const;
 
-  // Just the three ReleaseBatch counters — three relaxed loads instead of the
-  // full Stats copy, cheap enough to mirror on every session reclaim.
-  struct ReleaseStats {
-    uint64_t release_batches = 0;
-    uint64_t blobs_recycled_batched = 0;
-    uint64_t release_shard_locks = 0;
-  };
-  ReleaseStats release_stats() const {
-    ReleaseStats s;
-    s.release_batches = counters_.release_batches.load(std::memory_order_relaxed);
-    s.blobs_recycled_batched = counters_.blobs_recycled_batched.load(std::memory_order_relaxed);
-    s.release_shard_locks = counters_.release_shard_locks.load(std::memory_order_relaxed);
-    return s;
-  }
-
   // Host bytes of the store's own structure (hash index slots, all shards).
   size_t IndexBytes() const;
 

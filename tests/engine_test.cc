@@ -178,12 +178,11 @@ TEST(IncrementalEngineTest, ZeroedPagesDedupOnRepublish) {
     Snapshot snap2;
     std::memset(arena.PageAddr(2), 0x77, kPageSize);
     engine->Materialize(snap1);
-    uint64_t hits_before = stats.zero_dedup_hits;
+    uint64_t hits_before = store.stats().zero_dedup_hits;
     std::memset(arena.PageAddr(2), 0x00, kPageSize);  // back to all-zero
     engine->Materialize(snap2);
-    // The republished page collapsed to the canonical zero blob and the engine
-    // mirrored the store's dedup accounting into its stats block.
-    EXPECT_EQ(stats.zero_dedup_hits, hits_before + 1);
+    // The republished page collapsed to the canonical zero blob.
+    EXPECT_EQ(store.stats().zero_dedup_hits, hits_before + 1);
     EXPECT_EQ(snap2.map.Get(2), store.ZeroPage());
   }
   EXPECT_LE(store.stats().live_blobs, 1u);  // only the store-held zero blob remains
@@ -191,20 +190,22 @@ TEST(IncrementalEngineTest, ZeroedPagesDedupOnRepublish) {
 
 // --- Golden counters: one fixed script per mode ---------------------------------
 
-// Every engine counter (plus the arena's CoW fault count) after GoldenScript,
-// one "name=value" token per counter. Timings are excluded: they are the only
-// non-deterministic fields of the block.
-std::string CounterLine(const SnapshotEngineStats& s, const GuestArena& arena) {
+// Every engine counter, the store-wide counters GoldenScript can move (read
+// from the store as the script ends, before the engine is torn down) and the
+// arena's CoW fault count, one "name=value" token per counter. Timings are
+// excluded: they are the only non-deterministic fields of the block.
+std::string CounterLine(const SnapshotEngineStats& s, const PageStore::Stats& store,
+                        const GuestArena& arena) {
   const std::pair<const char*, uint64_t> fields[] = {
       {"pages_materialized", s.pages_materialized},
       {"pages_restored", s.pages_restored},
       {"hot_promotions", s.hot_promotions},
       {"hot_demotions", s.hot_demotions},
       {"hot_unchanged_skips", s.hot_unchanged_skips},
-      {"zero_dedup_hits", s.zero_dedup_hits},
-      {"content_dedup_hits", s.content_dedup_hits},
-      {"cross_session_dedup_hits", s.cross_session_dedup_hits},
-      {"compressed_blobs", s.compressed_blobs},
+      {"zero_dedup_hits", store.zero_dedup_hits},
+      {"content_dedup_hits", store.content_dedup_hits},
+      {"cross_session_dedup_hits", store.cross_session_dedup_hits},
+      {"compressed_blobs", store.compressed_blobs},
       {"incr_pages_scanned", s.incr_pages_scanned},
       {"incr_pages_copied", s.incr_pages_copied},
       {"dirty_source", static_cast<uint64_t>(s.dirty_source)},
@@ -218,13 +219,13 @@ std::string CounterLine(const SnapshotEngineStats& s, const GuestArena& arena) {
       {"restore_mprotect_calls", s.restore_mprotect_calls},
       {"restore_runs_coalesced", s.restore_runs_coalesced},
       {"pages_restore_skipped", s.pages_restore_skipped},
-      {"release_batches", s.release_batches},
-      {"blobs_recycled_batched", s.blobs_recycled_batched},
-      {"release_shard_locks", s.release_shard_locks},
-      {"spilled_blobs", s.spilled_blobs},
-      {"spill_bytes", s.spill_bytes},
-      {"faultbacks", s.faultbacks},
-      {"spill_segments_compacted", s.spill_segments_compacted},
+      {"release_batches", store.release_batches},
+      {"blobs_recycled_batched", store.blobs_recycled_batched},
+      {"release_shard_locks", store.release_shard_locks},
+      {"spilled_blobs", store.spilled_blobs},
+      {"spill_bytes", store.spill_bytes},
+      {"faultbacks", store.faultbacks},
+      {"spill_segments_compacted", store.spill_segments_compacted},
       {"cow_faults", arena.cow_faults()},
   };
   std::string line;
@@ -239,9 +240,9 @@ std::string CounterLine(const SnapshotEngineStats& s, const GuestArena& arena) {
 // zero dedup, scribbles rolled back by restores, and a burst of wide deltas
 // (which moves the adaptive engine off the faults mechanism) followed by
 // restores across it. hot_page_limit is set for every mode: only kCow may act
-// on it.
-void GoldenScript(SnapshotMode mode, GuestArena& arena, PageStore& store,
-                  SnapshotEngineStats& stats) {
+// on it. Returns the store's counters as the last restore completes.
+PageStore::Stats GoldenScript(SnapshotMode mode, GuestArena& arena, PageStore& store,
+                              SnapshotEngineStats& stats) {
   SnapshotEngine::Env env = MakeEnv(&arena, &store, &stats, mode);
   env.hot_page_limit = 4;
   auto engine = MakeSnapshotEngine(mode, env);
@@ -294,6 +295,7 @@ void GoldenScript(SnapshotMode mode, GuestArena& arena, PageStore& store,
   engine->Restore(snaps[1]);
   EXPECT_EQ(arena.PageAddr(5)[0], 1);
   EXPECT_EQ(arena.PageAddr(5)[1], 0);
+  return store.stats();
 }
 
 // Compares CounterLine output token by token; an expected value of "?" leaves
@@ -322,6 +324,9 @@ class EngineGoldenCounterTest : public ::testing::TestWithParam<SnapshotMode> {}
 // incr_pages_scanned (992 = 2 restores x 496 non-guard pages; it was 0), and
 // the tracker counters are mirrored after restores too (not exercised here —
 // the adaptive engine never selects pagemap on an arena this small).
+// The store tokens (dedup, compression, release, spill) were recorded from the
+// engine's stats mirror, refreshed at the end of each Materialize; they are
+// now read from PageStore::stats() as the script ends, with the same values.
 // kSoftDirty pins only the host-independent counters: the kernel may report
 // more written pages than the script touched (e.g. a huge-page-backed arena),
 // which moves publish and dedup counts but never pages_restored — every
@@ -402,8 +407,8 @@ TEST_P(EngineGoldenCounterTest, ScriptHitsRecordedCounters) {
   GuestArena arena(SmallLayout());
   PageStore store;
   SnapshotEngineStats stats;
-  GoldenScript(mode, arena, store, stats);
-  ExpectCounters(CounterLine(stats, arena), expected);
+  const PageStore::Stats store_stats = GoldenScript(mode, arena, store, stats);
+  ExpectCounters(CounterLine(stats, store_stats, arena), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, EngineGoldenCounterTest,

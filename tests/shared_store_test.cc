@@ -114,9 +114,6 @@ TEST_P(SharedStoreTest, TwoSessionsDedupAcrossEachOther) {
   // The headline: the second session republished the first session's bytes.
   EXPECT_GT(store->stats().content_dedup_hits, 0u);
   EXPECT_GT(store->stats().cross_session_dedup_hits, cross_after_first);
-
-  // The mirrored per-session stats block sees the store-wide counters.
-  EXPECT_EQ(second.stats().content_dedup_hits, store->stats().content_dedup_hits);
 }
 
 TEST_P(SharedStoreTest, SharedStoreIsCheaperThanPrivateStores) {
