@@ -14,8 +14,9 @@
 // policy compresses them with the in-tree LZ codec, and the guarded accessors
 // (`CopyTo`/`EqualsPage`/`ReadBytes`) transparently re-inflate on first touch,
 // so Restore never sees compressed bytes. Compression runs synchronously on
-// the caller's thread. Raw payloads are recycled through per-shard free lists when the last reference drops (snapshot trees
-// churn pages at high frequency; malloc per page would dominate).
+// the caller's thread. Raw payloads are recycled through per-shard free lists
+// when the last reference drops (snapshot trees churn pages at high
+// frequency; malloc per page would dominate).
 //
 // Spill tier (opt-in via PageStoreOptions::spill_dir): below the compressed
 // tier sits disk. Blobs the compress rung is done with park on per-shard

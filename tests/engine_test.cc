@@ -324,9 +324,9 @@ class EngineGoldenCounterTest : public ::testing::TestWithParam<SnapshotMode> {}
 // incr_pages_scanned (992 = 2 restores x 496 non-guard pages; it was 0), and
 // the tracker counters are mirrored after restores too (not exercised here —
 // the adaptive engine never selects pagemap on an arena this small).
-// The store tokens (dedup, compression, release, spill) were recorded from the
-// engine's stats mirror, refreshed at the end of each Materialize; they are
-// now read from PageStore::stats() as the script ends, with the same values.
+// The store tokens (dedup, compression, release, spill) are read from
+// PageStore::stats() as the script ends, before the engine's teardown
+// releases its current map.
 // kSoftDirty pins only the host-independent counters: the kernel may report
 // more written pages than the script touched (e.g. a huge-page-backed arena),
 // which moves publish and dedup counts but never pages_restored — every
