@@ -6,13 +6,14 @@
 //   * spine-only descent — releasing a map that shares all but D pages with a
 //     live sibling visits O(D · height) radix nodes and never descends a
 //     shared subtree;
-//   * session-level parity — the same checkpoint storm ends with the store
-//     residency the per-ref destructor cascade produced, for every engine;
+//   * session-level parity — a checkpoint storm ends with exactly the store
+//     residency per-ref release would leave, for every engine;
 //   * concurrency — sessions on different threads batching releases into one
 //     shared store never corrupt it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -243,7 +244,20 @@ void StormGuest(void*) {
 struct StormRun {
   PageStore::Stats store;
   SessionStats session;
+  // Distinct blobs that must stay live once every checkpoint is released: the
+  // root's image, the engine's current map and the store's pinned zero page.
+  uint64_t retained_blobs = 0;
 };
+
+// Appends every blob `map` references that `refs` does not hold yet.
+void AddDistinctRefs(const PageMap& map, std::vector<PageRef>* refs) {
+  for (uint32_t page = 0; page < map.num_pages(); ++page) {
+    PageRef ref = map.Get(page);
+    if (ref.valid() && std::find(refs->begin(), refs->end(), ref) == refs->end()) {
+      refs->push_back(std::move(ref));
+    }
+  }
+}
 
 StormRun RunCheckpointStorm(SnapshotMode mode) {
   SessionOptions options;
@@ -261,6 +275,11 @@ StormRun RunCheckpointStorm(SnapshotMode mode) {
     auto tokens = session.TakeNewCheckpoints();
     EXPECT_EQ(tokens.size(), 1u);
     Checkpoint root = std::move(tokens[0]);
+    // The engine's current map is the root's image right now. Holding its
+    // blobs makes the expected live set below independent of which snapshot
+    // the session keeps as its current candidate.
+    std::vector<PageRef> retained = {store->ZeroPage()};
+    AddDistinctRefs(session.engine().current_map(), &retained);
     // Star shape: every sibling forks from the same root, sharing all pages
     // but its own small dirty delta — so releasing a sibling actually kills
     // its delta blobs (a linear chain would keep each map pinned through its
@@ -283,17 +302,20 @@ StormRun RunCheckpointStorm(SnapshotMode mode) {
     EXPECT_TRUE(session.ReleaseCheckpoint(root).ok());
     run.session = session.stats();
     run.store = store->stats();
+    AddDistinctRefs(session.engine().current_map(), &retained);
+    run.retained_blobs = retained.size();
   }
   return run;
 }
 
 class ReleaseStormParityTest : public ::testing::TestWithParam<SnapshotMode> {};
 
-// End-state residency is pinned to what the per-ref destructor cascade left
-// behind for this storm: the batch changes lock traffic and walk order, never
-// which blobs live or die. The values were recorded by running the storm with
-// per-ref release (where per-ref and batched were asserted equal); every
-// engine publishes the same page contents, so all engines share one record.
+// End-state residency is exactly what per-ref release (the refcount cascade)
+// would leave: the batch changes lock traffic and walk order, never which
+// blobs live or die. So the live blobs are exactly the retained ones and every
+// other published blob is on a free list. The expectation is derived from the
+// run itself because the absolute counts include the guest's stack pages,
+// whose layout depends on the compiler and sanitizer flags.
 // ReleaseBatchStoreTest.BatchedEndStateMatchesPerRef keeps the live per-ref
 // comparison at the store level.
 TEST_P(ReleaseStormParityTest, BatchedResidencyMatchesPerRef) {
@@ -302,12 +324,12 @@ TEST_P(ReleaseStormParityTest, BatchedResidencyMatchesPerRef) {
     GTEST_SKIP() << reason;
   }
   const StormRun batched = RunCheckpointStorm(GetParam());
+  const uint64_t blob_bytes = sizeof(internal::PageBlob) + kPageSize;
 
-  EXPECT_EQ(batched.store.live_blobs, 12u);
-  EXPECT_EQ(batched.store.live_bytes, 50208u);
-  EXPECT_EQ(batched.store.free_blobs, 103u);
-  EXPECT_EQ(batched.store.free_bytes, 430952u);
-  EXPECT_EQ(batched.store.total_published, 115u);
+  EXPECT_EQ(batched.store.live_blobs, batched.retained_blobs);
+  EXPECT_EQ(batched.store.live_bytes, batched.retained_blobs * blob_bytes);
+  EXPECT_EQ(batched.store.free_blobs, batched.store.total_published - batched.retained_blobs);
+  EXPECT_EQ(batched.store.free_bytes, batched.store.free_blobs * blob_bytes);
   EXPECT_EQ(batched.session.checkpoints, 17u);
   EXPECT_EQ(batched.session.resumes, 16u);
 
