@@ -54,7 +54,7 @@ SnapshotEngine::Env MakeEnv(GuestArena* arena, PageStore* store, SnapshotEngineS
 // A whole fault-free session end to end — arena, engine, guest, snapshots,
 // restores — must leave the process SIGSEGV disposition at default and never
 // install or replace a sigaltstack on its driving thread. "Skipped, not just
-// unused." The driver thread's altstack is compared against what it was before
+// unused." That thread's altstack is compared against what it was before
 // the session existed rather than against "none": sanitizer runtimes (ASan)
 // install their own altstack on every thread they start.
 TEST(ASignalStateTest, FaultFreeSessionLeavesSignalStateUntouched) {
@@ -65,7 +65,7 @@ TEST(ASignalStateTest, FaultFreeSessionLeavesSignalStateUntouched) {
   stack_t after{};
   bool recorded = false;
   uint64_t solutions = 0;
-  std::thread driver([&before, &after, &recorded, &solutions] {
+  std::thread runner([&before, &after, &recorded, &solutions] {
     ASSERT_EQ(sigaltstack(nullptr, &before), 0);
     int n = 6;
     SessionOptions options;
@@ -103,7 +103,7 @@ TEST(ASignalStateTest, FaultFreeSessionLeavesSignalStateUntouched) {
     ASSERT_EQ(sigaltstack(nullptr, &after), 0);
     recorded = true;
   });
-  driver.join();
+  runner.join();
   EXPECT_EQ(solutions, 4u);  // 6-queens
   ASSERT_TRUE(recorded);
   EXPECT_EQ(after.ss_sp, before.ss_sp) << "fault-free session installed a sigaltstack";
