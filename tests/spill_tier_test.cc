@@ -30,6 +30,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -450,6 +451,123 @@ TEST(SpillStoreTest, BudgetLadderSpillsOnlyAfterCompressionIsExhausted) {
   EXPECT_GT(stats.spilled_blobs, 0u);
   EXPECT_LT(stats.bytes_live(), raw_live / 2);
 
+  store.ReleaseBatch(refs);
+}
+
+// Compressible page with an xorshift prefix of `noise_words` words: the codec's
+// output grows with the prefix, so which blobs a partial rung takes shows up
+// in live_bytes and spill_bytes.
+void FillMixedPage(uint8_t* buf, uint32_t salt, uint32_t i, uint32_t noise_words) {
+  FillPage(buf, salt, i);
+  uint64_t state = (static_cast<uint64_t>(salt) * 0x9e3779b97f4a7c15ull + i) | 1ull;
+  for (uint32_t w = 0; w < noise_words; ++w) {
+    uint64_t word = XorShift(&state);
+    std::memcpy(buf + 8 + w * sizeof(word), &word, sizeof(word));
+  }
+}
+
+// Page i of the ladder script: every tenth slot is a zero page, slot 7 of
+// every ten republishes slot i - 5, every third remaining slot is
+// incompressible noise, and the rest are compressible with a varying prefix.
+void LadderPage(uint8_t* buf, uint32_t i) {
+  if (i % 10 == 9) {
+    std::memset(buf, 0, kPageSize);
+  } else if (i % 10 == 7) {
+    LadderPage(buf, i - 5);
+  } else if (i % 3 == 0) {
+    FillNoisePage(buf, 21, i);
+  } else {
+    FillMixedPage(buf, 21, i, (i % 8) * 24);
+  }
+}
+
+std::string LadderLine(const PageStore::Stats& s, const std::vector<PageRef>& refs) {
+  std::ostringstream line;
+  line << "live_blobs=" << s.live_blobs << " free_blobs=" << s.free_blobs
+       << " peak_live_blobs=" << s.peak_live_blobs << " total_published=" << s.total_published
+       << " zero_dedup_hits=" << s.zero_dedup_hits
+       << " content_dedup_hits=" << s.content_dedup_hits
+       << " cross_session_dedup_hits=" << s.cross_session_dedup_hits
+       << " compressed_blobs=" << s.compressed_blobs << " compressions=" << s.compressions
+       << " compression_attempts=" << s.compression_attempts
+       << " decompressions=" << s.decompressions << " live_bytes=" << s.live_bytes
+       << " free_bytes=" << s.free_bytes << " peak_live_bytes=" << s.peak_live_bytes
+       << " release_batches=" << s.release_batches
+       << " blobs_recycled_batched=" << s.blobs_recycled_batched
+       << " release_shard_locks=" << s.release_shard_locks
+       << " spilled_blobs=" << s.spilled_blobs << " spill_bytes=" << s.spill_bytes
+       << " spills=" << s.spills << " faultbacks=" << s.faultbacks
+       << " spill_segments=" << s.spill_segments
+       << " spill_segments_compacted=" << s.spill_segments_compacted << " states=";
+  // One letter per script slot: r = raw resident, c = compressed, s = on disk,
+  // - = released.
+  for (const PageRef& ref : refs) {
+    line << (!ref.valid() ? '-' : ref.spilled() ? 's' : ref.compressed() ? 'c' : 'r');
+  }
+  return line.str();
+}
+
+// A fixed single-threaded script through every rung of the ladder, pinned as
+// one counter line. PageStore only (no arena), so no host address reaches page
+// bytes and every value is deterministic. The values were recorded before the
+// spill tier's record index and the duplicated recycle/cold-list code were
+// removed; any change in victim choice, accounting or compaction shows here.
+TEST(SpillStoreTest, LadderScriptHitsRecordedCounters) {
+  ScopedSpillDir tmp;
+  PageStoreOptions options;
+  options.spill_dir = tmp.Sub("store");
+  options.spill_segment_bytes = 64ull << 10;
+  PageStore store(options);
+  ASSERT_TRUE(store.spill_enabled()) << store.spill_status().ToString();
+
+  constexpr uint32_t kSlots = 160;
+  uint8_t buf[kPageSize];
+  std::vector<PageRef> refs;
+  for (uint32_t i = 0; i < kSlots; ++i) {
+    LadderPage(buf, i);
+    refs.push_back(store.Publish(buf));
+  }
+  auto no_evict = []() { return false; };
+  const uint64_t raw_live = store.stats().bytes_live();
+
+  // Stops part-way through the compress rung, then part-way through the
+  // spill rung (which only starts once compression is exhausted).
+  ByteBudgetPolicy().Enforce(store, raw_live * 3 / 4, no_evict);
+  ByteBudgetPolicy().Enforce(store, raw_live / 5, no_evict);
+
+  // Read a fixed subset back: compressed blobs re-inflate, spilled ones fault
+  // back from disk.
+  uint8_t out[kPageSize];
+  for (uint32_t i = 0; i < kSlots; i += 4) {
+    refs[i].CopyTo(out);
+    LadderPage(buf, i);
+    EXPECT_EQ(std::memcmp(out, buf, kPageSize), 0) << "slot " << i;
+  }
+
+  // Release one subset in a batch and drop another per ref; sealed segments
+  // cross the compaction ratio.
+  std::vector<PageRef> batch;
+  for (uint32_t i = 0; i < kSlots; ++i) {
+    if (i % 5 == 1 || i % 5 == 3) {
+      batch.push_back(std::move(refs[i]));
+    } else if (i % 5 == 2) {
+      refs[i].Reset();
+    }
+  }
+  store.ReleaseBatch(batch);
+
+  ByteBudgetPolicy().Enforce(store, raw_live / 12, no_evict);
+
+  EXPECT_EQ(LadderLine(store.stats(), refs),
+            "live_blobs=49 free_blobs=80 peak_live_blobs=129 total_published=129"
+            " zero_dedup_hits=16 content_dedup_hits=16 cross_session_dedup_hits=0"
+            " compressed_blobs=14 compressions=95 compression_attempts=138 decompressions=10"
+            " live_bytes=44645 free_bytes=129920 peak_live_bytes=539736 release_batches=1"
+            " blobs_recycled_batched=64 release_shard_locks=16 spilled_blobs=28"
+            " spill_bytes=58953 spills=92 faultbacks=24 spill_segments=2"
+            " spill_segments_compacted=3 states="
+            "r---cs---rs---ss---rc---rs---rs---ss---rc---ss---rs---ss---rs---cs---rs---sr---"
+            "rc---rs---rs---sc---rc---cs---rs---sc---rr---cc---rc---ss---rc---rs---rs---sc---r");
   store.ReleaseBatch(refs);
 }
 
