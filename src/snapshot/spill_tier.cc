@@ -13,37 +13,6 @@
 namespace lw {
 namespace {
 
-// Same xor-multiply finalizer family as the PageStore's page hash, generalized
-// to arbitrary lengths (spilled payloads are usually compressed, not
-// page-sized).
-uint64_t Fmix64(uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdull;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ull;
-  x ^= x >> 33;
-  return x;
-}
-
-uint64_t HashBytes(const void* data, size_t len) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  size_t rest = len;
-  uint64_t h = 0x9e3779b97f4a7c15ull ^ (static_cast<uint64_t>(len) * 0xff51afd7ed558ccdull);
-  while (rest >= 8) {
-    uint64_t w;
-    std::memcpy(&w, p, 8);
-    h = Fmix64(h ^ w);
-    p += 8;
-    rest -= 8;
-  }
-  if (rest > 0) {
-    uint64_t w = 0;
-    std::memcpy(&w, p, rest);
-    h = Fmix64(h ^ w);
-  }
-  return h;
-}
-
 void StoreU32(uint8_t* dst, uint32_t v) { std::memcpy(dst, &v, sizeof(v)); }
 void StoreU64(uint8_t* dst, uint64_t v) { std::memcpy(dst, &v, sizeof(v)); }
 
@@ -173,16 +142,13 @@ SpillTier::~SpillTier() {
     if (seg == nullptr) {
       continue;
     }
+    while (SpillRecord* rec = seg->records) {
+      seg->records = rec->seg_next;
+      delete rec;
+    }
     ::munmap(seg->map, options_.segment_bytes);
     ::close(seg->fd);
     ::unlink(seg->path.c_str());
-  }
-  for (SpillRecord* head : index_) {
-    while (head != nullptr) {
-      SpillRecord* next = head->next_hash;
-      delete head;
-      head = next;
-    }
   }
 }
 
@@ -191,31 +157,14 @@ SpillRecord* SpillTier::Append(uint64_t hash, const void* payload, uint32_t len,
   LW_CHECK(len > 0);
   std::lock_guard<std::mutex> lock(mu_);
   appends_++;
-  if (hash == 0) {
-    hash = HashBytes(payload, len);
-  }
-  if (!index_.empty()) {
-    size_t bucket = hash & (index_.size() - 1);
-    for (SpillRecord* rec = index_[bucket]; rec != nullptr; rec = rec->next_hash) {
-      if (rec->hash == hash && rec->len == len && rec->comp_bytes == comp_bytes &&
-          std::memcmp(segments_[rec->seg]->map + rec->off, payload, len) == 0) {
-        rec->refs++;
-        shared_hits_++;
-        return rec;
-      }
-    }
-  }
   Segment* seg = TailForAppendLocked(RecordSpan(len));
   if (seg == nullptr) {
     return nullptr;
   }
   SpillRecord* rec = new SpillRecord;
-  rec->hash = hash;
   rec->len = len;
   rec->comp_bytes = comp_bytes;
-  rec->refs = 1;
-  WriteRecordLocked(*seg, *rec, payload);
-  IndexInsertLocked(rec);
+  WriteRecordLocked(*seg, *rec, hash, payload);
   live_records_++;
   live_payload_bytes_ += len;
   return rec;
@@ -223,18 +172,15 @@ SpillRecord* SpillTier::Append(uint64_t hash, const void* payload, uint32_t len,
 
 void SpillTier::Read(const SpillRecord* rec, void* dst) const {
   std::lock_guard<std::mutex> lock(mu_);
-  LW_CHECK(rec != nullptr && rec->refs > 0);
+  LW_CHECK(rec != nullptr);
   const Segment* seg = segments_[rec->seg].get();
   std::memcpy(dst, seg->map + rec->off, rec->len);
 }
 
 void SpillTier::Free(SpillRecord* rec) {
   std::lock_guard<std::mutex> lock(mu_);
-  LW_CHECK(rec != nullptr && rec->refs > 0);
-  if (--rec->refs > 0) {
-    return;
-  }
-  IndexRemoveLocked(rec);
+  LW_CHECK(rec != nullptr);
+  UnlinkRecordLocked(*rec);
   Segment* seg = segments_[rec->seg].get();
   uint64_t span = RecordSpan(rec->len);
   seg->live_bytes -= span;
@@ -251,14 +197,11 @@ SpillTier::Stats SpillTier::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s;
   s.segments = segments_live_;
-  s.segments_created = segments_created_;
   s.segments_compacted = segments_compacted_;
   s.live_records = live_records_;
   s.live_payload_bytes = live_payload_bytes_;
   s.dead_bytes = dead_bytes_;
-  s.file_bytes = segments_live_ * options_.segment_bytes;
   s.appends = appends_;
-  s.shared_hits = shared_hits_;
   s.records_rewritten = records_rewritten_;
   return s;
 }
@@ -317,11 +260,11 @@ SpillTier::Segment* SpillTier::NewSegmentLocked() {
   segments_.push_back(std::move(seg));
   tail_ = id;
   segments_live_++;
-  segments_created_++;
   return segments_[id].get();
 }
 
-void SpillTier::WriteRecordLocked(Segment& seg, SpillRecord& rec, const void* payload) {
+void SpillTier::WriteRecordLocked(Segment& seg, SpillRecord& rec, uint64_t hash,
+                                  const void* payload) {
   uint64_t span = RecordSpan(rec.len);
   LW_CHECK(seg.used + span <= options_.segment_bytes);
   uint8_t* base = seg.map + seg.used;
@@ -329,52 +272,29 @@ void SpillTier::WriteRecordLocked(Segment& seg, SpillRecord& rec, const void* pa
   StoreU32(base + 4, rec.comp_bytes);
   StoreU32(base + 8, rec.len);
   StoreU32(base + 12, 0);
-  StoreU64(base + 16, rec.hash);
+  StoreU64(base + 16, hash);
   std::memcpy(base + kRecordHeaderBytes, payload, rec.len);
   rec.seg = seg.id;
   rec.off = seg.used + kRecordHeaderBytes;
+  rec.seg_prev = nullptr;
+  rec.seg_next = seg.records;
+  if (seg.records != nullptr) {
+    seg.records->seg_prev = &rec;
+  }
+  seg.records = &rec;
   seg.used += span;
   seg.live_bytes += span;
 }
 
-void SpillTier::IndexInsertLocked(SpillRecord* rec) {
-  MaybeGrowIndexLocked();
-  size_t bucket = rec->hash & (index_.size() - 1);
-  rec->next_hash = index_[bucket];
-  index_[bucket] = rec;
-  index_used_++;
-}
-
-void SpillTier::IndexRemoveLocked(SpillRecord* rec) {
-  size_t bucket = rec->hash & (index_.size() - 1);
-  SpillRecord** link = &index_[bucket];
-  while (*link != rec) {
-    link = &(*link)->next_hash;
+void SpillTier::UnlinkRecordLocked(SpillRecord& rec) {
+  if (rec.seg_prev != nullptr) {
+    rec.seg_prev->seg_next = rec.seg_next;
+  } else {
+    segments_[rec.seg]->records = rec.seg_next;
   }
-  *link = rec->next_hash;
-  rec->next_hash = nullptr;
-  index_used_--;
-}
-
-void SpillTier::MaybeGrowIndexLocked() {
-  if (index_.empty()) {
-    index_.resize(64, nullptr);
-    return;
+  if (rec.seg_next != nullptr) {
+    rec.seg_next->seg_prev = rec.seg_prev;
   }
-  if (index_used_ + 1 <= index_.size() - index_.size() / 4) {
-    return;
-  }
-  std::vector<SpillRecord*> grown(index_.size() * 2, nullptr);
-  for (SpillRecord* head : index_) {
-    while (head != nullptr) {
-      SpillRecord* next = head->next_hash;
-      size_t bucket = head->hash & (grown.size() - 1);
-      head->next_hash = grown[bucket];
-      grown[bucket] = head;
-      head = next;
-    }
-  }
-  index_ = std::move(grown);
 }
 
 void SpillTier::MaybeReclaimSealedLocked(uint32_t seg_id) {
@@ -396,25 +316,18 @@ void SpillTier::MaybeReclaimSealedLocked(uint32_t seg_id) {
 
 void SpillTier::CompactSegmentLocked(uint32_t seg_id) {
   Segment* victim = segments_[seg_id].get();
-  // Collect the victim's live records first: rewrites touch only the records'
-  // location fields, never the hash chains, so the walk-then-move split keeps
-  // the iteration simple and the record pointers held by blobs stay valid.
-  std::vector<SpillRecord*> movers;
-  for (SpillRecord* head : index_) {
-    for (SpillRecord* rec = head; rec != nullptr; rec = rec->next_hash) {
-      if (rec->seg == seg_id) {
-        movers.push_back(rec);
-      }
-    }
-  }
-  for (SpillRecord* rec : movers) {
+  // Move records off the head of the victim's list until it is empty. The
+  // record nodes stay put (blobs hold pointers to them); only their location
+  // fields and list links change.
+  while (SpillRecord* rec = victim->records) {
     Segment* dst = TailForAppendLocked(RecordSpan(rec->len));
     if (dst == nullptr) {
       return;  // disk trouble: abandon, the victim keeps serving its records
     }
-    const void* src = victim->map + rec->off;
+    const uint8_t* header = victim->map + rec->off - kRecordHeaderBytes;
+    UnlinkRecordLocked(*rec);
     victim->live_bytes -= RecordSpan(rec->len);
-    WriteRecordLocked(*dst, *rec, src);
+    WriteRecordLocked(*dst, *rec, LoadU64(header + 16), header + kRecordHeaderBytes);
     records_rewritten_++;
   }
   segments_compacted_++;

@@ -1,20 +1,22 @@
-// SpillTier: the PageStore's out-of-core rung — append-only, content-hash-keyed
-// spill segments on disk, so parked checkpoint populations can exceed the RAM
-// budget by orders of magnitude (the ROADMAP's "millions of parked checkpoints
-// per host" capacity lever; stubbscroll/SOLVER's disk-swapped BFS is the shape).
+// SpillTier: the PageStore's out-of-core rung — append-only spill segments on
+// disk, so parked checkpoint populations can exceed the RAM budget by orders
+// of magnitude (the ROADMAP's "millions of parked checkpoints per host"
+// capacity lever; stubbscroll/SOLVER's disk-swapped BFS is the shape).
 //
 // Layout: payloads are appended to fixed-size, mmap'd segment files
 // (`seg-NNNNNN.lwspill` under the spill directory). Each record is a small
-// header (magic, payload length, compressed length, content hash) followed by
-// the payload bytes, 8-byte aligned. A compact in-memory hash → (segment,
-// offset, len) index fronts the files: appending bytes that already live in a
-// record collapses to that record (content addressing extends to disk), and
-// reads never touch the index — callers hold the SpillRecord* directly.
+// header (magic, payload length, compressed length, the owning blob's content
+// hash) followed by the payload bytes, 8-byte aligned. The tier keeps no
+// content index of its own: the PageStore already guarantees one live blob
+// per content, so each record belongs to exactly one blob, which holds the
+// SpillRecord* and hands it back to Read and Free. The hash in the header is
+// written for inspection only; nothing looks records up by it.
 //
 // Space reclamation: freeing a record turns its bytes into garbage; once a
 // *sealed* segment's garbage fraction crosses `compact_dead_ratio`, its live
-// records are rewritten to the current tail segment (their SpillRecord nodes
-// are stable — only the location fields move) and the file is deleted.
+// records (found through the segment's own record list) are rewritten to the
+// current tail segment (their SpillRecord nodes are stable — only the
+// location fields move) and the file is deleted.
 //
 // Lifetime and crash model: the tier is a process-lifetime cache, not a
 // persistence format — segment files are deleted on clean destruction, and
@@ -43,17 +45,17 @@
 
 namespace lw {
 
-// One spilled payload's location. Nodes are stable for the record's lifetime
-// (PageBlobs hold raw pointers across compactions); the location fields are
-// guarded by the tier mutex, `refs` counts the blobs sharing the record.
+// One spilled payload's location, owned by exactly one PageBlob. Nodes are
+// stable for the record's lifetime (the blob holds a raw pointer across
+// compactions); the location fields and the segment links are guarded by the
+// tier mutex.
 struct SpillRecord {
-  uint64_t hash = 0;        // content hash of the payload bytes (index key)
   uint64_t off = 0;         // payload offset within its segment
   uint32_t seg = 0;         // owning segment id
   uint32_t len = 0;         // payload byte length
   uint32_t comp_bytes = 0;  // 0 = raw kPageSize page; else codec-compressed length (== len)
-  uint32_t refs = 0;        // sharing blobs; 0 only momentarily inside Free
-  SpillRecord* next_hash = nullptr;  // index chain link
+  SpillRecord* seg_prev = nullptr;  // the owning segment's record list
+  SpillRecord* seg_next = nullptr;
 };
 
 struct SpillTierOptions {
@@ -88,35 +90,29 @@ class SpillTier {
   SpillTier& operator=(const SpillTier&) = delete;
 
   // Appends `len` payload bytes (comp_bytes == 0 means a raw kPageSize page,
-  // else `len` codec-compressed bytes) and returns a record holding one
-  // reference. `hash` keys the index; pass 0 to have the tier hash the bytes
-  // itself. Byte-identical payloads collapse to one record (refs bumped).
-  // Returns nullptr if a new segment file cannot be created (disk trouble);
-  // callers treat that as "spill unavailable", never as data loss.
+  // else `len` codec-compressed bytes) and returns the new record. `hash` is
+  // written into the record header. Returns nullptr if a new segment file
+  // cannot be created (disk trouble); callers treat that as "spill
+  // unavailable", never as data loss.
   SpillRecord* Append(uint64_t hash, const void* payload, uint32_t len, uint32_t comp_bytes);
 
   // Copies the record's `len` payload bytes into dst.
   void Read(const SpillRecord* rec, void* dst) const;
 
-  // Drops one reference; the last drop deletes the record, turns its bytes
-  // into reclaimable garbage, and may compact the owning (sealed) segment.
+  // Deletes the record, turns its bytes into reclaimable garbage, and may
+  // compact the owning (sealed) segment.
   void Free(SpillRecord* rec);
 
   struct Stats {
     uint64_t segments = 0;            // live segment files
-    uint64_t segments_created = 0;    // lifetime
     uint64_t segments_compacted = 0;  // lifetime
     uint64_t live_records = 0;
     uint64_t live_payload_bytes = 0;  // payload bytes of live records
     uint64_t dead_bytes = 0;          // record+payload bytes awaiting compaction
-    uint64_t file_bytes = 0;          // disk footprint (segments × segment_bytes)
     uint64_t appends = 0;             // lifetime Append calls
-    uint64_t shared_hits = 0;         // appends collapsed to an existing record
     uint64_t records_rewritten = 0;   // records moved by compaction
   };
   Stats stats() const;
-
-  const SpillTierOptions& options() const { return options_; }
 
  private:
   struct Segment {
@@ -126,6 +122,7 @@ class SpillTier {
     uint64_t used = 0;        // append cursor (8-aligned)
     uint64_t live_bytes = 0;  // header+payload+pad of live records
     uint64_t dead_bytes = 0;
+    SpillRecord* records = nullptr;  // live records, linked through seg_prev/seg_next
     bool sealed = false;
     std::string path;
   };
@@ -134,11 +131,11 @@ class SpillTier {
 
   Segment* TailForAppendLocked(uint64_t need);
   Segment* NewSegmentLocked();
-  // Writes one record image at `seg`'s append cursor and points `rec` at it.
-  void WriteRecordLocked(Segment& seg, SpillRecord& rec, const void* payload);
-  void IndexInsertLocked(SpillRecord* rec);
-  void IndexRemoveLocked(SpillRecord* rec);
-  void MaybeGrowIndexLocked();
+  // Writes one record image at `seg`'s append cursor, points `rec` at it and
+  // links it into `seg`'s record list.
+  void WriteRecordLocked(Segment& seg, SpillRecord& rec, uint64_t hash, const void* payload);
+  // Unlinks `rec` from its segment's record list.
+  void UnlinkRecordLocked(SpillRecord& rec);
   // Drops an empty sealed segment, or compacts one whose garbage fraction
   // crossed compact_dead_ratio. No-op for the tail or healthy segments.
   void MaybeReclaimSealedLocked(uint32_t seg_id);
@@ -152,17 +149,13 @@ class SpillTier {
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Segment>> segments_;  // index = id; compacted slots go null
   uint32_t tail_ = UINT32_MAX;                      // current append segment id
-  std::vector<SpillRecord*> index_;                 // hash-chained buckets (power of two)
-  size_t index_used_ = 0;                           // live records in the index
 
   uint64_t live_records_ = 0;
   uint64_t live_payload_bytes_ = 0;
   uint64_t dead_bytes_ = 0;
   uint64_t segments_live_ = 0;
-  uint64_t segments_created_ = 0;
   uint64_t segments_compacted_ = 0;
   uint64_t appends_ = 0;
-  uint64_t shared_hits_ = 0;
   uint64_t records_rewritten_ = 0;
 };
 

@@ -1,6 +1,6 @@
 // Spill tier (the budget ladder's fourth rung):
-//   * SpillTier unit coverage — append/read/free round trips, content-addressed
-//     dedup on disk, segment rollover and compaction, option validation;
+//   * SpillTier unit coverage — append/read/free round trips, segment rollover
+//     and compaction, option validation;
 //   * crash model — a truncated or corrupt leftover segment makes Open fail
 //     with a clean IoError (file left as evidence, no UB); a valid stale
 //     segment is reclaimed silently;
@@ -149,7 +149,7 @@ TEST(SpillTierTest, OpenRejectsBadOptions) {
   EXPECT_TRUE(SpillTier::Open(options).ok());
 }
 
-TEST(SpillTierTest, AppendReadFreeRoundTripAndDedup) {
+TEST(SpillTierTest, AppendReadFreeRoundTrip) {
   ScopedSpillDir tmp;
   SpillTierOptions options;
   options.dir = tmp.Sub("tier");
@@ -162,20 +162,15 @@ TEST(SpillTierTest, AppendReadFreeRoundTripAndDedup) {
   FillNoisePage(a, 1, 1);
   FillNoisePage(b, 1, 2);
 
-  SpillRecord* ra = tier->Append(0, a, kPageSize, 0);
-  SpillRecord* rb = tier->Append(0, b, kPageSize, 0);
+  SpillRecord* ra = tier->Append(1, a, kPageSize, 0);
+  SpillRecord* rb = tier->Append(2, b, kPageSize, 0);
   ASSERT_NE(ra, nullptr);
   ASSERT_NE(rb, nullptr);
   EXPECT_NE(ra, rb);
 
-  // Byte-identical payloads collapse to one record with a bumped refcount.
-  SpillRecord* ra2 = tier->Append(0, a, kPageSize, 0);
-  EXPECT_EQ(ra2, ra);
-
   SpillTier::Stats stats = tier->stats();
   EXPECT_EQ(stats.live_records, 2u);
-  EXPECT_EQ(stats.appends, 3u);
-  EXPECT_EQ(stats.shared_hits, 1u);
+  EXPECT_EQ(stats.appends, 2u);
   EXPECT_EQ(stats.live_payload_bytes, 2 * kPageSize);
 
   tier->Read(ra, out);
@@ -183,10 +178,12 @@ TEST(SpillTierTest, AppendReadFreeRoundTripAndDedup) {
   tier->Read(rb, out);
   EXPECT_EQ(std::memcmp(out, b, kPageSize), 0);
 
-  tier->Free(ra);  // one of two references: record survives
-  tier->Read(ra, out);
-  EXPECT_EQ(std::memcmp(out, a, kPageSize), 0);
   tier->Free(ra);
+  stats = tier->stats();
+  EXPECT_EQ(stats.live_records, 1u);
+  EXPECT_EQ(stats.live_payload_bytes, kPageSize);
+  tier->Read(rb, out);
+  EXPECT_EQ(std::memcmp(out, b, kPageSize), 0);
   tier->Free(rb);
   stats = tier->stats();
   EXPECT_EQ(stats.live_records, 0u);
