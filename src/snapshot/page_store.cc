@@ -675,20 +675,17 @@ bool PageStore::SpillBlobLocked(Shard& shard, PageBlob* blob) {
   uint32_t comp = blob->comp_bytes.load(std::memory_order_relaxed);
   uint32_t len = comp != 0 ? comp : static_cast<uint32_t>(kPageSize);
   SpillRecord* rec = blob->spill_rec;
-  if (rec != nullptr && (rec->len != len || rec->comp_bytes != comp)) {
-    // Stale record from a previous residency at a different compression state
-    // (possible only through odd flag churn; the codec itself is
-    // deterministic). Re-append below.
-    spill_->Free(rec);
-    rec = nullptr;
-    blob->spill_rec = nullptr;
-  }
   if (rec == nullptr) {
     rec = spill_->Append(blob->hash, blob->payload, len, comp);
     if (rec == nullptr) {
       return false;  // disk trouble — leave the blob resident
     }
     blob->spill_rec = rec;
+  } else {
+    // Retained from an earlier residency. The blob's bytes are immutable and
+    // the codec deterministic, and a faulted-back blob re-enters the ladder
+    // at the rung it left, so the record already holds exactly this payload.
+    LW_CHECK(rec->len == len && rec->comp_bytes == comp);
   }
   // Payload lives on disk now; only the header stays resident.
   if ((blob->flags & PageBlob::kSpillCand) != 0) {
