@@ -138,6 +138,12 @@ void PageStore::RecycleBlob(PageBlob* blob) {
 }
 
 void PageStore::RecycleBlobLocked(Shard& shard, PageBlob* blob) {
+  RetiredDeltas retired;
+  RetireBlobLocked(shard, blob, &retired);
+  ApplyRetired(retired);
+}
+
+void PageStore::RetireBlobLocked(Shard& shard, PageBlob* blob, RetiredDeltas* retired) {
   LW_CHECK(blob->refcount.load(std::memory_order_acquire) == 0);
   if (blob->indexed) {
     IndexRemoveLocked(shard, blob);
@@ -148,31 +154,44 @@ void PageStore::RecycleBlobLocked(Shard& shard, PageBlob* blob) {
   } else if (comp == 0 && (blob->flags & PageBlob::kPinned) == 0) {
     LruRemoveLocked(shard, blob);
   }
-  counters_.live_bytes.fetch_sub(sizeof(PageBlob) + PayloadBytes(blob),
-                                 std::memory_order_relaxed);
+  retired->live_bytes += sizeof(PageBlob) + PayloadBytes(blob);
+  // A dying spilled blob never faults back: only its disk record and header
+  // go away, the payload bytes are never read again.
   if (blob->spill_rec != nullptr) {
-    uint64_t spilled_dropped = 0;
-    uint64_t spill_bytes_dropped = 0;
-    DropSpillStateLocked(blob, &spilled_dropped, &spill_bytes_dropped);
-    if (spilled_dropped != 0) {
-      counters_.spilled_blobs.fetch_sub(spilled_dropped, std::memory_order_relaxed);
-      counters_.spill_bytes.fetch_sub(spill_bytes_dropped, std::memory_order_relaxed);
+    if (blob->spilled.load(std::memory_order_relaxed) != 0) {
+      retired->spilled_blobs++;
+      retired->spill_bytes += blob->spill_rec->len;
+      blob->spilled.store(0, std::memory_order_relaxed);
     }
+    spill_->Free(blob->spill_rec);
+    blob->spill_rec = nullptr;
   }
   if (comp != 0) {
     // Compressed payloads are odd-sized; recycle the header only and let the
     // next acquire mint a fresh raw payload.
-    counters_.compressed_blobs.fetch_sub(1, std::memory_order_relaxed);
+    retired->compressed_blobs++;
     std::free(blob->payload);
     blob->payload = nullptr;
     blob->comp_bytes.store(0, std::memory_order_relaxed);
   }
-  counters_.live_blobs.fetch_sub(1, std::memory_order_release);
+  retired->free_bytes += sizeof(PageBlob) + PayloadBytes(blob);
+  retired->blobs++;
   blob->next_free = shard.free_list;
   shard.free_list = blob;
-  counters_.free_blobs.fetch_add(1, std::memory_order_relaxed);
-  counters_.free_bytes.fetch_add(sizeof(PageBlob) + PayloadBytes(blob),
-                                 std::memory_order_relaxed);
+}
+
+void PageStore::ApplyRetired(const RetiredDeltas& retired) {
+  counters_.live_bytes.fetch_sub(retired.live_bytes, std::memory_order_relaxed);
+  if (retired.compressed_blobs != 0) {
+    counters_.compressed_blobs.fetch_sub(retired.compressed_blobs, std::memory_order_relaxed);
+  }
+  if (retired.spilled_blobs != 0) {
+    counters_.spilled_blobs.fetch_sub(retired.spilled_blobs, std::memory_order_relaxed);
+    counters_.spill_bytes.fetch_sub(retired.spill_bytes, std::memory_order_relaxed);
+  }
+  counters_.live_blobs.fetch_sub(retired.blobs, std::memory_order_release);
+  counters_.free_blobs.fetch_add(retired.blobs, std::memory_order_relaxed);
+  counters_.free_bytes.fetch_add(retired.free_bytes, std::memory_order_relaxed);
 }
 
 void PageStore::ReleaseBatch(std::vector<PageRef>& refs) {
@@ -185,7 +204,7 @@ void PageStore::ReleaseBatch(std::vector<PageRef>& refs) {
   // zero-refcount blobs), so the blob can be parked on a per-shard doom list.
   // next_free is reusable as the list link: it is only meaningful while the
   // blob sits on a shard free list, which cannot happen before
-  // RecycleBlobLocked below.
+  // RetireBlobLocked below.
   PageBlob* doomed[kPageStoreShards] = {};
   uint64_t dying = 0;
   for (PageRef& ref : refs) {
@@ -208,18 +227,14 @@ void PageStore::ReleaseBatch(std::vector<PageRef>& refs) {
   if (dying == 0) {
     return;
   }
-  // Phase 2 — one lock hold per touched shard, recycling every doomed blob of
+  // Phase 2 — one lock hold per touched shard, retiring every doomed blob of
   // that shard under it. Between phases the dying blobs stay indexed/LRU-linked
   // exactly as they would during the window between PageRef::Release's
   // decrement and RecycleBlob's lock acquisition — lookups treat refcount-zero
   // blobs as dead either way. Counter traffic is batch-grained too: the
-  // byte/blob deltas accumulate in locals and land as one RMW per counter per
-  // batch, where the per-ref path pays four RMWs per dying blob.
-  uint64_t live_bytes_freed = 0;
-  uint64_t free_bytes_gained = 0;
-  uint64_t decompressed_dropped = 0;
-  uint64_t spilled_dropped = 0;
-  uint64_t spill_bytes_dropped = 0;
+  // byte/blob deltas accumulate across shards and land as one RMW per counter
+  // per batch, where the per-ref path applies them once per dying blob.
+  RetiredDeltas retired;
   for (uint32_t shard_id = 0; shard_id < kPageStoreShards; ++shard_id) {
     PageBlob* blob = doomed[shard_id];
     if (blob == nullptr) {
@@ -230,47 +245,11 @@ void PageStore::ReleaseBatch(std::vector<PageRef>& refs) {
     counters_.release_shard_locks.fetch_add(1, std::memory_order_relaxed);
     while (blob != nullptr) {
       PageBlob* next = blob->next_free;  // the free-list push rewrites the link
-      LW_CHECK(blob->refcount.load(std::memory_order_acquire) == 0);
-      if (blob->indexed) {
-        IndexRemoveLocked(shard, blob);
-      }
-      uint32_t comp = blob->comp_bytes.load(std::memory_order_relaxed);
-      live_bytes_freed += sizeof(PageBlob) + PayloadBytes(blob);
-      // A dying spilled blob never faults back: only its disk record and
-      // header go away, the payload bytes are never read again.
-      if (blob->spill_rec != nullptr) {
-        DropSpillStateLocked(blob, &spilled_dropped, &spill_bytes_dropped);
-      }
-      if ((blob->flags & PageBlob::kSpillCand) != 0) {
-        SpillCandRemoveLocked(shard, blob);
-      } else if (comp == 0 && (blob->flags & PageBlob::kPinned) == 0) {
-        LruRemoveLocked(shard, blob);
-      }
-      if (comp != 0) {
-        // Compressed payloads are odd-sized; recycle the header only (see
-        // RecycleBlobLocked).
-        ++decompressed_dropped;
-        std::free(blob->payload);
-        blob->payload = nullptr;
-        blob->comp_bytes.store(0, std::memory_order_relaxed);
-      }
-      free_bytes_gained += sizeof(PageBlob) + PayloadBytes(blob);
-      blob->next_free = shard.free_list;
-      shard.free_list = blob;
+      RetireBlobLocked(shard, blob, &retired);
       blob = next;
     }
   }
-  counters_.live_bytes.fetch_sub(live_bytes_freed, std::memory_order_relaxed);
-  if (decompressed_dropped != 0) {
-    counters_.compressed_blobs.fetch_sub(decompressed_dropped, std::memory_order_relaxed);
-  }
-  if (spilled_dropped != 0) {
-    counters_.spilled_blobs.fetch_sub(spilled_dropped, std::memory_order_relaxed);
-    counters_.spill_bytes.fetch_sub(spill_bytes_dropped, std::memory_order_relaxed);
-  }
-  counters_.live_blobs.fetch_sub(dying, std::memory_order_release);
-  counters_.free_blobs.fetch_add(dying, std::memory_order_relaxed);
-  counters_.free_bytes.fetch_add(free_bytes_gained, std::memory_order_relaxed);
+  ApplyRetired(retired);
   counters_.blobs_recycled_batched.fetch_add(dying, std::memory_order_relaxed);
 }
 
@@ -756,18 +735,6 @@ void PageStore::EnsureResidentLocked(PageBlob* blob) {
   } else if (blob->comp_bytes.load(std::memory_order_relaxed) != 0) {
     DecompressBlobLocked(blob);
   }
-}
-
-void PageStore::DropSpillStateLocked(PageBlob* blob, uint64_t* spilled_dropped,
-                                     uint64_t* spill_bytes_dropped) {
-  SpillRecord* rec = blob->spill_rec;
-  if (blob->spilled.load(std::memory_order_relaxed) != 0) {
-    *spilled_dropped += 1;
-    *spill_bytes_dropped += rec->len;
-    blob->spilled.store(0, std::memory_order_relaxed);
-  }
-  blob->spill_rec = nullptr;
-  spill_->Free(rec);
 }
 
 bool PageStore::SpillOneColdInShard(uint32_t shard_id) {

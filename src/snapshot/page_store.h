@@ -385,10 +385,27 @@ class PageStore {
     return static_cast<uint32_t>(hash >> (64 - kPageStoreShardBits)) & (kPageStoreShards - 1);
   }
 
+  // Counter deltas of blobs retired under a shard lock. The per-ref path
+  // applies them per blob, ReleaseBatch once per batch.
+  struct RetiredDeltas {
+    uint64_t blobs = 0;
+    uint64_t live_bytes = 0;
+    uint64_t free_bytes = 0;
+    uint64_t compressed_blobs = 0;
+    uint64_t spilled_blobs = 0;
+    uint64_t spill_bytes = 0;
+  };
+
   // All *Locked helpers require the blob's (or given shard's) mutex held.
   internal::PageBlob* AcquireBlobLocked(Shard& shard, uint32_t shard_id);
   void RecycleBlob(internal::PageBlob* blob);  // takes the shard lock itself
   void RecycleBlobLocked(Shard& shard, internal::PageBlob* blob);
+  // The one dead-blob body: unlinks a zero-refcount blob from the index, its
+  // cold list and the spill tier (never faulting it back), frees a compressed
+  // payload, pushes the header onto the shard's free list and accumulates the
+  // counter deltas into `retired`.
+  void RetireBlobLocked(Shard& shard, internal::PageBlob* blob, RetiredDeltas* retired);
+  void ApplyRetired(const RetiredDeltas& retired);
 
   void IndexInsertLocked(Shard& shard, internal::PageBlob* blob);
   void IndexRemoveLocked(Shard& shard, internal::PageBlob* blob);
@@ -414,10 +431,6 @@ class PageStore {
   // entry point the guarded accessors (and index probes) go through.
   void EnsureResidentLocked(internal::PageBlob* blob);
   bool SpillOneColdInShard(uint32_t shard_id);
-  // Drops the blob's spill record (if any) and its spilled-byte accounting.
-  // Shared by both recycle paths; never faults the payload back.
-  void DropSpillStateLocked(internal::PageBlob* blob, uint64_t* spilled_dropped,
-                            uint64_t* spill_bytes_dropped);
 
   static void BumpPeak(std::atomic<uint64_t>& peak, uint64_t value);
 
