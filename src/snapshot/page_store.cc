@@ -148,12 +148,8 @@ void PageStore::RetireBlobLocked(Shard& shard, PageBlob* blob, RetiredDeltas* re
   if (blob->indexed) {
     IndexRemoveLocked(shard, blob);
   }
+  ColdUnlinkLocked(shard, blob);
   uint32_t comp = blob->comp_bytes.load(std::memory_order_relaxed);
-  if ((blob->flags & PageBlob::kSpillCand) != 0) {
-    SpillCandRemoveLocked(shard, blob);
-  } else if (comp == 0 && (blob->flags & PageBlob::kPinned) == 0) {
-    LruRemoveLocked(shard, blob);
-  }
   retired->live_bytes += sizeof(PageBlob) + PayloadBytes(blob);
   // A dying spilled blob never faults back: only its disk record and header
   // go away, the payload bytes are never read again.
@@ -466,47 +462,53 @@ void PageRef::ReadBytes(size_t offset, void* dst, size_t len) const {
 // mutex).
 // ---------------------------------------------------------------------------
 
+void PageStore::ColdList::PushFront(PageBlob* blob) {
+  blob->lru_prev = nullptr;
+  blob->lru_next = head;
+  if (head != nullptr) {
+    head->lru_prev = blob;
+  }
+  head = blob;
+  if (tail == nullptr) {
+    tail = blob;
+  }
+}
+
+void PageStore::ColdList::Remove(PageBlob* blob) {
+  if (blob->lru_prev != nullptr) {
+    blob->lru_prev->lru_next = blob->lru_next;
+  } else if (head == blob) {
+    head = blob->lru_next;
+  }
+  if (blob->lru_next != nullptr) {
+    blob->lru_next->lru_prev = blob->lru_prev;
+  } else if (tail == blob) {
+    tail = blob->lru_prev;
+  }
+  blob->lru_prev = nullptr;
+  blob->lru_next = nullptr;
+}
+
 void PageStore::LruPushFrontLocked(Shard& shard, PageBlob* blob) {
   // Pinned blobs never compress; known-incompressible blobs would only waste
   // another full compressor pass — neither belongs on the cold list.
-  if ((blob->flags & (PageBlob::kPinned | PageBlob::kIncompressible)) != 0) {
-    return;
-  }
-  blob->lru_prev = nullptr;
-  blob->lru_next = shard.lru_head;
-  if (shard.lru_head != nullptr) {
-    shard.lru_head->lru_prev = blob;
-  }
-  shard.lru_head = blob;
-  if (shard.lru_tail == nullptr) {
-    shard.lru_tail = blob;
+  if ((blob->flags & (PageBlob::kPinned | PageBlob::kIncompressible)) == 0) {
+    shard.lru.PushFront(blob);
   }
 }
 
 void PageStore::LruRemoveLocked(Shard& shard, PageBlob* blob) {
-  if ((blob->flags & PageBlob::kPinned) != 0) {
-    return;
+  if ((blob->flags & PageBlob::kPinned) == 0) {
+    shard.lru.Remove(blob);
   }
-  if (blob->lru_prev != nullptr) {
-    blob->lru_prev->lru_next = blob->lru_next;
-  } else if (shard.lru_head == blob) {
-    shard.lru_head = blob->lru_next;
-  }
-  if (blob->lru_next != nullptr) {
-    blob->lru_next->lru_prev = blob->lru_prev;
-  } else if (shard.lru_tail == blob) {
-    shard.lru_tail = blob->lru_prev;
-  }
-  blob->lru_prev = nullptr;
-  blob->lru_next = nullptr;
 }
 
 void PageStore::LruTouchLocked(Shard& shard, PageBlob* blob) {
   if ((blob->flags & PageBlob::kSpillCand) != 0) {
     // Spill candidates track recency on their own list; the spill rung eats
     // from its tail, so a republish hit keeps this blob off disk for longer.
-    SpillCandRemoveLocked(shard, blob);
-    SpillCandPushFrontLocked(shard, blob);
+    shard.spill_cands.Remove(blob);
+    shard.spill_cands.PushFront(blob);
     return;
   }
   if ((blob->flags & PageBlob::kPinned) != 0 ||
@@ -522,31 +524,20 @@ void PageStore::SpillCandPushFrontLocked(Shard& shard, PageBlob* blob) {
     return;
   }
   blob->flags |= PageBlob::kSpillCand;
-  blob->lru_prev = nullptr;
-  blob->lru_next = shard.spill_head;
-  if (shard.spill_head != nullptr) {
-    shard.spill_head->lru_prev = blob;
-  }
-  shard.spill_head = blob;
-  if (shard.spill_tail == nullptr) {
-    shard.spill_tail = blob;
-  }
+  shard.spill_cands.PushFront(blob);
 }
 
 void PageStore::SpillCandRemoveLocked(Shard& shard, PageBlob* blob) {
-  if (blob->lru_prev != nullptr) {
-    blob->lru_prev->lru_next = blob->lru_next;
-  } else if (shard.spill_head == blob) {
-    shard.spill_head = blob->lru_next;
-  }
-  if (blob->lru_next != nullptr) {
-    blob->lru_next->lru_prev = blob->lru_prev;
-  } else if (shard.spill_tail == blob) {
-    shard.spill_tail = blob->lru_prev;
-  }
-  blob->lru_prev = nullptr;
-  blob->lru_next = nullptr;
+  shard.spill_cands.Remove(blob);
   blob->flags &= static_cast<uint8_t>(~PageBlob::kSpillCand);
+}
+
+void PageStore::ColdUnlinkLocked(Shard& shard, PageBlob* blob) {
+  if ((blob->flags & PageBlob::kSpillCand) != 0) {
+    SpillCandRemoveLocked(shard, blob);
+  } else if (blob->comp_bytes.load(std::memory_order_relaxed) == 0) {
+    LruRemoveLocked(shard, blob);
+  }
 }
 
 bool PageStore::CompressBlobLocked(Shard& shard, PageBlob* blob) {
@@ -613,9 +604,8 @@ void PageStore::DecompressBlob(PageBlob* blob) {
 bool PageStore::CompressOneColdInShard(uint32_t shard_id) {
   Shard& shard = shards_[shard_id];
   std::lock_guard<std::mutex> lock(shard.mu);
-  while (shard.lru_tail != nullptr) {
-    PageBlob* coldest = shard.lru_tail;
-    if (CompressBlobLocked(shard, coldest)) {
+  while (shard.lru.tail != nullptr) {
+    if (CompressBlobLocked(shard, shard.lru.tail)) {
       return true;
     }
     // Incompressible: CompressBlobLocked dropped it from the list; try next.
@@ -623,27 +613,31 @@ bool PageStore::CompressOneColdInShard(uint32_t shard_id) {
   return false;
 }
 
-bool PageStore::CompressOneCold() {
+bool PageStore::TakeOneCold(ColdRung in_shard) {
   // Round-robin over shards: "coldest per shard" approximates the global LRU
   // order well enough for a budget policy (the hash spreads content evenly).
   uint32_t start = shard_cursor_.fetch_add(1, std::memory_order_relaxed);
   for (uint32_t i = 0; i < kPageStoreShards; ++i) {
-    if (CompressOneColdInShard((start + i) & (kPageStoreShards - 1))) {
+    if ((this->*in_shard)((start + i) & (kPageStoreShards - 1))) {
       return true;
     }
   }
   return false;
 }
 
-uint64_t PageStore::CompressAllCold() {
+uint64_t PageStore::TakeAllCold(ColdRung in_shard) {
   uint64_t count = 0;
   for (uint32_t shard_id = 0; shard_id < kPageStoreShards; ++shard_id) {
-    while (CompressOneColdInShard(shard_id)) {
+    while ((this->*in_shard)(shard_id)) {
       ++count;
     }
   }
   return count;
 }
+
+bool PageStore::CompressOneCold() { return TakeOneCold(&PageStore::CompressOneColdInShard); }
+
+uint64_t PageStore::CompressAllCold() { return TakeAllCold(&PageStore::CompressOneColdInShard); }
 
 // ---------------------------------------------------------------------------
 // Spill tier (fourth budget rung). Helpers run under the blob's shard mutex;
@@ -667,11 +661,7 @@ bool PageStore::SpillBlobLocked(Shard& shard, PageBlob* blob) {
     LW_CHECK(rec->len == len && rec->comp_bytes == comp);
   }
   // Payload lives on disk now; only the header stays resident.
-  if ((blob->flags & PageBlob::kSpillCand) != 0) {
-    SpillCandRemoveLocked(shard, blob);
-  } else if (comp == 0 && (blob->flags & PageBlob::kPinned) == 0) {
-    LruRemoveLocked(shard, blob);
-  }
+  ColdUnlinkLocked(shard, blob);
   std::free(blob->payload);
   blob->payload = nullptr;
   blob->comp_bytes.store(0, std::memory_order_relaxed);
@@ -742,39 +732,16 @@ bool PageStore::SpillOneColdInShard(uint32_t shard_id) {
   std::lock_guard<std::mutex> lock(shard.mu);
   // Coldest spill candidate first: only blobs the compress rung is done with
   // (compressed or proven incompressible) are candidates.
-  PageBlob* victim = shard.spill_tail;
-  if (victim == nullptr) {
-    return false;
-  }
-  return SpillBlobLocked(shard, victim);
+  PageBlob* victim = shard.spill_cands.tail;
+  return victim != nullptr && SpillBlobLocked(shard, victim);
 }
 
 bool PageStore::SpillOneCold() {
-  if (spill_ == nullptr) {
-    return false;
-  }
-  // Round-robin over shards, mirroring CompressOneCold's approximation of
-  // global cold order.
-  uint32_t start = shard_cursor_.fetch_add(1, std::memory_order_relaxed);
-  for (uint32_t i = 0; i < kPageStoreShards; ++i) {
-    if (SpillOneColdInShard((start + i) & (kPageStoreShards - 1))) {
-      return true;
-    }
-  }
-  return false;
+  return spill_ != nullptr && TakeOneCold(&PageStore::SpillOneColdInShard);
 }
 
 uint64_t PageStore::SpillAllCold() {
-  if (spill_ == nullptr) {
-    return 0;
-  }
-  uint64_t count = 0;
-  for (uint32_t shard_id = 0; shard_id < kPageStoreShards; ++shard_id) {
-    while (SpillOneColdInShard(shard_id)) {
-      ++count;
-    }
-  }
-  return count;
+  return spill_ != nullptr ? TakeAllCold(&PageStore::SpillOneColdInShard) : 0;
 }
 
 // ---------------------------------------------------------------------------

@@ -337,19 +337,25 @@ class PageStore {
  private:
   friend class PageRef;
 
+  // Intrusive recency list over PageBlob::lru_prev/lru_next: head is the
+  // most recently touched blob, tail the coldest. A blob is on at most one
+  // list at a time (kSpillCand says which).
+  struct ColdList {
+    internal::PageBlob* head = nullptr;
+    internal::PageBlob* tail = nullptr;
+    void PushFront(internal::PageBlob* blob);
+    void Remove(internal::PageBlob* blob);  // no-op for a blob not on the list
+  };
+
   struct Shard {
     mutable std::mutex mu;
     std::vector<internal::PageBlob*> index;  // open-addressed, linear probing
     size_t index_used = 0;
     internal::PageBlob* free_list = nullptr;
-    internal::PageBlob* lru_head = nullptr;  // most recently touched
-    internal::PageBlob* lru_tail = nullptr;  // coldest
-    // Spill-candidate list: blobs the compress rung is done with (compressed
-    // or proven incompressible), ordered by recency like the LRU list and
-    // sharing the lru_prev/lru_next links (kSpillCand marks which list owns
-    // them). The spill rung eats from the tail.
-    internal::PageBlob* spill_head = nullptr;
-    internal::PageBlob* spill_tail = nullptr;
+    ColdList lru;  // raw, compressible blobs: the compress rung eats the tail
+    // Blobs the compress rung is done with (compressed or proven
+    // incompressible): the spill rung eats the tail.
+    ColdList spill_cands;
   };
 
   // Atomic mirror of Stats (stats() flattens this into the POD snapshot).
@@ -418,11 +424,20 @@ class PageStore {
 
   void SpillCandPushFrontLocked(Shard& shard, internal::PageBlob* blob);
   void SpillCandRemoveLocked(Shard& shard, internal::PageBlob* blob);
+  // Takes the blob off whichever cold list holds it (kSpillCand says which).
+  void ColdUnlinkLocked(Shard& shard, internal::PageBlob* blob);
 
   bool CompressBlobLocked(Shard& shard, internal::PageBlob* blob);
   void DecompressBlobLocked(internal::PageBlob* blob);
   void DecompressBlob(internal::PageBlob* blob);  // takes the shard lock itself
   bool CompressOneColdInShard(uint32_t shard_id);
+
+  // The compress and spill rungs' shard walk: TakeOneCold tries `in_shard`
+  // on each shard round robin from the shared cursor until one succeeds;
+  // TakeAllCold drains every shard in order.
+  using ColdRung = bool (PageStore::*)(uint32_t shard_id);
+  bool TakeOneCold(ColdRung in_shard);
+  uint64_t TakeAllCold(ColdRung in_shard);
 
   bool SpillBlobLocked(Shard& shard, internal::PageBlob* blob);
   void FaultBackBlobLocked(internal::PageBlob* blob);
