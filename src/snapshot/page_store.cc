@@ -48,14 +48,14 @@ size_t PayloadBytes(const PageBlob* blob) {
 
 }  // namespace
 
-PageStore::PageStore(const PageStoreOptions& options) : options_(options) {
+PageStore::PageStore(const PageStoreOptions& options) {
   for (Shard& shard : shards_) {
     shard.index.assign(kInitialIndexSlots, nullptr);
   }
-  if (!options_.spill_dir.empty()) {
+  if (!options.spill_dir.empty()) {
     SpillTierOptions spill_options;
-    spill_options.dir = options_.spill_dir;
-    spill_options.segment_bytes = options_.spill_segment_bytes;
+    spill_options.dir = options.spill_dir;
+    spill_options.segment_bytes = options.spill_segment_bytes;
     auto tier = SpillTier::Open(spill_options);
     if (tier.ok()) {
       spill_ = std::move(*tier);
@@ -592,15 +592,6 @@ void PageStore::DecompressBlobLocked(PageBlob* blob) {
   LruPushFrontLocked(shards_[blob->shard], blob);  // just touched: warmest again
 }
 
-void PageStore::DecompressBlob(PageBlob* blob) {
-  Shard& shard = shards_[blob->shard];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  // Double-checked: another thread may have re-inflated while we waited.
-  if (blob->comp_bytes.load(std::memory_order_relaxed) != 0) {
-    DecompressBlobLocked(blob);
-  }
-}
-
 bool PageStore::CompressOneColdInShard(uint32_t shard_id) {
   Shard& shard = shards_[shard_id];
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -710,15 +701,6 @@ void PageStore::FaultBackBlobLocked(PageBlob* blob) {
   }
 }
 
-void PageStore::FaultBackBlob(PageBlob* blob) {
-  Shard& shard = shards_[blob->shard];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  // Double-checked: another thread may have faulted it back while we waited.
-  if (blob->spilled.load(std::memory_order_relaxed) != 0) {
-    FaultBackBlobLocked(blob);
-  }
-}
-
 void PageStore::EnsureResidentLocked(PageBlob* blob) {
   if (blob->spilled.load(std::memory_order_relaxed) != 0) {
     FaultBackBlobLocked(blob);
@@ -778,15 +760,6 @@ PageStore::Stats PageStore::stats() const {
     s.spill_segments_compacted = tier.segments_compacted;
   }
   return s;
-}
-
-size_t PageStore::IndexBytes() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.index.capacity() * sizeof(PageBlob*);
-  }
-  return total;
 }
 
 }  // namespace lw

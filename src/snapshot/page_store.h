@@ -7,44 +7,51 @@
 // store collapses to the existing blob (the canonical zero page is the
 // degenerate entry of the same scheme). Divergent branches and concurrent
 // sessions that republish byte-identical pages — SAT watch-list churn, Prolog
-// heaps, symx arenas — therefore share one resident copy.
+// heaps, symx arenas — therefore share one resident copy. This index is the
+// store's only content address: the store never holds two live blobs with
+// equal bytes, so nothing below it (compressed payloads, spill records) needs
+// an index of its own.
+//
+// One blob lifecycle: publish → (raw, on the shard's LRU cold list) →
+// compressed or proven incompressible (on the spill-candidate cold list) →
+// spilled → faulted back to raw on first touch → ... → retired when the last
+// reference drops. Both release paths (PageRef's destructor and ReleaseBatch)
+// retire a dying blob through the same helper; headers and raw payloads are
+// recycled through per-shard free lists (snapshot trees churn pages at high
+// frequency; malloc per page would dominate).
 //
 // Cold-compression tier: blobs referenced only by parked snapshots go cold (the
 // store approximates "parked-only" by publish/access recency); the byte-budget
-// policy compresses them with the in-tree LZ codec, and the guarded accessors
-// (`CopyTo`/`EqualsPage`/`ReadBytes`) transparently re-inflate on first touch,
-// so Restore never sees compressed bytes. Compression runs synchronously on
-// the caller's thread. Raw payloads are recycled through per-shard free lists
-// when the last reference drops (snapshot trees churn pages at high
-// frequency; malloc per page would dominate).
+// ladder compresses them with the in-tree LZ codec, and the guarded accessors
+// (`CopyTo`/`EqualsPage`/`CopyToIfDifferent`/`ReadBytes`) transparently
+// re-inflate on first touch, so Restore never sees compressed bytes.
+// Compression runs synchronously on the caller's thread.
 //
 // Spill tier (opt-in via PageStoreOptions::spill_dir): below the compressed
-// tier sits disk. Blobs the compress rung is done with park on per-shard
-// spill-candidate lists; the byte-budget policy's fourth rung writes their
-// payloads to the SpillTier's append-only, content-hash-keyed segment files
-// and frees the RAM copy (only the blob header stays resident). The same
-// guarded accessors that re-inflate cold blobs fault spilled blobs back
-// transparently — refcounts, dedup identity, and the unique-recycler 1 → 0
-// protocol are oblivious to where the payload lives, so a parked checkpoint
-// population can exceed the RAM budget by orders of magnitude and still
-// restore bit-identically. `ReleaseBatch` dooms spilled blobs without
-// faulting them back (dying payloads never touch RAM again).
+// tier sits disk. The ladder's spill rung writes a spill candidate's payload
+// to the SpillTier's append-only segment files and frees the RAM copy (only
+// the blob header stays resident). The blob owns its spill record and keeps
+// it across fault-back, so re-spilling an unchanged blob is an accounting
+// flip with no I/O. The same guarded accessors that re-inflate cold blobs
+// fault spilled blobs back transparently — refcounts, dedup identity, and the
+// unique-recycler 1 → 0 protocol are oblivious to where the payload lives, so
+// a parked checkpoint population can exceed the RAM budget by orders of
+// magnitude and still restore bit-identically. A dying spilled blob is never
+// faulted back (its payload never touches RAM again).
 //
 // Concurrency model (PR 3 — the store is internally synchronized):
-//   * The index, free lists, and LRU cold lists are split across
+//   * The index, free lists, and cold lists are split across
 //     `kPageStoreShards` shards selected by content-hash prefix; each shard has
 //     its own mutex, so sessions on different worker threads publishing
 //     different content rarely contend. Blob refcounts and all stats counters
 //     are atomic.
-//   * `Publish`, `ZeroPage`, the guarded page accessors, `CompressOneCold` /
-//     `CompressAllCold`, `TrimFreeList`, and `stats()` are all safe to call
-//     from any number of threads concurrently.
-//   * Payload bytes are read through the owning shard's lock (`CopyTo`,
-//     `EqualsPage`, `ReadBytes`), which is what makes in-place
-//     compression/decompression safe against concurrent readers. `data()`
-//     remains for externally-synchronized callers (single-threaded tools and
-//     tests): the raw pointer it returns is only stable while no other thread
-//     can compress the blob.
+//   * `Publish`, `ZeroPage`, the guarded page accessors, the compress and
+//     spill rungs, `ReleaseBatch`, `TrimFreeList`, and `stats()` are all safe
+//     to call from any number of threads concurrently.
+//   * Payload bytes are only ever read through the owning shard's lock (the
+//     guarded accessors), which is what makes in-place compression,
+//     decompression, spill and fault-back safe against concurrent readers.
+//     PageRef hands out no raw payload pointer.
 //   * Each PageRef (and therefore each session, snapshot, and frontier entry)
 //     stays owned by one thread at a time; copying/destroying PageRefs is
 //     lock-free refcounting. Sessions themselves are thread-affine — one thread
@@ -108,7 +115,7 @@ struct PageBlob {
   std::atomic<uint32_t> comp_bytes{0};  // 0 = payload holds kPageSize raw bytes
   // 1 = payload is on disk (payload == nullptr, spill_rec locates the bytes).
   // Guarded accessors fault the blob back under the shard lock; the atomic
-  // exists for the lock-free fast checks in data()/PageRef::spilled().
+  // exists for the lock-free PageRef::spilled() check.
   std::atomic<uint8_t> spilled{0};
   uint64_t hash = 0;  // content hash; valid while indexed
   uint32_t owner = 0;  // first publisher (dedup attribution only)
@@ -177,12 +184,6 @@ class PageRef {
   bool CopyToIfDifferent(void* dst) const;                 // memcmp, memcpy on mismatch
   void ReadBytes(size_t offset, void* dst, size_t len) const;  // sub-page read
 
-  // Raw page bytes for externally-synchronized callers (single-threaded tools,
-  // tests). Touching a cold (compressed) blob re-inflates it in place; the
-  // pointer is stable only while no other thread can compress this blob.
-  // Concurrent contexts must use the guarded accessors above.
-  inline const uint8_t* data() const;
-
   uint32_t refcount() const {
     return blob_ != nullptr ? blob_->refcount.load(std::memory_order_relaxed) : 0;
   }
@@ -238,8 +239,6 @@ class PageStore {
 
   PageStore(const PageStore&) = delete;
   PageStore& operator=(const PageStore&) = delete;
-
-  const PageStoreOptions& options() const { return options_; }
 
   // Allocates an owner id for dedup attribution (one per session). Thread-safe.
   uint32_t RegisterOwner() { return next_owner_.fetch_add(1, std::memory_order_relaxed); }
@@ -316,9 +315,6 @@ class PageStore {
   // exact; relationships between counters may be skewed by in-flight
   // operations on other threads.
   Stats stats() const;
-
-  // Host bytes of the store's own structure (hash index slots, all shards).
-  size_t IndexBytes() const;
 
   // Frees all recycled blobs on every shard's free list back to the host
   // allocator.
@@ -429,7 +425,6 @@ class PageStore {
 
   bool CompressBlobLocked(Shard& shard, internal::PageBlob* blob);
   void DecompressBlobLocked(internal::PageBlob* blob);
-  void DecompressBlob(internal::PageBlob* blob);  // takes the shard lock itself
   bool CompressOneColdInShard(uint32_t shard_id);
 
   // The compress and spill rungs' shard walk: TakeOneCold tries `in_shard`
@@ -441,7 +436,6 @@ class PageStore {
 
   bool SpillBlobLocked(Shard& shard, internal::PageBlob* blob);
   void FaultBackBlobLocked(internal::PageBlob* blob);
-  void FaultBackBlob(internal::PageBlob* blob);  // takes the shard lock itself
   // Fault back and/or decompress so payload holds raw page bytes. The single
   // entry point the guarded accessors (and index probes) go through.
   void EnsureResidentLocked(internal::PageBlob* blob);
@@ -449,7 +443,6 @@ class PageStore {
 
   static void BumpPeak(std::atomic<uint64_t>& peak, uint64_t value);
 
-  PageStoreOptions options_;
   std::unique_ptr<SpillTier> spill_;  // null = spill disabled
   Status spill_status_;               // why, when spill_dir was set but open failed
   Shard shards_[kPageStoreShards];
@@ -473,17 +466,6 @@ inline void PageRef::Release() {
     blob_->store->RecycleBlob(blob_);
   }
   blob_ = nullptr;
-}
-
-inline const uint8_t* PageRef::data() const {
-  LW_CHECK(blob_ != nullptr);
-  if (blob_->spilled.load(std::memory_order_acquire) != 0) {
-    blob_->store->FaultBackBlob(blob_);
-  }
-  if (blob_->comp_bytes.load(std::memory_order_acquire) != 0) {
-    blob_->store->DecompressBlob(blob_);
-  }
-  return blob_->payload;
 }
 
 }  // namespace lw

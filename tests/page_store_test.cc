@@ -140,7 +140,7 @@ TEST(PageStoreContentDedupTest, DeadContentIsForgotten) {
   PageRef b = store.Publish(page.data());
   EXPECT_EQ(store.stats().content_dedup_hits, 0u);
   EXPECT_EQ(store.stats().total_published, 2u);
-  EXPECT_EQ(b.data()[0], 9);
+  EXPECT_TRUE(b.EqualsPage(page.data()));
 }
 
 TEST(PageStoreContentDedupTest, CrossOwnerHitsAreAttributed) {
@@ -187,7 +187,7 @@ TEST(PageStoreContentDedupTest, ChurnKeepsIndexConsistent) {
       std::memcpy(page.data(), &tag, sizeof(tag));
       page[8] = 1;  // defeat zero-page collapse for tag 0
       PageRef ref = store.Publish(page.data());
-      ASSERT_EQ(*reinterpret_cast<const uint32_t*>(ref.data()), tag);
+      ASSERT_TRUE(ref.EqualsPage(page.data()));
       live.emplace_back(tag, std::move(ref));
     } else {
       size_t i = static_cast<size_t>(rng.Below(live.size()));
@@ -195,7 +195,9 @@ TEST(PageStoreContentDedupTest, ChurnKeepsIndexConsistent) {
     }
   }
   for (auto& [tag, ref] : live) {
-    ASSERT_EQ(*reinterpret_cast<const uint32_t*>(ref.data()), tag);
+    uint32_t got = 0;
+    ref.ReadBytes(0, &got, sizeof(got));
+    ASSERT_EQ(got, tag);
   }
 }
 
@@ -212,11 +214,13 @@ TEST(PageStoreCompressionTest, CompressionPreservesExactBytes) {
   EXPECT_EQ(store.CompressAllCold(), 8u);
   EXPECT_EQ(store.stats().compressed_blobs, 8u);
   EXPECT_LT(store.stats().bytes_live(), raw_bytes);
-  // data() transparently re-inflates; content must be byte-exact.
+  // CopyTo transparently re-inflates; content must be byte-exact.
+  std::vector<uint8_t> out(kPageSize);
   for (uint8_t i = 1; i <= 8; ++i) {
     auto want = CompressiblePage(i);
     EXPECT_TRUE(refs[i - 1].compressed());
-    EXPECT_EQ(std::memcmp(refs[i - 1].data(), want.data(), kPageSize), 0);
+    refs[i - 1].CopyTo(out.data());
+    EXPECT_EQ(std::memcmp(out.data(), want.data(), kPageSize), 0);
     EXPECT_FALSE(refs[i - 1].compressed());  // warmed by the touch
   }
   EXPECT_EQ(store.stats().compressed_blobs, 0u);
@@ -237,7 +241,7 @@ TEST(PageStoreCompressionTest, IncompressiblePagesStayRaw) {
   PageRef ref = store.Publish(noise.data());
   EXPECT_EQ(store.CompressAllCold(), 0u);
   EXPECT_FALSE(ref.compressed());
-  EXPECT_EQ(std::memcmp(ref.data(), noise.data(), kPageSize), 0);
+  EXPECT_TRUE(ref.EqualsPage(noise.data()));
 }
 
 TEST(PageStoreCompressionTest, DedupAgainstColdBlobWarmsIt) {
