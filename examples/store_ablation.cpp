@@ -125,7 +125,7 @@ SpillRow RunSpillWorkload(const std::string& spill_dir, uint64_t budget) {
   std::vector<lw::Checkpoint> parked = session.TakeNewCheckpoints();
   if (budget != 0) {
     // The ladder a service host runs once the population is fully parked.
-    lw::ByteBudgetPolicy().Enforce(*store, budget, []() { return false; });
+    lw::EnforceByteBudget(*store, budget, []() { return false; });
   }
 
   SpillRow row;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "src/snapshot/budget_policy.h"
 #include "src/util/timer.h"
 
 namespace lw {
@@ -341,7 +342,7 @@ SnapshotRef BacktrackSession::NewSnapshotShell(SnapshotKind kind) {
 }
 
 void BacktrackSession::EnforceBudget() {
-  engine_->EnforceByteBudget(options_.snapshot_byte_budget, [this] {
+  EnforceByteBudget(*store_, options_.snapshot_byte_budget, [this] {
     std::optional<Extension> evicted = strategy_->EvictWorst();
     if (!evicted.has_value()) {
       return false;

@@ -87,9 +87,9 @@ struct SessionOptions {
   uint64_t max_extensions = 0;
 
   // SM-A* style byte budget on live snapshot pages (0 = unbounded): after each
-  // guess and each parked checkpoint the ByteBudgetPolicy runs
-  // evict → compress → spill → drop until the store
-  // fits (SnapshotEngine::EnforceByteBudget). Measured against the *whole*
+  // guess and each parked checkpoint the session calls EnforceByteBudget
+  // (src/snapshot/budget_policy.h), which runs evict → compress → spill → drop
+  // until the store's live bytes fit. Measured against the *whole*
   // store: with an injected shared store this is a fleet-wide residency cap —
   // every sharer's live bytes count, but each session can only evict its own
   // frontier, so sharers should agree on one budget value (or use 0).

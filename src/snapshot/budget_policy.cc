@@ -4,8 +4,7 @@
 
 namespace lw {
 
-void ByteBudgetPolicy::Enforce(PageStore& store, uint64_t budget,
-                               const std::function<bool()>& evict) const {
+void EnforceByteBudget(PageStore& store, uint64_t budget, const std::function<bool()>& evict) {
   if (budget == 0) {
     return;
   }

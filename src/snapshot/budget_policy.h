@@ -1,5 +1,5 @@
-// ByteBudgetPolicy: the unified evict → compress → spill → drop ladder behind
-// SnapshotEngine::EnforceByteBudget.
+// EnforceByteBudget: the unified evict → compress → spill → drop ladder over a
+// PageStore.
 //
 // Runs after each materialization when SessionOptions::snapshot_byte_budget is
 // set. Rungs, in order, while the store's live bytes exceed the budget:
@@ -25,10 +25,10 @@
 // converse does not hold round over round: once compression or spilling has
 // shrunk live bytes mid-search, later Enforce calls evict *fewer* frontier
 // entries than an uncompressed run would — the cold tiers trade byte-for-byte
-// eviction parity for keeping more of the search. Spilling follows compression so disk pays the codec's ratio (and a
-// faulted-back blob re-spills for free: its disk record is retained across
-// fault-back). When the spill tier is disabled the rung is skipped and the
-// ladder behaves exactly as before.
+// eviction parity for keeping more of the search. Spilling follows
+// compression so disk pays the codec's ratio (and a faulted-back blob
+// re-spills for free: its disk record is retained across fault-back). When the
+// spill tier is disabled the rung is skipped.
 //
 // The budget is enforced against the whole store. With a shared store
 // (SessionOptions::store) that is a deliberate fleet-wide residency cap: each
@@ -51,12 +51,9 @@ namespace lw {
 
 class PageStore;
 
-class ByteBudgetPolicy {
- public:
-  // Enforces `budget` (0 = unbounded) over `store`'s live bytes. `evict`
-  // removes one frontier entry and returns false when nothing is evictable.
-  void Enforce(PageStore& store, uint64_t budget, const std::function<bool()>& evict) const;
-};
+// Enforces `budget` (0 = unbounded) over `store`'s live bytes. `evict` removes
+// one frontier entry and returns false when nothing is evictable.
+void EnforceByteBudget(PageStore& store, uint64_t budget, const std::function<bool()>& evict);
 
 }  // namespace lw
 

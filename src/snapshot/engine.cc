@@ -597,10 +597,6 @@ size_t SnapshotEngine::StructureBytes() const {
   return bytes;
 }
 
-void SnapshotEngine::EnforceByteBudget(uint64_t budget, const std::function<bool()>& evict) {
-  budget_policy_.Enforce(*env_.store, budget, evict);
-}
-
 void SnapshotEngine::MirrorTrackerStats() {
   if (tracker_ != nullptr) {
     env_.stats->pagemap_entries_read = tracker_->pagemap_entries_read();

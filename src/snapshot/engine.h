@@ -60,7 +60,6 @@
 #include <vector>
 
 #include "src/core/search_graph.h"
-#include "src/snapshot/budget_policy.h"
 #include "src/snapshot/page_map.h"
 #include "src/snapshot/page_store.h"
 
@@ -76,9 +75,6 @@ class SoftDirtyTracker;
 struct EngineContext {
   ParallelMaterializer* parallel = nullptr;
 };
-// Per-direction names for the same context, kept for existing callers.
-using MaterializeContext = EngineContext;
-using RestoreContext = EngineContext;
 
 enum class SnapshotMode {
   kCow,
@@ -191,12 +187,6 @@ class SnapshotEngine {
   // maps.
   size_t StructureBytes() const;
 
-  // Post-materialize budget hook: the shared ByteBudgetPolicy runs
-  // evict → compress → spill → drop against the store until live bytes fit
-  // `budget` (`evict` returns false when nothing is evictable; `budget == 0`
-  // means unbounded).
-  void EnforceByteBudget(uint64_t budget, const std::function<bool()>& evict);
-
   const PageMap& current_map() const { return cur_map_; }
   // The mechanism armed for the *next* checkpoint.
   DirtySource current_mechanism() const { return mech_; }
@@ -252,7 +242,6 @@ class SnapshotEngine {
   const SnapshotMode mode_;
   Env env_;
   PageMap cur_map_;
-  ByteBudgetPolicy budget_policy_;
   DirtySource mech_;
   uint32_t non_guard_pages_ = 0;
 

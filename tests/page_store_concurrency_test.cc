@@ -154,7 +154,7 @@ TEST(PageStoreConcurrencyTest, CompressionRacingPublishKeepsBytesExact) {
 }
 
 TEST(PageStoreConcurrencyTest, ConcurrentEnforceConvergesOnFleetCap) {
-  // The ByteBudgetPolicy contract for shared stores: concurrent Enforce calls
+  // The EnforceByteBudget contract for shared stores: concurrent calls
   // from sharers (each evicting only its own frontier) are safe and jointly
   // converge on the one fleet-wide cap.
   PageStore store;
@@ -170,9 +170,8 @@ TEST(PageStoreConcurrencyTest, ConcurrentEnforceConvergesOnFleetCap) {
         auto page = TaggedPage(static_cast<uint32_t>(t) * kPagesPerThread + i);
         frontier.push_back(store.Publish(page.data()));
       }
-      ByteBudgetPolicy policy;
       for (int round = 0; round < 8; ++round) {
-        policy.Enforce(store, budget, [&frontier] {
+        EnforceByteBudget(store, budget, [&frontier] {
           if (frontier.empty()) {
             return false;
           }
@@ -189,7 +188,7 @@ TEST(PageStoreConcurrencyTest, ConcurrentEnforceConvergesOnFleetCap) {
   // Everything evictable was evicted and every thread exited cleanly; with all
   // frontiers dropped the store drains, and one final Enforce (nothing left to
   // evict) holds the cap.
-  ByteBudgetPolicy().Enforce(store, budget, [] { return false; });
+  EnforceByteBudget(store, budget, [] { return false; });
   EXPECT_LE(store.stats().bytes_live(), budget);
   EXPECT_EQ(store.stats().live_blobs, 0u);
 }

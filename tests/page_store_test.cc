@@ -1,9 +1,9 @@
 // Tests for the content-addressed PageStore substrate: the in-tree LZ codec,
 // hash-dedup semantics (identity, refcounts, owner attribution), the
 // cold-compression tier's exact-parity guarantee, and the unified
-// evict → compress → spill → drop ByteBudgetPolicy (spill rung covered in
-// spill_tier_test.cc; here the stores have no spill_dir, so the ladder
-// skips that rung and the spill counters must stay exactly zero).
+// evict → compress → spill → drop EnforceByteBudget ladder (spill rung
+// covered in spill_tier_test.cc; here the stores have no spill_dir, so the
+// ladder skips that rung and the spill counters must stay exactly zero).
 
 #include <gtest/gtest.h>
 
@@ -279,14 +279,14 @@ TEST(PageStoreCompressionTest, ReleasingColdBlobReclaimsBytes) {
   EXPECT_EQ(store.stats().bytes_resident(), 0u);
 }
 
-// --- ByteBudgetPolicy: evict → compress → spill → drop (no spill_dir here) --------
+// --- EnforceByteBudget: evict → compress → spill → drop (no spill_dir here) --------
 
 TEST(ByteBudgetPolicyTest, UnboundedBudgetDoesNothing) {
   PageStore store;
   auto page = CompressiblePage(1);
   PageRef ref = store.Publish(page.data());
   int evict_calls = 0;
-  ByteBudgetPolicy().Enforce(store, 0, [&evict_calls] {
+  EnforceByteBudget(store, 0, [&evict_calls] {
     ++evict_calls;
     return false;
   });
@@ -302,7 +302,7 @@ TEST(ByteBudgetPolicyTest, EvictionRunsBeforeCompression) {
     frontier.push_back(store.Publish(page.data()));
   }
   uint64_t budget = store.stats().bytes_live() - 1;  // one page over
-  ByteBudgetPolicy().Enforce(store, budget, [&frontier] {
+  EnforceByteBudget(store, budget, [&frontier] {
     if (frontier.empty()) {
       return false;
     }
@@ -328,7 +328,7 @@ TEST(ByteBudgetPolicyTest, CompressionCatchesWhatEvictionCannot) {
       parked.push_back(store.Publish(page.data()));
     }
     uint64_t budget = store.stats().bytes_live() / 2;
-    ByteBudgetPolicy().Enforce(store, budget, [] { return false; });  // nothing evictable
+    EnforceByteBudget(store, budget, [] { return false; });  // nothing evictable
     uint64_t live = store.stats().bytes_live();
     uint64_t cold = store.stats().compressed_blobs;
     parked.clear();
@@ -356,14 +356,14 @@ TEST(ByteBudgetPolicyTest, DropStageIsLastResortOnly) {
 
   // Budget met by live bytes alone: the free list must survive (recycling is
   // what keeps Publish off the host allocator while the budget holds).
-  ByteBudgetPolicy().Enforce(store, store.stats().bytes_live() + 1, [] { return false; });
+  EnforceByteBudget(store, store.stats().bytes_live() + 1, [] { return false; });
   EXPECT_GT(store.stats().free_blobs, 0u);
 
   // Budget unmeetable (nothing evictable, nothing compressible): the free
   // list is pure overhead now — the drop stage returns it to the host.
   auto page = RandomPage(9);
   pinned.push_back(store.Publish(page.data()));
-  ByteBudgetPolicy().Enforce(store, 1, [] { return false; });
+  EnforceByteBudget(store, 1, [] { return false; });
   EXPECT_EQ(store.stats().free_blobs, 0u);
 }
 

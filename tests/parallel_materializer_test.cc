@@ -230,7 +230,7 @@ TEST_P(ParallelEngineBitIdentityTest, ParallelSnapshotStructureMatchesSerial) {
     pm_options.workers = 4;
     pm_options.chunk_slots = 8;  // small chunks: even CoW dirty sets fan out
     ParallelMaterializer pm(pm_options);
-    MaterializeContext ctx;
+    EngineContext ctx;
     ctx.parallel = &pm;
 
     // Several rounds so the CoW engine exercises hot-page promotion (pages

@@ -1,4 +1,4 @@
-// Parallel, syscall-coalesced Restore (the RestoreContext seam in engine.h):
+// Parallel, syscall-coalesced Restore (the EngineContext seam in engine.h):
 //   * parity sweep — serial vs workers 1/2/4/8 for every engine: identical
 //     post-restore arena bytes, identical pages_restored / skip counters, and
 //     (CoW) identical mprotect accounting regardless of worker count;
@@ -98,8 +98,8 @@ RestoreRun RunRestoreScript(SnapshotMode mode, uint32_t workers) {
   auto engine = MakeSnapshotEngine(mode, MakeEnv(&arena, &store, &stats, 16));
 
   std::unique_ptr<ParallelMaterializer> team;
-  MaterializeContext mctx;
-  RestoreContext rctx;
+  EngineContext mctx;
+  EngineContext rctx;
   if (workers > 0) {
     ParallelMaterializerOptions options;
     options.workers = workers;

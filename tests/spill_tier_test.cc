@@ -4,7 +4,7 @@
 //   * crash model — a truncated or corrupt leftover segment makes Open fail
 //     with a clean IoError (file left as evidence, no UB); a valid stale
 //     segment is reclaimed silently;
-//   * rung ordering — ByteBudgetPolicy meets a budget reachable by compression
+//   * rung ordering — EnforceByteBudget meets a budget reachable by compression
 //     alone without touching disk, and only reaches for the spill rung when
 //     compression is exhausted;
 //   * round-trip parity — spilled blobs fault back bit-identical through every
@@ -431,18 +431,17 @@ TEST(SpillStoreTest, BudgetLadderSpillsOnlyAfterCompressionIsExhausted) {
   }
   const uint64_t raw_live = store.stats().bytes_live();
 
-  ByteBudgetPolicy policy;
   auto no_evict = []() { return false; };
 
   // A budget compression alone can meet: the spill rung must not run.
-  policy.Enforce(store, raw_live / 2, no_evict);
+  EnforceByteBudget(store, raw_live / 2, no_evict);
   PageStore::Stats stats = store.stats();
   EXPECT_LE(stats.bytes_live(), raw_live / 2);
   EXPECT_GT(stats.compressions, 0u);
   EXPECT_EQ(stats.spills, 0u) << "spill rung ran while compression could still pay";
 
   // A budget below what compression can reach: now the ladder reaches disk.
-  policy.Enforce(store, raw_live / 64, no_evict);
+  EnforceByteBudget(store, raw_live / 64, no_evict);
   stats = store.stats();
   EXPECT_GT(stats.spills, 0u);
   EXPECT_GT(stats.spilled_blobs, 0u);
@@ -529,8 +528,8 @@ TEST(SpillStoreTest, LadderScriptHitsRecordedCounters) {
 
   // Stops part-way through the compress rung, then part-way through the
   // spill rung (which only starts once compression is exhausted).
-  ByteBudgetPolicy().Enforce(store, raw_live * 3 / 4, no_evict);
-  ByteBudgetPolicy().Enforce(store, raw_live / 5, no_evict);
+  EnforceByteBudget(store, raw_live * 3 / 4, no_evict);
+  EnforceByteBudget(store, raw_live / 5, no_evict);
 
   // Read a fixed subset back: compressed blobs re-inflate, spilled ones fault
   // back from disk.
@@ -553,7 +552,7 @@ TEST(SpillStoreTest, LadderScriptHitsRecordedCounters) {
   }
   store.ReleaseBatch(batch);
 
-  ByteBudgetPolicy().Enforce(store, raw_live / 12, no_evict);
+  EnforceByteBudget(store, raw_live / 12, no_evict);
 
   EXPECT_EQ(LadderLine(store.stats(), refs),
             "live_blobs=49 free_blobs=80 peak_live_blobs=129 total_published=129"
@@ -756,7 +755,7 @@ void RunE15(SnapshotMode mode, uint32_t workers, const std::string& spill_dir, u
     // *after* the last park's enforcement. A long-running service parks and
     // idles at this point, and its host's ladder runs once more; mirror that
     // before measuring steady-state residency.
-    ByteBudgetPolicy().Enforce(*store, budget, []() { return false; });
+    EnforceByteBudget(*store, budget, []() { return false; });
   }
   PageStore::Stats stats = store->stats();
   out->live_after_park = stats.bytes_live();
