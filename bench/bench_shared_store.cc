@@ -230,8 +230,8 @@ void BM_SolverPool(benchmark::State& state) {
         return;
       }
     }
-    lw::ServiceFleetStats stats = pool.fleet_stats();
-    resident_bytes = stats.resident_bytes;
+    const lw::PageStore::Stats stats = pool.store()->stats();
+    resident_bytes = stats.bytes_resident();
     cross_dedup_hits = stats.cross_session_dedup_hits;
   }
   state.counters["resident_bytes"] = static_cast<double>(resident_bytes);

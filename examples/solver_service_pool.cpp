@@ -112,10 +112,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.snapshots),
               static_cast<unsigned long long>(stats.restores),
               static_cast<unsigned long long>(stats.checkpoints));
+  const lw::PageStore::Stats store = pool.store()->stats();
   std::printf("shared store: resident=%.1f MiB  cross_session_dedup_hits=%llu  cold_blobs=%llu\n",
-              static_cast<double>(stats.resident_bytes) / (1024.0 * 1024.0),
-              static_cast<unsigned long long>(stats.cross_session_dedup_hits),
-              static_cast<unsigned long long>(stats.compressed_blobs));
+              static_cast<double>(store.bytes_resident()) / (1024.0 * 1024.0),
+              static_cast<unsigned long long>(store.cross_session_dedup_hits),
+              static_cast<unsigned long long>(store.compressed_blobs));
   std::printf("every branch resumed an immutable parent on its worker thread — zero copies,\n"
               "one substrate\n");
   return 0;

@@ -56,17 +56,10 @@
 
 namespace lw {
 
-// Store-wide + summed per-service counters for the whole fleet.
+// Per-service counters summed over the fleet. Store-wide counters live in
+// `store()->stats()`.
 struct ServiceFleetStats {
   uint64_t jobs_executed = 0;
-  // Store-wide counters (the whole fleet's substrate).
-  uint64_t resident_bytes = 0;
-  uint64_t live_bytes = 0;
-  uint64_t zero_dedup_hits = 0;
-  uint64_t content_dedup_hits = 0;
-  uint64_t cross_session_dedup_hits = 0;
-  uint64_t compressed_blobs = 0;
-  // Summed across services.
   uint64_t snapshots = 0;
   uint64_t restores = 0;
   uint64_t checkpoints = 0;
@@ -164,13 +157,6 @@ class ServicePool {
   // Safe to call any time; per-service counters are sampled between jobs.
   ServiceFleetStats fleet_stats() const {
     ServiceFleetStats fleet;
-    const PageStore::Stats store = store_->stats();
-    fleet.resident_bytes = store.bytes_resident();
-    fleet.live_bytes = store.bytes_live();
-    fleet.zero_dedup_hits = store.zero_dedup_hits;
-    fleet.content_dedup_hits = store.content_dedup_hits;
-    fleet.cross_session_dedup_hits = store.cross_session_dedup_hits;
-    fleet.compressed_blobs = store.compressed_blobs;
     for (const auto& worker : workers_) {
       std::lock_guard<std::mutex> lock(worker->stats_mu);
       fleet.jobs_executed += worker->jobs_executed;

@@ -83,9 +83,8 @@ TEST(SolverServicePoolTest, FleetMatchesSingleServiceReference) {
   }
 
   // The whole point of the shared store: the workers deduped each other.
-  ServiceFleetStats stats = pool.fleet_stats();
-  EXPECT_GT(stats.cross_session_dedup_hits, 0u);
-  EXPECT_EQ(stats.jobs_executed, static_cast<uint64_t>(2 * kServices));
+  EXPECT_GT(pool.store()->stats().cross_session_dedup_hits, 0u);
+  EXPECT_EQ(pool.fleet_stats().jobs_executed, static_cast<uint64_t>(2 * kServices));
 }
 
 TEST(SolverServicePoolTest, PipelinedSubmissionRunsInOrder) {
