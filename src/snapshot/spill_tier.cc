@@ -240,7 +240,11 @@ SpillTier::Segment* SpillTier::NewSegmentLocked() {
   if (fd < 0) {
     return nullptr;
   }
-  if (::ftruncate(fd, static_cast<off_t>(options_.segment_bytes)) != 0) {
+  // Reserve every block up front: a sparse file would let a full disk surface
+  // as SIGBUS on a later store through the shared mapping instead of as this
+  // clean failure. posix_fallocate returns an error number, not -1.
+  if (::ftruncate(fd, static_cast<off_t>(options_.segment_bytes)) != 0 ||
+      ::posix_fallocate(fd, 0, static_cast<off_t>(options_.segment_bytes)) != 0) {
     ::close(fd);
     ::unlink(seg->path.c_str());
     return nullptr;

@@ -12,6 +12,11 @@
 // SpillRecord* and hands it back to Read and Free. The hash in the header is
 // written for inspection only; nothing looks records up by it.
 //
+// Segment files are sized and their blocks reserved (posix_fallocate) when
+// created, so a full disk makes segment creation fail — Append returns
+// nullptr and the blob stays resident — rather than raising SIGBUS on a later
+// write through the mapping.
+//
 // Space reclamation: freeing a record turns its bytes into garbage; once a
 // *sealed* segment's garbage fraction crosses `compact_dead_ratio`, its live
 // records (found through the segment's own record list) are rewritten to the

@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <signal.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -448,6 +450,65 @@ TEST(SpillStoreTest, BudgetLadderSpillsOnlyAfterCompressionIsExhausted) {
   EXPECT_LT(stats.bytes_live(), raw_live / 2);
 
   store.ReleaseBatch(refs);
+}
+
+// Lowers the process's file-size limit (RLIMIT_FSIZE) with SIGXFSZ ignored, so
+// growing a file past the limit fails with EFBIG instead of killing the
+// process. Restores both on destruction.
+class ScopedFileSizeLimit {
+ public:
+  explicit ScopedFileSizeLimit(rlim_t bytes) {
+    LW_CHECK(::getrlimit(RLIMIT_FSIZE, &saved_) == 0);
+    old_handler_ = ::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit lowered = saved_;
+    lowered.rlim_cur = bytes;
+    LW_CHECK(::setrlimit(RLIMIT_FSIZE, &lowered) == 0);
+  }
+  ~ScopedFileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    ::signal(SIGXFSZ, old_handler_);
+  }
+
+ private:
+  struct rlimit saved_;
+  void (*old_handler_)(int);
+};
+
+TEST(SpillStoreTest, SegmentCreationFailureLeavesBlobResident) {
+  ScopedSpillDir tmp;
+  PageStoreOptions options;
+  options.spill_dir = tmp.Sub("store");
+  options.spill_segment_bytes = SpillTier::kMinSegmentBytes;
+  PageStore store(options);
+  ASSERT_TRUE(store.spill_enabled()) << store.spill_status().ToString();
+
+  uint8_t page[kPageSize];
+  FillNoisePage(page, 31, 1);
+  PageRef ref = store.Publish(page);
+  store.CompressAllCold();  // incompressible: straight onto the spill candidates
+
+  {
+    // The first segment cannot be sized: the spill rung reports nothing
+    // spilled and the blob keeps its RAM payload.
+    ScopedFileSizeLimit limit(options.spill_segment_bytes / 2);
+    EXPECT_FALSE(store.SpillOneCold());
+  }
+  EXPECT_FALSE(ref.spilled());
+  uint8_t out[kPageSize];
+  ref.CopyTo(out);
+  EXPECT_EQ(std::memcmp(out, page, kPageSize), 0);
+  PageStore::Stats stats = store.stats();
+  EXPECT_EQ(stats.spills, 0u);
+  EXPECT_EQ(stats.spilled_blobs, 0u);
+  EXPECT_EQ(stats.spill_bytes, 0u);
+  EXPECT_EQ(stats.spill_segments, 0u);
+
+  // With the limit restored the same blob spills normally.
+  EXPECT_TRUE(store.SpillOneCold());
+  EXPECT_TRUE(ref.spilled());
+  EXPECT_EQ(store.stats().spills, 1u);
+  ref.CopyTo(out);
+  EXPECT_EQ(std::memcmp(out, page, kPageSize), 0);
 }
 
 // Compressible page with an xorshift prefix of `noise_words` words: the codec's
