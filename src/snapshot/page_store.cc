@@ -688,8 +688,8 @@ void PageStore::FaultBackBlobLocked(PageBlob* blob) {
   counters_.spilled_blobs.fetch_sub(1, std::memory_order_relaxed);
   counters_.spill_bytes.fetch_sub(rec->len, std::memory_order_relaxed);
   counters_.faultbacks.fetch_add(1, std::memory_order_relaxed);
-  // The record stays referenced: if this blob goes cold again unchanged (it
-  // must — blobs are immutable), the re-spill is an accounting flip, no I/O.
+  // The blob keeps its record: when it goes cold again (unchanged — blobs are
+  // immutable), the re-spill is an accounting flip, no I/O.
   // Warm again: incompressible blobs rejoin the spill candidates directly
   // (the compress rung would only waste a pass on them), everything else
   // rejoins the raw LRU and descends the ladder normally.
