@@ -566,9 +566,8 @@ std::string LadderLine(const PageStore::Stats& s, const std::vector<PageRef>& re
 
 // A fixed single-threaded script through every rung of the ladder, pinned as
 // one counter line. PageStore only (no arena), so no host address reaches page
-// bytes and every value is deterministic. The values were recorded before the
-// spill tier's record index and the duplicated recycle/cold-list code were
-// removed; any change in victim choice, accounting or compaction shows here.
+// bytes and every value is deterministic: any change in victim choice,
+// accounting or compaction shows here.
 TEST(SpillStoreTest, LadderScriptHitsRecordedCounters) {
   ScopedSpillDir tmp;
   PageStoreOptions options;
