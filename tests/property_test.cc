@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -14,10 +15,12 @@
 #include "src/core/guest_heap.h"
 #include "src/prolog/machine.h"
 #include "src/prolog/term.h"
+#include "src/snapshot/budget_policy.h"
 #include "src/snapshot/engine.h"
 #include "src/snapshot/parallel_materializer.h"
 #include "src/snapshot/soft_dirty.h"
 #include "src/util/rng.h"
+#include "src/util/status.h"
 
 namespace lw {
 namespace {
@@ -206,21 +209,60 @@ TEST(TermHeapPropertyTest, CopyPreservesSharingAcrossHeaps) {
 // --- Snapshot engines: cross-mode differential against a shadow image ---
 
 // Seeded random page-write / materialize / restore scripts run against every
-// snapshot mode at 1 and 4 workers. A shadow copy of the write window is taken
-// at each materialize; every restore must reproduce it byte for byte and leave
-// the rest of the arena zero. Wide bursts move the adaptive engine between
-// mechanisms mid-script; dropped snapshots exercise release along the way.
+// snapshot mode at 1 and 4 workers, unbudgeted and under a tight byte budget
+// with the spill tier on. A shadow copy of the write window is taken at each
+// materialize; every restore must reproduce it byte for byte and leave the rest
+// of the arena zero. Dropped snapshots exercise release along the way; in the
+// budgeted runs the ladder compresses and spills after every materialize, so
+// restores read pages back through decompression and fault-back.
 class EngineDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 constexpr uint32_t kWindowPages = 256;  // writes land in pages [0, kWindowPages)
 
-std::string RunDifferentialScript(uint64_t seed, SnapshotMode mode, uint32_t workers) {
+// Far below what the window's distinct pages occupy even compressed, so every
+// ladder pass compresses and then spills.
+constexpr uint64_t kTightBudget = 16 * 1024;
+
+// A fresh spill directory, removed with everything in it on destruction.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    char tmpl[] = "/tmp/lwsnap_differential_XXXXXX";
+    const char* dir = mkdtemp(tmpl);
+    LW_CHECK_MSG(dir != nullptr, "mkdtemp failed for the differential spill dir");
+    path_ = dir;
+  }
+  ~ScratchDir() {
+    const std::string cmd = "rm -rf '" + path_ + "'";
+    const int rc = std::system(cmd.c_str());
+    (void)rc;
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+// Returns "" on success, otherwise the first divergence. `budget` 0 runs with
+// no budget and no spill tier.
+std::string RunDifferentialScript(uint64_t seed, SnapshotMode mode, uint32_t workers,
+                                  uint64_t budget) {
   GuestArena::Layout layout;
   layout.arena_bytes = 2ull << 20;
   layout.stack_bytes = 256 * 1024;
   layout.guard_bytes = 16 * kPageSize;
   GuestArena arena(layout);
-  PageStore store;
+  std::unique_ptr<ScratchDir> spill_dir;
+  PageStoreOptions store_options;
+  if (budget != 0) {
+    spill_dir = std::make_unique<ScratchDir>();
+    store_options.spill_dir = spill_dir->path() + "/store";
+    store_options.spill_segment_bytes = 64 * 1024;
+  }
+  PageStore store(store_options);
+  if (!store.spill_status().ok()) {
+    return "spill tier failed to open: " + store.spill_status().ToString();
+  }
   SnapshotEngineStats stats;
   SnapshotEngine::Env env;
   env.arena = &arena;
@@ -281,6 +323,9 @@ std::string RunDifferentialScript(uint64_t seed, SnapshotMode mode, uint32_t wor
     } else if (dice < 75) {  // materialize
       Kept k{std::make_unique<Snapshot>(), live};
       engine->Materialize(*k.snap, ctx);
+      if (budget != 0) {
+        EnforceByteBudget(store, budget, /*evict=*/[] { return false; });
+      }
       kept.push_back(std::move(k));
       if (kept.size() > 12) {
         kept.erase(kept.begin() + static_cast<long>(rng.Next() % kept.size()));
@@ -310,6 +355,16 @@ std::string RunDifferentialScript(uint64_t seed, SnapshotMode mode, uint32_t wor
       }
     }
   }
+  if (budget != 0) {
+    // The budgeted run must actually have driven restores through the cold
+    // rungs, or it checks nothing the unbudgeted run does not.
+    const PageStore::Stats store_stats = store.stats();
+    if (store_stats.compressions == 0 || store_stats.spills == 0) {
+      return "the budget never compressed and spilled (compressions " +
+             std::to_string(store_stats.compressions) + ", spills " +
+             std::to_string(store_stats.spills) + ")";
+    }
+  }
   return "";
 }
 
@@ -322,9 +377,13 @@ TEST_P(EngineDifferentialTest, EveryModeRestoresTheShadowImage) {
       continue;
     }
     for (uint32_t workers : {1u, 4u}) {
-      const std::string failure = RunDifferentialScript(seed, mode, workers);
-      EXPECT_TRUE(failure.empty()) << "seed " << seed << " mode " << SnapshotModeName(mode)
-                                   << " workers " << workers << ": " << failure;
+      for (uint64_t budget : {uint64_t{0}, kTightBudget}) {
+        const std::string failure = RunDifferentialScript(seed, mode, workers, budget);
+        EXPECT_TRUE(failure.empty())
+            << "seed " << seed << " mode " << SnapshotModeName(mode) << " workers " << workers
+            << " budget " << (budget == 0 ? std::string("unbounded") : std::to_string(budget))
+            << ": " << failure;
+      }
     }
   }
 }
