@@ -181,11 +181,6 @@ void BM_LwsnapFullCopy(benchmark::State& state) {
 void BM_LwsnapIncremental(benchmark::State& state) {
   RunLwsnap(state, lw::SnapshotMode::kIncremental);
 }
-// E12 — adaptive over the same crossover grid: its whole pitch is never being
-// the wrong fixed engine at any (work_us, pages) point.
-void BM_LwsnapAdaptive(benchmark::State& state) {
-  RunLwsnap(state, lw::SnapshotMode::kAdaptive);
-}
 // Registered from main() only when the kernel supports soft-dirty.
 void BM_LwsnapSoftDirty(benchmark::State& state) {
   RunLwsnap(state, lw::SnapshotMode::kSoftDirty);
@@ -200,7 +195,6 @@ CROSSOVER_ARGS(BENCHMARK(BM_HandCoded));
 CROSSOVER_ARGS(BENCHMARK(BM_LwsnapCow));
 CROSSOVER_ARGS(BENCHMARK(BM_LwsnapFullCopy));
 CROSSOVER_ARGS(BENCHMARK(BM_LwsnapIncremental));
-CROSSOVER_ARGS(BENCHMARK(BM_LwsnapAdaptive));
 
 // --- engine-parity harness: n-queens through all three backends ---
 //
@@ -281,9 +275,6 @@ void BM_QueensFullCopy(benchmark::State& state) {
 void BM_QueensIncremental(benchmark::State& state) {
   RunQueens(state, lw::SnapshotMode::kIncremental);
 }
-void BM_QueensAdaptive(benchmark::State& state) {
-  RunQueens(state, lw::SnapshotMode::kAdaptive);
-}
 // Registered from main() only when the kernel supports soft-dirty.
 void BM_QueensSoftDirty(benchmark::State& state) {
   RunQueens(state, lw::SnapshotMode::kSoftDirty);
@@ -292,7 +283,6 @@ void BM_QueensSoftDirty(benchmark::State& state) {
 BENCHMARK(BM_QueensCow)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_QueensFullCopy)->Unit(benchmark::kMillisecond)->Iterations(1);
 BENCHMARK(BM_QueensIncremental)->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK(BM_QueensAdaptive)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -12,13 +12,11 @@
 //   SoftDirtySnapshot/D/A  — kernel-assisted engine (soft-dirty pagemap bits):
 //                            no faults, no scan; registered only when the host
 //                            kernel supports soft-dirty (see the probe below)
-//   AdaptiveSnapshot/D/A   — per-checkpoint mechanism selection from observed
-//                            dirty rate; should track the best fixed engine
-//   {Cow,Incremental,FullCopy,Adaptive,SoftDirty}Restore/D/A/W — restore-heavy
+//   {Cow,Incremental,FullCopy,SoftDirty}Restore/D/A/W — restore-heavy
 //                            shape (fanout restores per snapshot) with a
 //                            W-thread worker team; reports ns/restore and the
 //                            mprotect-coalescing counters (E13)
-//   {Cow,Incremental,Adaptive}ReleaseStorm/N — N-sibling checkpoint release
+//   {Cow,Incremental}ReleaseStorm/N — N-sibling checkpoint release
 //                            storm, timed on the release phase only; the
 //                            session reclaims through the O(spine) walk +
 //                            PageStore::ReleaseBatch (E14)
@@ -27,7 +25,7 @@
 // comparison is invariant to the harness loop; the label column names the
 // engine (SnapshotModeName) plus the dirty-discovery mechanism the last
 // checkpoint used (dirty_src=faults|scan|kernel-pagemap|full), so rows are
-// comparable across all backends and the adaptive engine's choice is visible.
+// comparable across all backends.
 //
 // `--lwsnap_probe_soft_dirty`: exits 0 if the kernel supports soft-dirty
 // tracking, 2 if not (reason on stderr) — used by bench/run_perf_smoke.sh and
@@ -205,23 +203,6 @@ BENCHMARK(BM_FullCopySnapshotParallel)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
-// E12 — the adaptive engine over the same grid as the fixed engines. Its
-// acceptance bar: within ~10% of the best fixed engine at every point (the
-// label shows which mechanism it settled on).
-void BM_AdaptiveSnapshot(benchmark::State& state) {
-  RunEngine(state, lw::SnapshotMode::kAdaptive);
-}
-BENCHMARK(BM_AdaptiveSnapshot)
-    ->Args({1, 16})
-    ->Args({8, 16})
-    ->Args({64, 16})
-    ->Args({512, 16})
-    ->Args({1, 64})
-    ->Args({8, 64})
-    ->Args({64, 64})
-    ->Args({512, 64})
-    ->Unit(benchmark::kMillisecond);
-
 // E12 — kernel-assisted rows. Not BENCHMARK()-registered: main() below adds
 // them only when the host kernel actually tracks soft-dirty bits, so filter
 // scripts can probe first instead of parsing skip errors.
@@ -342,16 +323,6 @@ BENCHMARK(BM_FullCopyRestore)
     ->Args({8, 16, 1})
     ->Args({8, 16, 4})
     ->Iterations(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
-
-void BM_AdaptiveRestore(benchmark::State& state) {
-  RunRestoreEngine(state, lw::SnapshotMode::kAdaptive, 16, 8);
-}
-BENCHMARK(BM_AdaptiveRestore)
-    ->Args({64, 16, 1})
-    ->Args({64, 16, 4})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
@@ -488,15 +459,6 @@ void BM_IncrementalReleaseStorm(benchmark::State& state) {
   RunReleaseStorm(state, lw::SnapshotMode::kIncremental);
 }
 BENCHMARK(BM_IncrementalReleaseStorm)
-    ->Arg(64)
-    ->Iterations(10)
-    ->Unit(benchmark::kMicrosecond)
-    ->UseManualTime();
-
-void BM_AdaptiveReleaseStorm(benchmark::State& state) {
-  RunReleaseStorm(state, lw::SnapshotMode::kAdaptive);
-}
-BENCHMARK(BM_AdaptiveReleaseStorm)
     ->Arg(64)
     ->Iterations(10)
     ->Unit(benchmark::kMicrosecond)

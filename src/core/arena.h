@@ -94,8 +94,7 @@ class GuestArena {
   // CoW mode switch. When disabled (the fault-free engines), the arena stays
   // fully writable and no faults are taken. The first enable installs the
   // process-global SIGSEGV handler + this thread's sigaltstack, then protects
-  // everything; disabling makes all non-guard pages writable again. Engines
-  // may toggle this mid-life (the adaptive engine does).
+  // everything; disabling makes all non-guard pages writable again.
   void SetCowEnabled(bool enabled);
   bool cow_enabled() const { return cow_enabled_; }
 

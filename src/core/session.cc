@@ -29,7 +29,7 @@ std::string SessionStats::ToString() const {
                 "guesses=%llu snapshots=%llu restores=%llu exts=%llu fail=%llu done=%llu "
                 "sol=%llu pages_mat=%llu pages_rst=%llu incr_scan=%llu incr_copy=%llu "
                 "dirty_src=%s mat_by=%llu/%llu/%llu/%llu pagemap_reads=%llu sd_clears=%llu "
-                "adaptive_switches=%llu rst_mprotect=%llu rst_runs=%llu rst_skip=%llu "
+                "rst_mprotect=%llu rst_runs=%llu rst_skip=%llu "
                 "snap_us=%.1f restore_us=%.1f",
                 static_cast<unsigned long long>(guesses),
                 static_cast<unsigned long long>(snapshots),
@@ -49,7 +49,6 @@ std::string SessionStats::ToString() const {
                 static_cast<unsigned long long>(materializes_by_full),
                 static_cast<unsigned long long>(pagemap_entries_read),
                 static_cast<unsigned long long>(soft_dirty_clears),
-                static_cast<unsigned long long>(adaptive_switches),
                 static_cast<unsigned long long>(restore_mprotect_calls),
                 static_cast<unsigned long long>(restore_runs_coalesced),
                 static_cast<unsigned long long>(pages_restore_skipped),

@@ -64,11 +64,9 @@ struct SessionOptions {
   size_t arena_bytes = 64ull << 20;
   size_t guest_stack_bytes = 1ull << 20;
   // Snapshot backend (src/snapshot/engine.h): kCow (default), kFullCopy,
-  // kIncremental, kSoftDirty, kAdaptive. kSoftDirty requires kernel support —
-  // callers must check SoftDirtyTracker::Supported() first (construction
-  // aborts otherwise). kAdaptive works everywhere: it re-picks the cheapest
-  // mechanism per checkpoint and simply omits the pagemap mechanism on hosts
-  // without soft-dirty.
+  // kIncremental, kSoftDirty. kSoftDirty requires kernel support — callers
+  // must check SoftDirtyTracker::Supported() first (construction aborts
+  // otherwise).
   SnapshotMode snapshot_mode = SnapshotMode::kCow;
   StrategyConfig strategy;
 

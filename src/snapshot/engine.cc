@@ -9,45 +9,12 @@
 namespace lw {
 namespace {
 
-// Unit costs (ns) calibrated against the measured E12 ablation grid (DESIGN.md
-// has the table; examples/engine_ablation.cpp reproduces it). These are
-// *relative weights* steering kAdaptive's selection, not absolute predictions
-// — what matters is the crossover ordering. Measured on the reference dev host:
-//   * a changed page through the faults path (SIGSEGV + mark + 2×mprotect +
-//     hash/copy publish) costs ~1.9 µs end to end (CoW rows: 980 µs / 505
-//     dirty pages);
-//   * a changed page through a scan/pagemap path costs ~1.7 µs — almost the
-//     same, because the hash + 4 KiB copy publish dominates, not the fault;
-//   * an *unchanged* page costs ~90 ns to scan (memcmp against the map blob)
-//     but only ~0.5 µs to republish in full mode (content dedup turns it into
-//     hash + index hit, no blob copy) — which is why scan rarely beats the
-//     faults/full envelope on this hardware;
-//   * a pagemap entry is an 8-byte slot of a chunked pread (~4 ns/page), with
-//     a fixed clear_refs process walk per checkpoint (unverified locally —
-//     this host lacks soft-dirty; the 40 µs figure is the write cost of the
-//     clear_refs walk on the E12 reference numbers, to be recalibrated on a
-//     capable host).
-constexpr double kFaultPageNs = 1900.0;        // fault + reprotect + publish, per changed page
-constexpr double kChangedPublishNs = 1700.0;   // hash + blob alloc + 4 KiB copy
-constexpr double kScanNs = 90.0;               // 4 KiB memcmp, per arena page
-constexpr double kFullPublishNs = 510.0;       // republish per arena page (mostly dedup hits)
-constexpr double kPagemapNs = 4.0;             // one 8-byte pagemap entry (chunked pread)
-constexpr double kSoftDirtyFixedNs = 40000.0;  // clear_refs process walk, per snapshot
-
-// A challenger mechanism must beat the incumbent by this margin — re-arming
-// has real cost (ProtectAll / clear_refs) and flapping helps nobody.
-constexpr double kHysteresis = 0.15;
-
 // Hot-page prediction thresholds (kCow): promote after this many consecutive
 // dirty snapshots, demote after this many unchanged ones.
 constexpr uint8_t kHotPromoteAfter = 4;
 constexpr uint8_t kHotDemoteAfter = 16;
 
-// The mechanism each mode starts in. kAdaptive opens in faults too: a fresh
-// arena is a demand-zero mmap, and a scan probe would minor-fault every
-// untouched page just to memcmp it (~0.7 µs/page — 11.5 ms measured for a
-// 64 MiB arena), while the CoW protocol starts with an exact delta and
-// touches nothing the guest didn't.
+// The mechanism each mode pins.
 DirtySource InitialMechanism(SnapshotMode mode) {
   switch (mode) {
     case SnapshotMode::kFullCopy:
@@ -57,7 +24,6 @@ DirtySource InitialMechanism(SnapshotMode mode) {
     case SnapshotMode::kSoftDirty:
       return DirtySource::kKernelPagemap;
     case SnapshotMode::kCow:
-    case SnapshotMode::kAdaptive:
       break;
   }
   return DirtySource::kFaults;
@@ -75,8 +41,6 @@ const char* SnapshotModeName(SnapshotMode mode) {
       return "incremental";
     case SnapshotMode::kSoftDirty:
       return "softdirty";
-    case SnapshotMode::kAdaptive:
-      return "adaptive";
   }
   return "unknown";
 }
@@ -116,10 +80,7 @@ SnapshotEngine::SnapshotEngine(SnapshotMode mode, const Env& env)
       ++non_guard_pages_;
     }
   }
-  // kAdaptive lists the pagemap mechanism only where the kernel supports it;
-  // everywhere else the selector simply never sees it.
-  if (mode_ == SnapshotMode::kSoftDirty ||
-      (mode_ == SnapshotMode::kAdaptive && SoftDirtyTracker::Supported())) {
+  if (mode_ == SnapshotMode::kSoftDirty) {
     tracker_ = std::make_unique<SoftDirtyTracker>(arena.base(), arena.num_pages());
   }
   if (env_.hot_page_limit > 0) {
@@ -257,14 +218,9 @@ void SnapshotEngine::CollectDirty(const EngineContext& ctx) {
   switch (mech_) {
     case DirtySource::kFaults: {
       const DirtyTracker& dirty = arena.dirty();
+      // Fault (write-recency) order: publish order becomes the store's LRU
+      // order, which a byte budget's compress/spill victims follow.
       dirty_pages_.assign(dirty.pages(), dirty.pages() + dirty.count());
-      // Publish order becomes the store's LRU order, which a byte budget's
-      // compress/spill victims follow, so it is part of each mode's counter
-      // behaviour: kCow publishes in fault (write-recency) order, kAdaptive
-      // in page order.
-      if (mode_ == SnapshotMode::kAdaptive) {
-        std::sort(dirty_pages_.begin(), dirty_pages_.end());
-      }
       break;
     }
     case DirtySource::kScan: {
@@ -306,7 +262,7 @@ void SnapshotEngine::CollectDirty(const EngineContext& ctx) {
   }
 }
 
-uint64_t SnapshotEngine::PublishDirty(const EngineContext& ctx) {
+void SnapshotEngine::PublishDirty(const EngineContext& ctx) {
   GuestArena& arena = *env_.arena;
   publish_refs_.resize(dirty_pages_.size());
   RunSlots(ctx, dirty_pages_.size(), [this, &arena](size_t slot) {
@@ -316,91 +272,30 @@ uint64_t SnapshotEngine::PublishDirty(const EngineContext& ctx) {
     }
     return OkStatus();
   });
-  // Adoption is serial, in candidate order. Content dedup in the store makes
-  // a rewritten-but-identical page publish back to the existing blob, so blob
-  // pointer inequality is an exact "bytes changed" signal — that count (not
-  // the possibly overapproximate candidate list) feeds the dirty-rate model.
-  uint64_t changed = 0;
+  // Adoption is serial, in candidate order.
   for (size_t slot = 0; slot < dirty_pages_.size(); ++slot) {
     if (!publish_refs_[slot].valid()) {
       continue;
     }
-    const uint32_t page = dirty_pages_[slot];
-    if (cur_map_.Get(page) != publish_refs_[slot]) {
-      ++changed;
-    }
-    cur_map_.Set(page, std::move(publish_refs_[slot]));
+    cur_map_.Set(dirty_pages_[slot], std::move(publish_refs_[slot]));
     ++env_.stats->pages_materialized;
   }
   publish_refs_.clear();
-  return changed;
 }
 
-DirtySource SnapshotEngine::SelectMechanism() const {
-  // Charge every mechanism's model with the burst-safe dirty estimate. The
-  // inputs are counts, the weights are constants — never wall-clock — so two
-  // engines that observed the same guest writes switch identically, serial or
-  // parallel.
-  const double est = std::max(d_hat_, static_cast<double>(last_delta_));
-  const double pages = static_cast<double>(non_guard_pages_);
-  const DirtySource order[] = {DirtySource::kFaults, DirtySource::kScan,
-                               DirtySource::kKernelPagemap, DirtySource::kFull};
-  const double costs[] = {
-      est * kFaultPageNs,
-      pages * kScanNs + est * kChangedPublishNs,
-      tracker_ != nullptr ? kSoftDirtyFixedNs + pages * kPagemapNs + est * kChangedPublishNs
-                          : -1.0,  // unavailable
-      pages * kFullPublishNs,
-  };
-  DirtySource best = mech_;
-  double best_cost = -1.0;
-  double cur_cost = -1.0;
-  for (int i = 0; i < 4; ++i) {
-    if (costs[i] < 0) {
-      continue;
-    }
-    if (order[i] == mech_) {
-      cur_cost = costs[i];
-    }
-    if (best_cost < 0 || costs[i] < best_cost) {
-      best = order[i];
-      best_cost = costs[i];
-    }
-  }
-  return best_cost < cur_cost * (1.0 - kHysteresis) ? best : mech_;
-}
-
-void SnapshotEngine::Arm(DirtySource next) {
-  GuestArena& arena = *env_.arena;
-  if (next == mech_) {
-    // Incumbent stays; keep its tracking armed.
-    if (mech_ == DirtySource::kFaults) {
-      if (hot_pages_.empty()) {
-        arena.ReprotectDirty();
-      } else {
-        arena.ReprotectDirtyExcept(hot_.data());
-      }
-    }
+void SnapshotEngine::Arm() {
+  // Re-arm the mechanism for the next checkpoint. Only faults has tracking to
+  // re-establish here; the pagemap harvest already cleared its interval, and
+  // the compare/copy IS the detection for scan and full.
+  if (mech_ != DirtySource::kFaults) {
     return;
   }
-  if (mech_ == DirtySource::kFaults) {
-    arena.SetCowEnabled(false);
+  GuestArena& arena = *env_.arena;
+  if (hot_pages_.empty()) {
+    arena.ReprotectDirty();
+  } else {
+    arena.ReprotectDirtyExcept(hot_.data());
   }
-  switch (next) {
-    case DirtySource::kFaults:
-      arena.SetCowEnabled(true);  // installs handler on first use; ProtectAll
-      break;
-    case DirtySource::kKernelPagemap: {
-      Status status = tracker_->DiscardAndClear();  // fresh soft-dirty interval
-      LW_CHECK_MSG(status.ok(), "soft-dirty clear failed");
-      break;
-    }
-    case DirtySource::kScan:
-    case DirtySource::kFull:
-      break;  // the compare/copy IS the detection; nothing to arm
-  }
-  mech_ = next;
-  ++env_.stats->adaptive_switches;
 }
 
 void SnapshotEngine::Materialize(Snapshot& snap, const EngineContext& ctx) {
@@ -410,7 +305,7 @@ void SnapshotEngine::Materialize(Snapshot& snap, const EngineContext& ctx) {
     PublishHot(ctx);
   }
   CollectDirty(ctx);
-  const uint64_t changed = PublishDirty(ctx);
+  PublishDirty(ctx);
   if (used == DirtySource::kFaults && env_.hot_page_limit > 0) {
     PromoteHot();
   }
@@ -432,16 +327,7 @@ void SnapshotEngine::Materialize(Snapshot& snap, const EngineContext& ctx) {
       break;
   }
   MirrorTrackerStats();
-
-  DirtySource next = used;
-  if (mode_ == SnapshotMode::kAdaptive) {
-    // Update the dirty-rate estimate from the exact change count, then re-pick.
-    last_delta_ = changed;
-    d_hat_ = d_hat_ < 0 ? static_cast<double>(changed)
-                        : d_hat_ + (static_cast<double>(changed) - d_hat_) / 4.0;
-    next = SelectMechanism();
-  }
-  Arm(next);
+  Arm();
 
   snap.map = cur_map_;  // live memory now matches cur_map_ byte-for-byte
 }

@@ -21,9 +21,7 @@
 //   * full    — no detection: republish the whole arena [libckpt], the
 //               baseline the paper argues against.
 // SnapshotMode pins the engine to one mechanism — kCow → faults,
-// kIncremental → scan, kSoftDirty → pagemap, kFullCopy → full — except
-// kAdaptive, which re-picks the cheapest mechanism at every checkpoint from
-// an online dirty-rate estimate (SelectMechanism in engine.cc). Only kCow runs
+// kIncremental → scan, kSoftDirty → pagemap, kFullCopy → full. Only kCow runs
 // hot-page prediction: a page dirtied in enough consecutive snapshots is left
 // writable and compared/copied eagerly instead of taking the SIGSEGV +
 // 2×mprotect round trip; a long unchanged streak demotes it.
@@ -32,10 +30,9 @@
 // current map is byte-identical to live arena memory (guard pages excluded).
 // Mechanism (re-)arming happens at the end of Materialize, the one point where
 // every mechanism's tracking state can be established from scratch:
-//   into faults   — SetCowEnabled(true): protect everything, empty dirty set;
-//   out of faults — SetCowEnabled(false): everything writable again;
-//   into pagemap  — DiscardAndClear(): fresh soft-dirty interval;
-//   into scan/full — nothing to arm (the compare/copy IS the detection).
+//   faults    — re-protect the dirty set (hot pages stay writable);
+//   pagemap   — nothing: the harvest already opened a fresh interval;
+//   scan/full — nothing to arm (the compare/copy IS the detection).
 //
 // Parallelism: every publish, scan and restore copy loop runs through
 // RunSlots, which fans slot work out over the session-owned worker team in
@@ -43,10 +40,9 @@
 // contract). Protection changes, tracker state and map adoption stay on the
 // session thread, so results are bit-identical to a serial run.
 //
-// SIGSEGV-protocol invariant: only kCow and kAdaptive (which may arm faults)
-// ever write-protect guest pages — NeedsSignalProtocol() — and the
-// process-wide SIGSEGV handler plus per-thread sigaltstacks are installed
-// lazily by GuestArena::SetCowEnabled(true). Constructing an arena or running
+// SIGSEGV-protocol invariant: only kCow ever write-protects guest pages —
+// NeedsSignalProtocol() — and the process-wide SIGSEGV handler plus
+// per-thread sigaltstacks are installed lazily by GuestArena::SetCowEnabled(true). Constructing an arena or running
 // a fault-free mode leaves the process signal disposition untouched; sessions
 // gate EnsureThreadSignalStack on NeedsSignalProtocol().
 
@@ -81,7 +77,6 @@ enum class SnapshotMode {
   kFullCopy,
   kIncremental,
   kSoftDirty,  // kernel soft-dirty bits; requires SoftDirtyTracker::Supported()
-  kAdaptive,   // per-checkpoint mechanism selection over the four above
 };
 
 const char* SnapshotModeName(SnapshotMode mode);
@@ -111,8 +106,7 @@ struct SnapshotEngineStats {
   uint64_t incr_pages_scanned = 0;  // scan/compare passes: pages memcmp'd
   uint64_t incr_pages_copied = 0;   // scan mechanism: pages actually copied
   // Dirty-set provenance: how the latest Materialize found its delta, plus
-  // per-source materialize counts (kAdaptive mixes sources over a session's
-  // lifetime; every other mode bumps exactly one of these).
+  // per-source materialize counts (each mode bumps exactly one of these).
   DirtySource dirty_source = DirtySource::kFull;
   uint64_t materializes_by_faults = 0;
   uint64_t materializes_by_scan = 0;
@@ -120,7 +114,6 @@ struct SnapshotEngineStats {
   uint64_t materializes_by_full = 0;
   uint64_t pagemap_entries_read = 0;  // soft-dirty: 8-byte pagemap entries read
   uint64_t soft_dirty_clears = 0;     // soft-dirty: process-wide clear_refs writes
-  uint64_t adaptive_switches = 0;     // adaptive: mechanism changes between checkpoints
   // Restore-side provenance: syscall coalescing and skip accounting, so tests
   // and benches can assert the mprotect reduction instead of inferring it
   // from timings. Only the faults mechanism issues restore-side mprotect
@@ -179,7 +172,7 @@ class SnapshotEngine {
   // True iff this mode may write-protect guest pages (see the invariant note
   // at the top of this file).
   bool NeedsSignalProtocol() const {
-    return mode_ == SnapshotMode::kCow || mode_ == SnapshotMode::kAdaptive;
+    return mode_ == SnapshotMode::kCow;
   }
 
   // Host bytes consumed by engine-side bookkeeping (current map structure,
@@ -212,14 +205,11 @@ class SnapshotEngine {
   // Collects the current mechanism's dirty candidates into dirty_pages_
   // (may overapproximate the changed set).
   void CollectDirty(const EngineContext& ctx);
-  // Publishes dirty_pages_ into cur_map_, returning the number of pages whose
-  // map entry actually changed (the exact delta, via blob pointer equality).
-  uint64_t PublishDirty(const EngineContext& ctx);
-  // kAdaptive: the cheapest mechanism under the current dirty-rate estimate.
-  DirtySource SelectMechanism() const;
-  // Re-arms the current mechanism, or switches to `next`. Called at the end
-  // of Materialize (live == cur_map_).
-  void Arm(DirtySource next);
+  // Publishes dirty_pages_ into cur_map_.
+  void PublishDirty(const EngineContext& ctx);
+  // Re-arms the mechanism for the next checkpoint. Called at the end of
+  // Materialize (live == cur_map_).
+  void Arm();
 
   // Restore of tracked candidates whose live bytes are unknown (kCow hot
   // pages, soft-dirty write sets): compare each page against snap's blob and
@@ -245,12 +235,7 @@ class SnapshotEngine {
   DirtySource mech_;
   uint32_t non_guard_pages_ = 0;
 
-  // kAdaptive selection state: EWMA of changed pages (<0 = unseeded) and the
-  // latest exact delta.
-  double d_hat_ = -1.0;
-  uint64_t last_delta_ = 0;
-
-  // kSoftDirty always; kAdaptive where the kernel supports it.
+  // kSoftDirty only.
   std::unique_ptr<SoftDirtyTracker> tracker_;
 
   // kCow hot-page prediction (allocated only when hot_page_limit > 0).

@@ -93,8 +93,7 @@ TEST_P(EngineRoundTripTest, MaterializeRestoreRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, EngineRoundTripTest,
                          ::testing::Values(SnapshotMode::kCow, SnapshotMode::kFullCopy,
-                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty,
-                                           SnapshotMode::kAdaptive),
+                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty),
                          [](const ::testing::TestParamInfo<SnapshotMode>& param) {
                            return std::string(SnapshotModeName(param.param));
                          });
@@ -215,7 +214,6 @@ std::string CounterLine(const SnapshotEngineStats& s, const PageStore::Stats& st
       {"materializes_by_full", s.materializes_by_full},
       {"pagemap_entries_read", s.pagemap_entries_read},
       {"soft_dirty_clears", s.soft_dirty_clears},
-      {"adaptive_switches", s.adaptive_switches},
       {"restore_mprotect_calls", s.restore_mprotect_calls},
       {"restore_runs_coalesced", s.restore_runs_coalesced},
       {"pages_restore_skipped", s.pages_restore_skipped},
@@ -238,8 +236,7 @@ std::string CounterLine(const SnapshotEngineStats& s, const PageStore::Stats& st
 // A fixed write/materialize/restore script touching every engine path: a page
 // dirtied every round (promoted hot, then demoted under kCow), content and
 // zero dedup, scribbles rolled back by restores, and a burst of wide deltas
-// (which moves the adaptive engine off the faults mechanism) followed by
-// restores across it. hot_page_limit is set for every mode: only kCow may act
+// followed by restores across it. hot_page_limit is set for every mode: only kCow may act
 // on it. Returns the store's counters as the last restore completes.
 PageStore::Stats GoldenScript(SnapshotMode mode, GuestArena& arena, PageStore& store,
                               SnapshotEngineStats& stats) {
@@ -319,11 +316,7 @@ void ExpectCounters(const std::string& actual, const std::string& expected) {
 class EngineGoldenCounterTest : public ::testing::TestWithParam<SnapshotMode> {};
 
 // The golden values were recorded from the five-class engine layer that
-// preceded the single engine. Two adaptive values differ from that record on
-// purpose: a scan/full-mechanism restore now counts its compare pass in
-// incr_pages_scanned (992 = 2 restores x 496 non-guard pages; it was 0), and
-// the tracker counters are mirrored after restores too (not exercised here —
-// the adaptive engine never selects pagemap on an arena this small).
+// preceded the single engine.
 // The store tokens (dedup, compression, release, spill) are read from
 // PageStore::stats() as the script ends, before the engine's teardown
 // releases its current map.
@@ -351,7 +344,7 @@ TEST_P(EngineGoldenCounterTest, ScriptHitsRecordedCounters) {
                  " incr_pages_scanned=0 incr_pages_copied=0 dirty_source=0"
                  " materializes_by_faults=40 materializes_by_scan=0 materializes_by_pagemap=0"
                  " materializes_by_full=0 pagemap_entries_read=0 soft_dirty_clears=0"
-                 " adaptive_switches=0 restore_mprotect_calls=84 restore_runs_coalesced=42"
+                 " restore_mprotect_calls=84 restore_runs_coalesced=42"
                  " pages_restore_skipped=0" +
                  kReleaseTail + " cow_faults=1228";
       break;
@@ -363,7 +356,7 @@ TEST_P(EngineGoldenCounterTest, ScriptHitsRecordedCounters) {
                  " incr_pages_scanned=0 incr_pages_copied=0 dirty_source=3"
                  " materializes_by_faults=0 materializes_by_scan=0 materializes_by_pagemap=0"
                  " materializes_by_full=40 pagemap_entries_read=0 soft_dirty_clears=0"
-                 " adaptive_switches=0 restore_mprotect_calls=0 restore_runs_coalesced=0"
+                 " restore_mprotect_calls=0 restore_runs_coalesced=0"
                  " pages_restore_skipped=0" +
                  kReleaseTail + " cow_faults=0";
       break;
@@ -375,7 +368,7 @@ TEST_P(EngineGoldenCounterTest, ScriptHitsRecordedCounters) {
                  " incr_pages_scanned=22816 incr_pages_copied=1236 dirty_source=1"
                  " materializes_by_faults=0 materializes_by_scan=40 materializes_by_pagemap=0"
                  " materializes_by_full=0 pagemap_entries_read=0 soft_dirty_clears=0"
-                 " adaptive_switches=0 restore_mprotect_calls=0 restore_runs_coalesced=0"
+                 " restore_mprotect_calls=0 restore_runs_coalesced=0"
                  " pages_restore_skipped=0" +
                  kReleaseTail + " cow_faults=0";
       break;
@@ -387,21 +380,9 @@ TEST_P(EngineGoldenCounterTest, ScriptHitsRecordedCounters) {
                  " incr_pages_scanned=0 incr_pages_copied=0 dirty_source=2"
                  " materializes_by_faults=0 materializes_by_scan=0 materializes_by_pagemap=40"
                  " materializes_by_full=0 pagemap_entries_read=? soft_dirty_clears=?"
-                 " adaptive_switches=0 restore_mprotect_calls=0 restore_runs_coalesced=0"
+                 " restore_mprotect_calls=0 restore_runs_coalesced=0"
                  " pages_restore_skipped=?" +
                  kReleaseTail + " cow_faults=0";
-      break;
-    case SnapshotMode::kAdaptive:
-      expected = std::string(
-                     "pages_materialized=3310 pages_restored=948 hot_promotions=0 hot_demotions=0"
-                     " hot_unchanged_skips=0 zero_dedup_hits=1118 content_dedup_hits=1917") +
-                 kStoreTail +
-                 " incr_pages_scanned=992 incr_pages_copied=0 dirty_source=0"
-                 " materializes_by_faults=34 materializes_by_scan=0 materializes_by_pagemap=0"
-                 " materializes_by_full=6 pagemap_entries_read=0 soft_dirty_clears=0"
-                 " adaptive_switches=2 restore_mprotect_calls=54 restore_runs_coalesced=27"
-                 " pages_restore_skipped=0" +
-                 kReleaseTail + " cow_faults=336";
       break;
   }
   GuestArena arena(SmallLayout());
@@ -413,8 +394,7 @@ TEST_P(EngineGoldenCounterTest, ScriptHitsRecordedCounters) {
 
 INSTANTIATE_TEST_SUITE_P(Modes, EngineGoldenCounterTest,
                          ::testing::Values(SnapshotMode::kCow, SnapshotMode::kFullCopy,
-                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty,
-                                           SnapshotMode::kAdaptive),
+                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty),
                          [](const ::testing::TestParamInfo<SnapshotMode>& param) {
                            return std::string(SnapshotModeName(param.param));
                          });

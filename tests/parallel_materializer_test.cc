@@ -203,9 +203,7 @@ class ParallelEngineBitIdentityTest : public ::testing::TestWithParam<SnapshotMo
 
 TEST_P(ParallelEngineBitIdentityTest, ParallelSnapshotStructureMatchesSerial) {
 #ifdef __SANITIZE_THREAD__
-  // kAdaptive may arm the CoW mechanism at any checkpoint, so it carries the
-  // same TSan conflict.
-  if (GetParam() == SnapshotMode::kCow || GetParam() == SnapshotMode::kAdaptive) {
+  if (GetParam() == SnapshotMode::kCow) {
     GTEST_SKIP() << "CoW SIGSEGV protocol conflicts with TSan signal interposition";
   }
 #endif
@@ -258,8 +256,7 @@ TEST_P(ParallelEngineBitIdentityTest, ParallelSnapshotStructureMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, ParallelEngineBitIdentityTest,
                          ::testing::Values(SnapshotMode::kCow, SnapshotMode::kFullCopy,
-                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty,
-                                           SnapshotMode::kAdaptive),
+                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty),
                          [](const ::testing::TestParamInfo<SnapshotMode>& info) {
                            return SnapshotModeName(info.param);
                          });
@@ -304,9 +301,7 @@ class ParallelQueensParityTest : public ::testing::TestWithParam<SnapshotMode> {
 
 TEST_P(ParallelQueensParityTest, WorkerSweepKeepsParityAndSnapshotCounts) {
 #ifdef __SANITIZE_THREAD__
-  // kAdaptive arms the CoW mechanism once the dirty rate settles low, so it
-  // carries the same TSan conflict.
-  if (GetParam() == SnapshotMode::kCow || GetParam() == SnapshotMode::kAdaptive) {
+  if (GetParam() == SnapshotMode::kCow) {
     GTEST_SKIP() << "CoW SIGSEGV protocol conflicts with TSan signal interposition";
   }
 #endif
@@ -348,8 +343,7 @@ TEST_P(ParallelQueensParityTest, WorkerSweepKeepsParityAndSnapshotCounts) {
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, ParallelQueensParityTest,
                          ::testing::Values(SnapshotMode::kCow, SnapshotMode::kFullCopy,
-                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty,
-                                           SnapshotMode::kAdaptive),
+                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty),
                          [](const ::testing::TestParamInfo<SnapshotMode>& info) {
                            return SnapshotModeName(info.param);
                          });

@@ -371,8 +371,7 @@ std::string RunDifferentialScript(uint64_t seed, SnapshotMode mode, uint32_t wor
 TEST_P(EngineDifferentialTest, EveryModeRestoresTheShadowImage) {
   const uint64_t seed = GetParam();
   for (SnapshotMode mode : {SnapshotMode::kCow, SnapshotMode::kFullCopy,
-                            SnapshotMode::kIncremental, SnapshotMode::kSoftDirty,
-                            SnapshotMode::kAdaptive}) {
+                            SnapshotMode::kIncremental, SnapshotMode::kSoftDirty}) {
     if (mode == SnapshotMode::kSoftDirty && !SoftDirtyTracker::Supported()) {
       continue;
     }

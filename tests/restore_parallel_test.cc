@@ -30,8 +30,7 @@ namespace {
 
 bool SkipForMode(SnapshotMode mode, const char** reason) {
 #ifdef __SANITIZE_THREAD__
-  // kAdaptive may arm the CoW mechanism, so it carries the same TSan conflict.
-  if (mode == SnapshotMode::kCow || mode == SnapshotMode::kAdaptive) {
+  if (mode == SnapshotMode::kCow) {
     *reason = "CoW SIGSEGV protocol conflicts with TSan signal interposition";
     return true;
   }
@@ -176,8 +175,7 @@ TEST_P(RestoreParityTest, WorkerSweepMatchesSerialBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, RestoreParityTest,
                          ::testing::Values(SnapshotMode::kCow, SnapshotMode::kFullCopy,
-                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty,
-                                           SnapshotMode::kAdaptive),
+                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty),
                          [](const ::testing::TestParamInfo<SnapshotMode>& info) {
                            return SnapshotModeName(info.param);
                          });

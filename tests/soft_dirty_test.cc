@@ -1,6 +1,5 @@
 // Kernel-assisted dirty tracking: the SoftDirtyTracker capability probe and
-// arbiter, the kSoftDirty zero-fault/zero-scan contract, kAdaptive's
-// mechanism selection, accounting and graceful fallback, and the lazy
+// arbiter, the kSoftDirty zero-fault/zero-scan contract, and the lazy
 // signal-state invariant (handler + sigaltstack installed only when an engine
 // actually needs the SIGSEGV protocol).
 //
@@ -276,172 +275,6 @@ TEST_F(SoftDirtyTrackerTest, EngineMaterializesOnePageDeltaWithNoFaultsNoScan) {
     EXPECT_EQ(arena.PageAddr(77)[0], 0x00);
   }
   EXPECT_LE(store.stats().live_blobs, 1u);
-}
-
-// --- kAdaptive: selection, switching, accounting, fallback -----------------------
-
-TEST(AdaptiveEngineTest, SwitchesMechanismWithObservedDirtyRate) {
-#ifdef __SANITIZE_THREAD__
-  GTEST_SKIP() << "adaptive may arm the CoW SIGSEGV protocol (TSan conflict)";
-#endif
-  GuestArena arena(SmallLayout());
-  PageStore store;
-  SnapshotEngineStats stats;
-  auto engine = MakeSnapshotEngine(SnapshotMode::kAdaptive, MakeEnv(&arena, &store, &stats));
-  // Opens in faults: exact delta from checkpoint one, and no scan probe
-  // demand-faulting the whole fresh arena (see InitialMechanism in engine.cc).
-  EXPECT_EQ(engine->current_mechanism(), DirtySource::kFaults);
-
-  // Tiny deltas: per-page fault cost beats whole-arena work; the engine must
-  // stay in the faults mechanism, and the CoW protocol is live.
-  std::vector<Snapshot> snaps(24);
-  size_t si = 0;
-  for (int round = 0; round < 6; ++round) {
-    arena.PageAddr(5)[0] = static_cast<uint8_t>(round + 1);
-    engine->Materialize(snaps[si++]);
-  }
-  EXPECT_EQ(engine->current_mechanism(), DirtySource::kFaults);
-  EXPECT_EQ(stats.adaptive_switches, 0u);
-  EXPECT_GT(stats.materializes_by_faults, 0u);
-  EXPECT_GT(arena.cow_faults(), 0u);
-
-  // Huge deltas: per-page fault cost now dwarfs scan/full; the engine must
-  // abandon the faults mechanism (EWMA reacts within a few checkpoints).
-  for (int round = 0; round < 4; ++round) {
-    for (uint32_t page = 0; page < 400; ++page) {
-      arena.PageAddr(page)[0] = static_cast<uint8_t>(round * 31 + page);
-    }
-    engine->Materialize(snaps[si++]);
-  }
-  EXPECT_NE(engine->current_mechanism(), DirtySource::kFaults);
-  EXPECT_GE(stats.adaptive_switches, 1u);
-
-  // Round trips stay exact across mechanism changes.
-  std::memset(arena.PageAddr(5), 0xEE, kPageSize);
-  engine->Restore(snaps[3]);
-  EXPECT_EQ(arena.PageAddr(5)[0], 4u);
-  engine->Restore(snaps[si - 1]);
-  EXPECT_EQ(arena.PageAddr(0)[0], static_cast<uint8_t>(3 * 31));
-}
-
-// A restore in the scan or full mechanism memcmps every non-guard page
-// against the target map, and counts that pass in incr_pages_scanned.
-TEST(AdaptiveEngineTest, CompareRestoreCountsScannedPages) {
-#ifdef __SANITIZE_THREAD__
-  GTEST_SKIP() << "adaptive may arm the CoW SIGSEGV protocol (TSan conflict)";
-#endif
-  GuestArena arena(SmallLayout());
-  PageStore store;
-  SnapshotEngineStats stats;
-  auto engine = MakeSnapshotEngine(SnapshotMode::kAdaptive, MakeEnv(&arena, &store, &stats));
-  std::vector<Snapshot> snaps(3);
-  engine->Materialize(snaps[0]);
-  for (int round = 1; round < 3; ++round) {  // wide deltas leave the faults mechanism
-    for (uint32_t page = 0; page < 400; ++page) {
-      arena.PageAddr(page)[0] = static_cast<uint8_t>(round);
-    }
-    engine->Materialize(snaps[round]);
-  }
-  const DirtySource mech = engine->current_mechanism();
-  ASSERT_TRUE(mech == DirtySource::kScan || mech == DirtySource::kFull) << DirtySourceName(mech);
-  uint64_t non_guard = 0;
-  for (uint32_t page = 0; page < arena.num_pages(); ++page) {
-    non_guard += arena.InGuard(page) ? 0 : 1;
-  }
-  const uint64_t scanned = stats.incr_pages_scanned;
-  engine->Restore(snaps[0]);
-  EXPECT_EQ(stats.incr_pages_scanned, scanned + non_guard);
-  EXPECT_EQ(arena.PageAddr(399)[0], 0);
-}
-
-// A restore in the pagemap mechanism reads pagemap and clears soft-dirty bits,
-// and mirrors the tracker's counters afterwards just as Materialize does.
-TEST_F(SoftDirtyTrackerTest, AdaptivePagemapRestoreMirrorsTrackerCounters) {
-#ifdef __SANITIZE_THREAD__
-  GTEST_SKIP() << "adaptive may arm the CoW SIGSEGV protocol (TSan conflict)";
-#endif
-  // 64 MiB: big enough that pagemap beats both full and faults for mid-sized
-  // deltas. One very wide delta moves the engine to full; mid-sized deltas
-  // then pull the decaying estimate into pagemap's range.
-  GuestArena::Layout layout;
-  layout.arena_bytes = 64ull << 20;
-  layout.stack_bytes = 1ull << 20;
-  layout.guard_bytes = 16 * kPageSize;
-  GuestArena arena(layout);
-  PageStore store;
-  SnapshotEngineStats stats;
-  auto engine = MakeSnapshotEngine(SnapshotMode::kAdaptive, MakeEnv(&arena, &store, &stats));
-  std::vector<Snapshot> snaps(8);
-  size_t next = 0;
-  for (int round = 0;
-       round < 8 && engine->current_mechanism() != DirtySource::kKernelPagemap; ++round) {
-    const uint32_t width = round == 0 ? 6000 : 1000;
-    for (uint32_t page = 0; page < width; ++page) {
-      arena.PageAddr(page)[0] = static_cast<uint8_t>(round + 1);
-    }
-    engine->Materialize(snaps[next++]);
-  }
-  ASSERT_EQ(engine->current_mechanism(), DirtySource::kKernelPagemap);
-  arena.PageAddr(7)[0] = 0xEE;
-  const uint64_t entries = stats.pagemap_entries_read;
-  const uint64_t clears = stats.soft_dirty_clears;
-  engine->Restore(snaps[0]);
-  EXPECT_GT(stats.pagemap_entries_read, entries);
-  EXPECT_GT(stats.soft_dirty_clears, clears);
-  EXPECT_EQ(arena.PageAddr(7)[0], 1);
-  EXPECT_EQ(arena.PageAddr(1000)[0], 1);
-}
-
-TEST(AdaptiveEngineTest, FallsBackCleanlyWithoutSoftDirty) {
-#ifdef __SANITIZE_THREAD__
-  GTEST_SKIP() << "adaptive may arm the CoW SIGSEGV protocol (TSan conflict)";
-#endif
-  // Runs everywhere: on hosts with soft-dirty it simply checks the adaptive
-  // session works end to end; on hosts without, it additionally proves the
-  // pagemap mechanism was never chosen.
-  int n = 8;
-  SessionOptions options;
-  options.arena_bytes = 1ull << 20;
-  options.guest_stack_bytes = 256 * 1024;
-  options.snapshot_mode = SnapshotMode::kAdaptive;
-  options.output = [](std::string_view) {};
-  BacktrackSession session(options);
-  auto guest = [](void* arg) {
-    int queens = *static_cast<int*>(arg);
-    struct Board {
-      int row[16];
-      int ld[32];
-      int rd[32];
-    };
-    auto* s = static_cast<BacktrackSession*>(CurrentExecutor());
-    auto* b = GuestNew<Board>(s->heap());
-    std::memset(b, 0, sizeof(Board));
-    if (sys_guess_strategy(StrategyKind::kDfs)) {
-      for (int c = 0; c < queens; ++c) {
-        int r = sys_guess(queens);
-        if (b->row[r] || b->ld[r + c] || b->rd[queens + r - c]) {
-          sys_guess_fail();
-        }
-        b->row[r] = 1;
-        b->ld[r + c] = 1;
-        b->rd[queens + r - c] = 1;
-      }
-      sys_note_solution();
-      sys_guess_fail();
-    }
-  };
-  ASSERT_TRUE(session.Run(guest, &n).ok());
-  EXPECT_EQ(session.stats().solutions, 92u);
-  if (!SoftDirtyTracker::Supported()) {
-    EXPECT_EQ(session.stats().materializes_by_pagemap, 0u)
-        << "pagemap mechanism selected on a host without soft-dirty";
-    EXPECT_EQ(session.stats().soft_dirty_clears, 0u);
-  }
-  const uint64_t total = session.stats().materializes_by_faults +
-                         session.stats().materializes_by_scan +
-                         session.stats().materializes_by_pagemap +
-                         session.stats().materializes_by_full;
-  EXPECT_EQ(total, session.stats().snapshots);
 }
 
 }  // namespace
