@@ -18,13 +18,11 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/core/backtrack.h"
-#include "src/snapshot/soft_dirty.h"
 
 namespace {
 
@@ -181,10 +179,6 @@ void BM_LwsnapFullCopy(benchmark::State& state) {
 void BM_LwsnapIncremental(benchmark::State& state) {
   RunLwsnap(state, lw::SnapshotMode::kIncremental);
 }
-// Registered from main() only when the kernel supports soft-dirty.
-void BM_LwsnapSoftDirty(benchmark::State& state) {
-  RunLwsnap(state, lw::SnapshotMode::kSoftDirty);
-}
 
 #define CROSSOVER_ARGS(B)                                                              \
   B->Args({0, 1})->Args({0, 16})->Args({0, 64})->Args({10, 1})->Args({10, 16})        \
@@ -275,10 +269,6 @@ void BM_QueensFullCopy(benchmark::State& state) {
 void BM_QueensIncremental(benchmark::State& state) {
   RunQueens(state, lw::SnapshotMode::kIncremental);
 }
-// Registered from main() only when the kernel supports soft-dirty.
-void BM_QueensSoftDirty(benchmark::State& state) {
-  RunQueens(state, lw::SnapshotMode::kSoftDirty);
-}
 
 BENCHMARK(BM_QueensCow)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_QueensFullCopy)->Unit(benchmark::kMillisecond)->Iterations(1);
@@ -286,28 +276,4 @@ BENCHMARK(BM_QueensIncremental)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 }  // namespace
 
-// `--lwsnap_probe_soft_dirty`: exit 0 if the kernel tracks soft-dirty bits,
-// 2 if not — lets scripts decide up front whether *SoftDirty rows exist here.
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--lwsnap_probe_soft_dirty") == 0) {
-      lw::Status probe = lw::SoftDirtyTracker::Probe();
-      std::fprintf(stderr, "soft-dirty: %s\n",
-                   probe.ok() ? "supported" : probe.ToString().c_str());
-      return probe.ok() ? 0 : 2;
-    }
-  }
-  if (lw::SoftDirtyTracker::Supported()) {
-    CROSSOVER_ARGS(benchmark::RegisterBenchmark("BM_LwsnapSoftDirty", &BM_LwsnapSoftDirty));
-    benchmark::RegisterBenchmark("BM_QueensSoftDirty", &BM_QueensSoftDirty)
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -9,10 +9,7 @@
 //   IncrementalSnapshot/D/A — fault-free scan engine: reads ∝ arena, copies ∝
 //                            dirty pages (no mprotect traffic at all)
 //   ForkSnapshot/D         — fork+dirty+exit+wait per "snapshot" (the §3 strawman)
-//   SoftDirtySnapshot/D/A  — kernel-assisted engine (soft-dirty pagemap bits):
-//                            no faults, no scan; registered only when the host
-//                            kernel supports soft-dirty (see the probe below)
-//   {Cow,Incremental,FullCopy,SoftDirty}Restore/D/A/W — restore-heavy
+//   {Cow,Incremental,FullCopy}Restore/D/A/W — restore-heavy
 //                            shape (fanout restores per snapshot) with a
 //                            W-thread worker team; reports ns/restore and the
 //                            mprotect-coalescing counters (E13)
@@ -24,12 +21,8 @@
 // Counters report the engine's own ns/snapshot and ns/restore so the
 // comparison is invariant to the harness loop; the label column names the
 // engine (SnapshotModeName) plus the dirty-discovery mechanism the last
-// checkpoint used (dirty_src=faults|scan|kernel-pagemap|full), so rows are
-// comparable across all backends.
-//
-// `--lwsnap_probe_soft_dirty`: exits 0 if the kernel supports soft-dirty
-// tracking, 2 if not (reason on stderr) — used by bench/run_perf_smoke.sh and
-// CI to decide whether SoftDirtySnapshot rows exist on this host.
+// checkpoint used (dirty_src=faults|scan|full), so rows are comparable across
+// all backends.
 
 #include <benchmark/benchmark.h>
 
@@ -44,7 +37,6 @@
 #include <vector>
 
 #include "src/core/backtrack.h"
-#include "src/snapshot/soft_dirty.h"
 
 namespace {
 
@@ -203,13 +195,6 @@ BENCHMARK(BM_FullCopySnapshotParallel)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
-// E12 — kernel-assisted rows. Not BENCHMARK()-registered: main() below adds
-// them only when the host kernel actually tracks soft-dirty bits, so filter
-// scripts can probe first instead of parsing skip errors.
-void BM_SoftDirtySnapshot(benchmark::State& state) {
-  RunEngine(state, lw::SnapshotMode::kSoftDirty);
-}
-
 // E13 — restore-heavy rows (the backtrack half). Args are {dirty_pages,
 // arena_mb, workers}. The guest snapshots once per round and then takes
 // `fanout` restores off that node, each rolling back a freshly dirtied
@@ -326,11 +311,6 @@ BENCHMARK(BM_FullCopyRestore)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
-
-// Registered in main() alongside BM_SoftDirtySnapshot, capability-gated.
-void BM_SoftDirtyRestore(benchmark::State& state) {
-  RunRestoreEngine(state, lw::SnapshotMode::kSoftDirty, 16, 8);
-}
 
 // E14 — release-storm rows (the teardown half of the snapshot lifecycle).
 // The arg is num_checkpoints. The guest parks at a root checkpoint;
@@ -491,38 +471,4 @@ BENCHMARK(BM_ForkSnapshot)->Arg(1)->Arg(8)->Arg(64)->Arg(512)->Iterations(200);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--lwsnap_probe_soft_dirty") == 0) {
-      lw::Status probe = lw::SoftDirtyTracker::Probe();
-      std::fprintf(stderr, "soft-dirty: %s\n",
-                   probe.ok() ? "supported" : probe.ToString().c_str());
-      return probe.ok() ? 0 : 2;
-    }
-  }
-  if (lw::SoftDirtyTracker::Supported()) {
-    benchmark::RegisterBenchmark("BM_SoftDirtySnapshot", &BM_SoftDirtySnapshot)
-        ->Args({1, 16})
-        ->Args({8, 16})
-        ->Args({64, 16})
-        ->Args({512, 16})
-        ->Args({1, 64})
-        ->Args({8, 64})
-        ->Args({64, 64})
-        ->Args({512, 64})
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark("BM_SoftDirtyRestore", &BM_SoftDirtyRestore)
-        ->Args({64, 16, 1})
-        ->Args({64, 16, 4})
-        ->Unit(benchmark::kMillisecond)
-        ->UseRealTime()
-        ->MeasureProcessCPUTime();
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -110,17 +110,7 @@ def main():
     parser.add_argument("--max-regression-pct", type=float, default=25.0)
     parser.add_argument("--no-normalize", action="store_true",
                         help="compare raw times (pinned-machine mode)")
-    parser.add_argument("--optional-prefix", action="append", default=[],
-                        metavar="PREFIX",
-                        help="rows whose run_name starts with PREFIX are "
-                             "host-capability-dependent (e.g. soft-dirty rows "
-                             "exist only on kernels with CONFIG_MEM_SOFT_DIRTY): "
-                             "missing/ungated mismatches warn instead of fail; "
-                             "rows present on both sides still gate normally")
     args = parser.parse_args()
-
-    def is_optional(name):
-        return any(name.startswith(p) for p in args.optional_prefix)
 
     results = [load_benchmarks(path) for path in args.results]
     merged = merge(results)
@@ -158,25 +148,12 @@ def main():
               f"{', '.join(errored)}", file=sys.stderr)
         return 2
     missing = sorted(set(baseline) - set(current))
-    missing_optional = [name for name in missing if is_optional(name)]
-    missing = [name for name in missing if not is_optional(name)]
-    if missing_optional:
-        print(f"warning: {len(missing_optional)} optional baseline rows absent "
-              f"from this run (host capability not present here): "
-              f"{', '.join(missing_optional)}", file=sys.stderr)
     if missing:
         print(f"error: {len(missing)} baseline rows absent from this run "
               f"(filters and baseline out of sync?): {', '.join(missing)}",
               file=sys.stderr)
         return 2
     ungated = sorted(set(current) - set(baseline))
-    ungated_optional = [name for name in ungated if is_optional(name)]
-    ungated = [name for name in ungated if not is_optional(name)]
-    if ungated_optional:
-        print(f"warning: {len(ungated_optional)} optional rows in this run "
-              f"have no baseline (baseline was seeded on a host without the "
-              f"capability) and are not gated: {', '.join(ungated_optional)}",
-              file=sys.stderr)
     if ungated:
         print(f"error: {len(ungated)} rows in this run have no baseline and "
               f"would be silently ungated — reseed (run_perf_smoke.sh --seed): "

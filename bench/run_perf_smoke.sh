@@ -23,33 +23,11 @@ MAX_PCT=${LWSNAP_PERF_MAX_REGRESSION_PCT:-25}
 # a thin and a fat dirty set, the parallel-materialize sweep endpoints, the
 # restore-heavy E13 rows (serial + 4-worker endpoints for the
 # coalesced-mprotect CoW path and the fan-out scan path), the E14
-# release-storm rows, the E11
-# queens fixture plus its spill-budgeted variant, and the E15 fault-back
-# microbenchmark at a thin and a fat spilled set (spill needs no capability
-# probe — it is plain file I/O). Fast enough to repeat $REPS times;
-# medians gate.
+# release-storm rows, the E11 queens fixture plus its spill-budgeted variant,
+# and the E15 fault-back microbenchmark at a thin and a fat spilled set. Fast
+# enough to repeat $REPS times; medians gate.
 SNAPSHOT_FILTER='^BM_CowSnapshot/(8|512)/16$|^BM_IncrementalSnapshot/(8|512)/16$|^BM_(Cow|Incremental)SnapshotParallel/512/16/(1|4)/|^BM_CowRestore/(64|512)/16/(1|4)/|^BM_IncrementalRestore/512/16/(1|4)/|^BM_(Cow|Incremental)ReleaseStorm/64/'
 STORE_FILTER='^BM_QueensParallelMaterialize(Spill)?/(1|4)/|^BM_SpillFaultback/(256|1024)$'
-
-# Soft-dirty rows exist only on kernels that track soft-dirty PTE bits
-# (CONFIG_MEM_SOFT_DIRTY); probe once and widen the filter when present. They
-# gate like any other row when both baseline and run have them, and
-# --optional-prefix below keeps baseline/run capability mismatches a warning
-# instead of a failure (exit 2 = unsupported, anything else is a real error).
-# The prefix covers both directions (BM_SoftDirtySnapshot and
-# BM_SoftDirtyRestore).
-SOFT_DIRTY_PREFIX=BM_SoftDirty
-PROBE_STATUS=0
-"$BUILD_DIR/bench_snapshot" --lwsnap_probe_soft_dirty || PROBE_STATUS=$?
-if [ "$PROBE_STATUS" -eq 0 ]; then
-  echo "soft-dirty rows: enabled"
-  SNAPSHOT_FILTER="$SNAPSHOT_FILTER|^BM_SoftDirtySnapshot/(8|512)/16\$|^BM_SoftDirtyRestore/64/16/(1|4)/"
-elif [ "$PROBE_STATUS" -eq 2 ]; then
-  echo "soft-dirty rows: skipped (kernel lacks soft-dirty tracking)"
-else
-  echo "soft-dirty probe failed unexpectedly (exit $PROBE_STATUS)" >&2
-  exit 1
-fi
 
 "$BUILD_DIR/bench_snapshot" \
   --benchmark_filter="$SNAPSHOT_FILTER" \
@@ -74,6 +52,5 @@ else
     --baseline "$HERE/baseline.json" \
     --output BENCH_ci.json \
     --max-regression-pct "$MAX_PCT" \
-    --optional-prefix "$SOFT_DIRTY_PREFIX" \
     BENCH_ci_snapshot.json BENCH_ci_store.json
 fi

@@ -23,8 +23,8 @@
 // Signal state is installed *lazily*: constructing an arena only registers it
 // for fault lookup; the process-global SIGSEGV handler and the constructing
 // thread's sigaltstack are installed on the first SetCowEnabled(true). An
-// application that only ever runs fault-free engines (fullcopy, incremental,
-// soft-dirty) never has its SIGSEGV disposition or signal stacks touched —
+// application that only ever runs fault-free engines (fullcopy, incremental)
+// never has its SIGSEGV disposition or signal stacks touched —
 // see the NeedsSignalProtocol() invariant in src/snapshot/engine.h.
 //
 // Thread model: one thread drives a given arena at a time (sessions are

@@ -63,10 +63,9 @@ class SessionAttachment {
 struct SessionOptions {
   size_t arena_bytes = 64ull << 20;
   size_t guest_stack_bytes = 1ull << 20;
-  // Snapshot backend (src/snapshot/engine.h): kCow (default), kFullCopy,
-  // kIncremental, kSoftDirty. kSoftDirty requires kernel support — callers
-  // must check SoftDirtyTracker::Supported() first (construction aborts
-  // otherwise).
+  // Snapshot backend (src/snapshot/engine.h): kCow (default, page-granular
+  // copy-on-write), kIncremental (fault-free content scan) or kFullCopy (the
+  // whole-arena baseline).
   SnapshotMode snapshot_mode = SnapshotMode::kCow;
   StrategyConfig strategy;
 

@@ -71,9 +71,7 @@ struct ServicePoolOptions {
 
   // Per-service template. `service.tuning.store` is ignored: the pool injects
   // one shared store into every service (see `store` below).
-  // `service.tuning.snapshot_mode` applies to every service in the fleet —
-  // kSoftDirty fleets are safe: concurrent soft-dirty sessions coordinate
-  // their process-wide clear_refs writes through SoftDirtyTracker's arbiter.
+  // `service.tuning.snapshot_mode` applies to every service in the fleet.
   // Core-splitting knob: `service.tuning.parallel_materialize_workers = W`
   // gives every service its own W-thread materialize team, so a fleet
   // occupies ~num_services × W cores at snapshot time — size num_services for

@@ -27,8 +27,7 @@ namespace lw {
 struct ServiceTuning {
   size_t arena_bytes = 64ull << 20;
   size_t mailbox_bytes = 1ull << 16;
-  // Any SnapshotMode works here, including kSoftDirty (probe
-  // SoftDirtyTracker::Supported() first); see SessionOptions::snapshot_mode.
+  // Any SnapshotMode works here; see SessionOptions::snapshot_mode.
   SnapshotMode snapshot_mode = SnapshotMode::kCow;
 
   // Shared page substrate: services on one store dedup each other's

@@ -4,7 +4,6 @@
 
 #include "src/core/arena.h"
 #include "src/snapshot/parallel_materializer.h"
-#include "src/snapshot/soft_dirty.h"
 
 namespace lw {
 namespace {
@@ -21,8 +20,6 @@ DirtySource InitialMechanism(SnapshotMode mode) {
       return DirtySource::kFull;
     case SnapshotMode::kIncremental:
       return DirtySource::kScan;
-    case SnapshotMode::kSoftDirty:
-      return DirtySource::kKernelPagemap;
     case SnapshotMode::kCow:
       break;
   }
@@ -39,8 +36,6 @@ const char* SnapshotModeName(SnapshotMode mode) {
       return "fullcopy";
     case SnapshotMode::kIncremental:
       return "incremental";
-    case SnapshotMode::kSoftDirty:
-      return "softdirty";
   }
   return "unknown";
 }
@@ -51,8 +46,6 @@ const char* DirtySourceName(DirtySource source) {
       return "faults";
     case DirtySource::kScan:
       return "scan";
-    case DirtySource::kKernelPagemap:
-      return "kernel-pagemap";
     case DirtySource::kFull:
       return "full";
   }
@@ -80,9 +73,6 @@ SnapshotEngine::SnapshotEngine(SnapshotMode mode, const Env& env)
       ++non_guard_pages_;
     }
   }
-  if (mode_ == SnapshotMode::kSoftDirty) {
-    tracker_ = std::make_unique<SoftDirtyTracker>(arena.base(), arena.num_pages());
-  }
   if (env_.hot_page_limit > 0) {
     hot_.assign(arena.num_pages(), 0);
     dirty_streak_.assign(arena.num_pages(), 0);
@@ -100,14 +90,6 @@ SnapshotEngine::SnapshotEngine(SnapshotMode mode, const Env& env)
         arena.SetCowEnabled(true);
       }
       break;
-    case DirtySource::kKernelPagemap: {
-      arena.SetCowEnabled(false);
-      // Start the first tracking interval now: anything written before the
-      // first Materialize is harvested there.
-      Status status = tracker_->DiscardAndClear();
-      LW_CHECK_MSG(status.ok(), "soft-dirty initial clear failed");
-      break;
-    }
     case DirtySource::kScan:
     case DirtySource::kFull:
       // No protection, no faults: the arena stays writable for its whole
@@ -243,14 +225,6 @@ void SnapshotEngine::CollectDirty(const EngineContext& ctx) {
       env_.stats->incr_pages_scanned += non_guard_pages_;
       break;
     }
-    case DirtySource::kKernelPagemap: {
-      // Soft-dirty flags *writes*, not *changes*: a page rewritten with
-      // identical bytes is still harvested, and the content-addressed store
-      // collapses its publish back to the existing blob.
-      Status status = tracker_->HarvestAndClear(dirty_pages_);
-      LW_CHECK_MSG(status.ok(), "soft-dirty harvest failed");
-      break;
-    }
     case DirtySource::kFull: {
       for (uint32_t page = 0; page < arena.num_pages(); ++page) {
         if (!arena.InGuard(page)) {
@@ -285,8 +259,7 @@ void SnapshotEngine::PublishDirty(const EngineContext& ctx) {
 
 void SnapshotEngine::Arm() {
   // Re-arm the mechanism for the next checkpoint. Only faults has tracking to
-  // re-establish here; the pagemap harvest already cleared its interval, and
-  // the compare/copy IS the detection for scan and full.
+  // re-establish; the compare/copy IS the detection for scan and full.
   if (mech_ != DirtySource::kFaults) {
     return;
   }
@@ -319,14 +292,10 @@ void SnapshotEngine::Materialize(Snapshot& snap, const EngineContext& ctx) {
       ++stats.materializes_by_scan;
       stats.incr_pages_copied += dirty_pages_.size();
       break;
-    case DirtySource::kKernelPagemap:
-      ++stats.materializes_by_pagemap;
-      break;
     case DirtySource::kFull:
       ++stats.materializes_by_full;
       break;
   }
-  MirrorTrackerStats();
   Arm();
 
   snap.map = cur_map_;  // live memory now matches cur_map_ byte-for-byte
@@ -360,40 +329,6 @@ void SnapshotEngine::Restore(const Snapshot& snap, const EngineContext& ctx) {
       }
       restored += RestoreProtectedSet(ctx);
       dirty.Clear();
-      break;
-    }
-    case DirtySource::kKernelPagemap: {
-      // Pending soft-dirty bits say where the guest wrote (copy back only on
-      // divergence); the map diff says where the tree path changed (ref
-      // inequality implies byte inequality, so copy unconditionally); the
-      // restore's own copies are discarded from the next interval. The arena
-      // is fully writable, so both copy loops fan out.
-      Status status = tracker_->Harvest(dirty_pages_);
-      LW_CHECK_MSG(status.ok(), "soft-dirty harvest failed");
-      restore_pages_.clear();
-      for (uint32_t page : dirty_pages_) {
-        if (!arena.InGuard(page)) {
-          restore_pages_.push_back(page);
-        }
-      }
-      restored += CopyBackChanged(restore_pages_, snap, ctx);
-      restore_pages_.clear();
-      cur_map_.Diff(snap.map,
-                    [this](uint32_t page, const PageRef& /*mine*/, const PageRef& theirs) {
-                      if (std::binary_search(dirty_pages_.begin(), dirty_pages_.end(), page)) {
-                        return;
-                      }
-                      LW_CHECK_MSG(theirs.valid(), "restoring a page the snapshot does not cover");
-                      restore_pages_.push_back(page);
-                      restore_refs_.push_back(theirs);
-                    });
-      RunSlots(ctx, restore_pages_.size(), [this, &arena](size_t slot) {
-        restore_refs_[slot].CopyTo(arena.PageAddr(restore_pages_[slot]));
-        return OkStatus();
-      });
-      restored += restore_pages_.size();
-      status = tracker_->DiscardAndClear();
-      LW_CHECK_MSG(status.ok(), "soft-dirty clear failed");
       break;
     }
     case DirtySource::kScan:
@@ -432,7 +367,6 @@ void SnapshotEngine::Restore(const Snapshot& snap, const EngineContext& ctx) {
   restore_refs_.clear();
   cur_map_ = snap.map;
   stats.pages_restored += restored;
-  MirrorTrackerStats();
 }
 
 uint64_t SnapshotEngine::RestoreProtectedSet(const EngineContext& ctx) {
@@ -470,24 +404,13 @@ uint64_t SnapshotEngine::RestoreProtectedSet(const EngineContext& ctx) {
 }
 
 size_t SnapshotEngine::StructureBytes() const {
-  size_t bytes = cur_map_.StructureBytes() + hot_.capacity() + dirty_streak_.capacity() +
+  return cur_map_.StructureBytes() + hot_.capacity() + dirty_streak_.capacity() +
                  clean_streak_.capacity() + hot_pages_.capacity() * sizeof(uint32_t) +
                  dirty_pages_.capacity() * sizeof(uint32_t) + scan_changed_.capacity() +
                  publish_refs_.capacity() * sizeof(PageRef) +
                  restore_pages_.capacity() * sizeof(uint32_t) +
                  restore_refs_.capacity() * sizeof(PageRef) + restore_flags_.capacity() +
-                 restore_runs_.capacity() * sizeof(std::pair<uint32_t, uint32_t>);
-  if (tracker_ != nullptr) {
-    bytes += ((tracker_->num_pages() + 63) / 64) * sizeof(uint64_t);
-  }
-  return bytes;
-}
-
-void SnapshotEngine::MirrorTrackerStats() {
-  if (tracker_ != nullptr) {
-    env_.stats->pagemap_entries_read = tracker_->pagemap_entries_read();
-    env_.stats->soft_dirty_clears = tracker_->clear_refs_writes();
-  }
+         restore_runs_.capacity() * sizeof(std::pair<uint32_t, uint32_t>);
 }
 
 std::unique_ptr<SnapshotEngine> MakeSnapshotEngine(SnapshotMode mode,

@@ -15,13 +15,10 @@
 //               design; the host MMU stands in for Dune's nested pages).
 //   * scan    — memcmp every non-guard page against the current map: no
 //               mprotect traffic at all; reads ∝ arena, copies ∝ delta.
-//   * pagemap — the kernel's soft-dirty PTE bits (/proc/self/pagemap +
-//               clear_refs): the exact write set with no faults and no scan.
-//               Needs kernel support — probe SoftDirtyTracker::Supported().
 //   * full    — no detection: republish the whole arena [libckpt], the
 //               baseline the paper argues against.
 // SnapshotMode pins the engine to one mechanism — kCow → faults,
-// kIncremental → scan, kSoftDirty → pagemap, kFullCopy → full. Only kCow runs
+// kIncremental → scan, kFullCopy → full. Only kCow runs
 // hot-page prediction: a page dirtied in enough consecutive snapshots is left
 // writable and compared/copied eagerly instead of taking the SIGSEGV +
 // 2×mprotect round trip; a long unchanged streak demotes it.
@@ -31,7 +28,6 @@
 // Mechanism (re-)arming happens at the end of Materialize, the one point where
 // every mechanism's tracking state can be established from scratch:
 //   faults    — re-protect the dirty set (hot pages stay writable);
-//   pagemap   — nothing: the harvest already opened a fresh interval;
 //   scan/full — nothing to arm (the compare/copy IS the detection).
 //
 // Parallelism: every publish, scan and restore copy loop runs through
@@ -63,7 +59,6 @@ namespace lw {
 
 class GuestArena;
 class ParallelMaterializer;
-class SoftDirtyTracker;
 
 // Per-call options threaded from the session into Materialize and Restore.
 // `parallel` non-null fans the engine's slot loops out over the session-owned
@@ -76,7 +71,6 @@ enum class SnapshotMode {
   kCow,
   kFullCopy,
   kIncremental,
-  kSoftDirty,  // kernel soft-dirty bits; requires SoftDirtyTracker::Supported()
 };
 
 const char* SnapshotModeName(SnapshotMode mode);
@@ -84,10 +78,9 @@ const char* SnapshotModeName(SnapshotMode mode);
 // How the most recent Materialize discovered its dirty set, recorded in
 // stats->dirty_source so benches and ablations are self-describing.
 enum class DirtySource : uint8_t {
-  kFaults,         // SIGSEGV/mprotect write faults (CoW)
-  kScan,           // full-arena content scan (incremental)
-  kKernelPagemap,  // soft-dirty bits read from /proc/self/pagemap
-  kFull,           // no dirty detection: whole arena republished
+  kFaults,    // SIGSEGV/mprotect write faults (CoW)
+  kScan,      // full-arena content scan (incremental)
+  kFull = 3,  // no dirty detection: whole arena republished (3 = golden value)
 };
 
 const char* DirtySourceName(DirtySource source);
@@ -110,10 +103,7 @@ struct SnapshotEngineStats {
   DirtySource dirty_source = DirtySource::kFull;
   uint64_t materializes_by_faults = 0;
   uint64_t materializes_by_scan = 0;
-  uint64_t materializes_by_pagemap = 0;
   uint64_t materializes_by_full = 0;
-  uint64_t pagemap_entries_read = 0;  // soft-dirty: 8-byte pagemap entries read
-  uint64_t soft_dirty_clears = 0;     // soft-dirty: process-wide clear_refs writes
   // Restore-side provenance: syscall coalescing and skip accounting, so tests
   // and benches can assert the mprotect reduction instead of inferring it
   // from timings. Only the faults mechanism issues restore-side mprotect
@@ -122,8 +112,7 @@ struct SnapshotEngineStats {
   // restore_mprotect_calls == 2 × restore_runs_coalesced by construction.
   uint64_t restore_mprotect_calls = 0;  // mprotect syscalls issued by restores
   uint64_t restore_runs_coalesced = 0;  // contiguous page runs those calls covered
-  // Tracked restore candidates (CoW hot pages, soft-dirty write-set pages)
-  // memcmp'd and found already byte-identical — copies saved. Full-arena
+  // Tracked restore candidates (CoW hot pages) memcmp'd and found already byte-identical — copies saved. Full-arena
   // compare loops (scan/full restores) are not counted here;
   // incr_pages_scanned covers those.
   uint64_t pages_restore_skipped = 0;
@@ -147,8 +136,7 @@ class SnapshotEngine {
   };
 
   // Establishes the mode's arena invariant (protection state, initial current
-  // map). Call before any guest code runs in the arena. kSoftDirty aborts in
-  // SoftDirtyTracker's LW_CHECK on hosts without soft-dirty support.
+  // map). Call before any guest code runs in the arena.
   SnapshotEngine(SnapshotMode mode, const Env& env);
   // Teardown drains the current map through PageStore::ReleaseBatch: spine
   // nodes shared with still-live snapshots are dropped by refcount, and the
@@ -176,7 +164,7 @@ class SnapshotEngine {
   }
 
   // Host bytes consumed by engine-side bookkeeping (current map structure,
-  // prediction tables, trackers, scratch) — excludes page blobs and snapshot
+  // prediction tables, scratch) — excludes page blobs and snapshot
   // maps.
   size_t StructureBytes() const;
 
@@ -212,7 +200,7 @@ class SnapshotEngine {
   void Arm();
 
   // Restore of tracked candidates whose live bytes are unknown (kCow hot
-  // pages, soft-dirty write sets): compare each page against snap's blob and
+  // pages): compare each page against snap's blob and
   // copy only on divergence (fanned out); the rest count as restore skips.
   // Returns the pages copied.
   uint64_t CopyBackChanged(const std::vector<uint32_t>& pages, const Snapshot& snap,
@@ -226,17 +214,11 @@ class SnapshotEngine {
   // of pages copied.
   uint64_t RestoreProtectedSet(const EngineContext& ctx);
 
-  // Mirrors soft-dirty tracker accounting into the stats block.
-  void MirrorTrackerStats();
-
   const SnapshotMode mode_;
   Env env_;
   PageMap cur_map_;
   DirtySource mech_;
   uint32_t non_guard_pages_ = 0;
-
-  // kSoftDirty only.
-  std::unique_ptr<SoftDirtyTracker> tracker_;
 
   // kCow hot-page prediction (allocated only when hot_page_limit > 0).
   std::vector<uint8_t> hot_;           // page -> currently hot

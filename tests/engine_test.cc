@@ -15,7 +15,6 @@
 #include "src/core/arena.h"
 #include "src/snapshot/engine.h"
 #include "src/snapshot/page_store.h"
-#include "src/snapshot/soft_dirty.h"
 
 namespace lw {
 namespace {
@@ -43,9 +42,6 @@ SnapshotEngine::Env MakeEnv(GuestArena* arena, PageStore* store, SnapshotEngineS
 class EngineRoundTripTest : public ::testing::TestWithParam<SnapshotMode> {};
 
 TEST_P(EngineRoundTripTest, MaterializeRestoreRoundTrip) {
-  if (GetParam() == SnapshotMode::kSoftDirty && !SoftDirtyTracker::Supported()) {
-    GTEST_SKIP() << "soft-dirty unavailable: " << SoftDirtyTracker::Probe().ToString();
-  }
   GuestArena arena(SmallLayout());
   PageStore store;
   SnapshotEngineStats stats;
@@ -93,7 +89,7 @@ TEST_P(EngineRoundTripTest, MaterializeRestoreRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, EngineRoundTripTest,
                          ::testing::Values(SnapshotMode::kCow, SnapshotMode::kFullCopy,
-                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty),
+                                           SnapshotMode::kIncremental),
                          [](const ::testing::TestParamInfo<SnapshotMode>& param) {
                            return std::string(SnapshotModeName(param.param));
                          });
@@ -210,10 +206,7 @@ std::string CounterLine(const SnapshotEngineStats& s, const PageStore::Stats& st
       {"dirty_source", static_cast<uint64_t>(s.dirty_source)},
       {"materializes_by_faults", s.materializes_by_faults},
       {"materializes_by_scan", s.materializes_by_scan},
-      {"materializes_by_pagemap", s.materializes_by_pagemap},
       {"materializes_by_full", s.materializes_by_full},
-      {"pagemap_entries_read", s.pagemap_entries_read},
-      {"soft_dirty_clears", s.soft_dirty_clears},
       {"restore_mprotect_calls", s.restore_mprotect_calls},
       {"restore_runs_coalesced", s.restore_runs_coalesced},
       {"pages_restore_skipped", s.pages_restore_skipped},
@@ -320,15 +313,8 @@ class EngineGoldenCounterTest : public ::testing::TestWithParam<SnapshotMode> {}
 // The store tokens (dedup, compression, release, spill) are read from
 // PageStore::stats() as the script ends, before the engine's teardown
 // releases its current map.
-// kSoftDirty pins only the host-independent counters: the kernel may report
-// more written pages than the script touched (e.g. a huge-page-backed arena),
-// which moves publish and dedup counts but never pages_restored — every
-// restore copies exactly the pages whose bytes differ from the target.
 TEST_P(EngineGoldenCounterTest, ScriptHitsRecordedCounters) {
   const SnapshotMode mode = GetParam();
-  if (mode == SnapshotMode::kSoftDirty && !SoftDirtyTracker::Supported()) {
-    GTEST_SKIP() << "soft-dirty unavailable: " << SoftDirtyTracker::Probe().ToString();
-  }
   const char* const kStoreTail =
       " cross_session_dedup_hits=0 compressed_blobs=0";
   const char* const kReleaseTail =
@@ -342,8 +328,8 @@ TEST_P(EngineGoldenCounterTest, ScriptHitsRecordedCounters) {
                      " hot_unchanged_skips=54 zero_dedup_hits=5 content_dedup_hits=957") +
                  kStoreTail +
                  " incr_pages_scanned=0 incr_pages_copied=0 dirty_source=0"
-                 " materializes_by_faults=40 materializes_by_scan=0 materializes_by_pagemap=0"
-                 " materializes_by_full=0 pagemap_entries_read=0 soft_dirty_clears=0"
+                 " materializes_by_faults=40 materializes_by_scan=0"
+                 " materializes_by_full=0"
                  " restore_mprotect_calls=84 restore_runs_coalesced=42"
                  " pages_restore_skipped=0" +
                  kReleaseTail + " cow_faults=1228";
@@ -354,8 +340,8 @@ TEST_P(EngineGoldenCounterTest, ScriptHitsRecordedCounters) {
                      " hot_unchanged_skips=0 zero_dedup_hits=16448 content_dedup_hits=3117") +
                  kStoreTail +
                  " incr_pages_scanned=0 incr_pages_copied=0 dirty_source=3"
-                 " materializes_by_faults=0 materializes_by_scan=0 materializes_by_pagemap=0"
-                 " materializes_by_full=40 pagemap_entries_read=0 soft_dirty_clears=0"
+                 " materializes_by_faults=0 materializes_by_scan=0"
+                 " materializes_by_full=40"
                  " restore_mprotect_calls=0 restore_runs_coalesced=0"
                  " pages_restore_skipped=0" +
                  kReleaseTail + " cow_faults=0";
@@ -366,22 +352,10 @@ TEST_P(EngineGoldenCounterTest, ScriptHitsRecordedCounters) {
                      " hot_unchanged_skips=0 zero_dedup_hits=4 content_dedup_hits=957") +
                  kStoreTail +
                  " incr_pages_scanned=22816 incr_pages_copied=1236 dirty_source=1"
-                 " materializes_by_faults=0 materializes_by_scan=40 materializes_by_pagemap=0"
-                 " materializes_by_full=0 pagemap_entries_read=0 soft_dirty_clears=0"
+                 " materializes_by_faults=0 materializes_by_scan=40"
+                 " materializes_by_full=0"
                  " restore_mprotect_calls=0 restore_runs_coalesced=0"
                  " pages_restore_skipped=0" +
-                 kReleaseTail + " cow_faults=0";
-      break;
-    case SnapshotMode::kSoftDirty:
-      expected = std::string(
-                     "pages_materialized=? pages_restored=948 hot_promotions=0 hot_demotions=0"
-                     " hot_unchanged_skips=0 zero_dedup_hits=? content_dedup_hits=?") +
-                 kStoreTail +
-                 " incr_pages_scanned=0 incr_pages_copied=0 dirty_source=2"
-                 " materializes_by_faults=0 materializes_by_scan=0 materializes_by_pagemap=40"
-                 " materializes_by_full=0 pagemap_entries_read=? soft_dirty_clears=?"
-                 " restore_mprotect_calls=0 restore_runs_coalesced=0"
-                 " pages_restore_skipped=?" +
                  kReleaseTail + " cow_faults=0";
       break;
   }
@@ -394,7 +368,7 @@ TEST_P(EngineGoldenCounterTest, ScriptHitsRecordedCounters) {
 
 INSTANTIATE_TEST_SUITE_P(Modes, EngineGoldenCounterTest,
                          ::testing::Values(SnapshotMode::kCow, SnapshotMode::kFullCopy,
-                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty),
+                                           SnapshotMode::kIncremental),
                          [](const ::testing::TestParamInfo<SnapshotMode>& param) {
                            return std::string(SnapshotModeName(param.param));
                          });

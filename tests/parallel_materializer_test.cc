@@ -24,7 +24,6 @@
 
 #include "src/core/backtrack.h"
 #include "src/snapshot/parallel_materializer.h"
-#include "src/snapshot/soft_dirty.h"
 #include "src/solver/service.h"
 
 #if defined(__has_feature)
@@ -207,9 +206,6 @@ TEST_P(ParallelEngineBitIdentityTest, ParallelSnapshotStructureMatchesSerial) {
     GTEST_SKIP() << "CoW SIGSEGV protocol conflicts with TSan signal interposition";
   }
 #endif
-  if (GetParam() == SnapshotMode::kSoftDirty && !SoftDirtyTracker::Supported()) {
-    GTEST_SKIP() << "soft-dirty unavailable: " << SoftDirtyTracker::Probe().ToString();
-  }
   // One shared store: equal published bytes yield the same blob, so if the
   // parallel engine assembles the same structure as the serial one, every
   // page-ref pair compares pointer-equal.
@@ -256,7 +252,7 @@ TEST_P(ParallelEngineBitIdentityTest, ParallelSnapshotStructureMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, ParallelEngineBitIdentityTest,
                          ::testing::Values(SnapshotMode::kCow, SnapshotMode::kFullCopy,
-                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty),
+                                           SnapshotMode::kIncremental),
                          [](const ::testing::TestParamInfo<SnapshotMode>& info) {
                            return SnapshotModeName(info.param);
                          });
@@ -305,9 +301,6 @@ TEST_P(ParallelQueensParityTest, WorkerSweepKeepsParityAndSnapshotCounts) {
     GTEST_SKIP() << "CoW SIGSEGV protocol conflicts with TSan signal interposition";
   }
 #endif
-  if (GetParam() == SnapshotMode::kSoftDirty && !SoftDirtyTracker::Supported()) {
-    GTEST_SKIP() << "soft-dirty unavailable: " << SoftDirtyTracker::Probe().ToString();
-  }
   uint64_t serial_snapshots = 0;
   uint64_t serial_pages = 0;
   uint64_t serial_restored = 0;
@@ -343,7 +336,7 @@ TEST_P(ParallelQueensParityTest, WorkerSweepKeepsParityAndSnapshotCounts) {
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, ParallelQueensParityTest,
                          ::testing::Values(SnapshotMode::kCow, SnapshotMode::kFullCopy,
-                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty),
+                                           SnapshotMode::kIncremental),
                          [](const ::testing::TestParamInfo<SnapshotMode>& info) {
                            return SnapshotModeName(info.param);
                          });

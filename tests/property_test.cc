@@ -18,7 +18,6 @@
 #include "src/snapshot/budget_policy.h"
 #include "src/snapshot/engine.h"
 #include "src/snapshot/parallel_materializer.h"
-#include "src/snapshot/soft_dirty.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 
@@ -371,10 +370,7 @@ std::string RunDifferentialScript(uint64_t seed, SnapshotMode mode, uint32_t wor
 TEST_P(EngineDifferentialTest, EveryModeRestoresTheShadowImage) {
   const uint64_t seed = GetParam();
   for (SnapshotMode mode : {SnapshotMode::kCow, SnapshotMode::kFullCopy,
-                            SnapshotMode::kIncremental, SnapshotMode::kSoftDirty}) {
-    if (mode == SnapshotMode::kSoftDirty && !SoftDirtyTracker::Supported()) {
-      continue;
-    }
+                            SnapshotMode::kIncremental}) {
     for (uint32_t workers : {1u, 4u}) {
       for (uint64_t budget : {uint64_t{0}, kTightBudget}) {
         const std::string failure = RunDifferentialScript(seed, mode, workers, budget);

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "src/core/backtrack.h"
-#include "src/snapshot/soft_dirty.h"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer) && !defined(__SANITIZE_THREAD__)
@@ -42,10 +41,7 @@ bool SkipForMode(SnapshotMode mode, const char** reason) {
     return true;
   }
 #endif
-  if (mode == SnapshotMode::kSoftDirty && !SoftDirtyTracker::Supported()) {
-    *reason = "soft-dirty unavailable on this kernel";
-    return true;
-  }
+  (void)mode;
   (void)reason;
   return false;
 }
@@ -341,7 +337,7 @@ TEST_P(ReleaseStormParityTest, BatchedResidencyMatchesPerRef) {
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, ReleaseStormParityTest,
                          ::testing::Values(SnapshotMode::kCow, SnapshotMode::kFullCopy,
-                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty),
+                                           SnapshotMode::kIncremental),
                          [](const ::testing::TestParamInfo<SnapshotMode>& info) {
                            return SnapshotModeName(info.param);
                          });

@@ -17,7 +17,6 @@
 #include "src/core/arena.h"
 #include "src/snapshot/engine.h"
 #include "src/snapshot/parallel_materializer.h"
-#include "src/snapshot/soft_dirty.h"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer) && !defined(__SANITIZE_THREAD__)
@@ -35,10 +34,7 @@ bool SkipForMode(SnapshotMode mode, const char** reason) {
     return true;
   }
 #endif
-  if (mode == SnapshotMode::kSoftDirty && !SoftDirtyTracker::Supported()) {
-    *reason = "soft-dirty unavailable on this kernel";
-    return true;
-  }
+  (void)mode;
   (void)reason;
   return false;
 }
@@ -167,15 +163,14 @@ TEST_P(RestoreParityTest, WorkerSweepMatchesSerialBitForBit) {
     EXPECT_GT(serial.stats.restore_runs_coalesced, 0u);
     EXPECT_EQ(serial.stats.restore_mprotect_calls, 2 * serial.stats.restore_runs_coalesced);
   }
-  if (GetParam() == SnapshotMode::kFullCopy || GetParam() == SnapshotMode::kIncremental ||
-      GetParam() == SnapshotMode::kSoftDirty) {
+  if (GetParam() == SnapshotMode::kFullCopy || GetParam() == SnapshotMode::kIncremental) {
     EXPECT_EQ(serial.stats.restore_mprotect_calls, 0u);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, RestoreParityTest,
                          ::testing::Values(SnapshotMode::kCow, SnapshotMode::kFullCopy,
-                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty),
+                                           SnapshotMode::kIncremental),
                          [](const ::testing::TestParamInfo<SnapshotMode>& info) {
                            return SnapshotModeName(info.param);
                          });

@@ -40,7 +40,6 @@
 #include "src/core/backtrack.h"
 #include "src/core/guest_api.h"
 #include "src/snapshot/budget_policy.h"
-#include "src/snapshot/soft_dirty.h"
 #include "src/snapshot/spill_tier.h"
 
 #if defined(__has_feature)
@@ -59,10 +58,7 @@ bool SkipForMode(SnapshotMode mode, const char** reason) {
     return true;
   }
 #endif
-  if (mode == SnapshotMode::kSoftDirty && !SoftDirtyTracker::Supported()) {
-    *reason = "soft-dirty unavailable on this kernel";
-    return true;
-  }
+  (void)mode;
   (void)reason;
   return false;
 }
@@ -903,7 +899,7 @@ TEST_P(SpillSessionTest, OverBudgetParkedPopulationRestoresBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, SpillSessionTest,
                          ::testing::Values(SnapshotMode::kCow, SnapshotMode::kFullCopy,
-                                           SnapshotMode::kIncremental, SnapshotMode::kSoftDirty),
+                                           SnapshotMode::kIncremental),
                          [](const ::testing::TestParamInfo<SnapshotMode>& info) {
                            return SnapshotModeName(info.param);
                          });
