@@ -142,7 +142,6 @@ void RunLwsnap(benchmark::State& state, lw::SnapshotMode mode) {
   SnapArgs args;
   args.work_us = static_cast<uint64_t>(state.range(0));
   args.pages = static_cast<uint32_t>(state.range(1));
-  lw::DirtySource dirty_source = lw::DirtySource::kFull;
   uint64_t resident_bytes = 0;
   uint64_t dedup_hits = 0;
   uint64_t compressed_blobs = 0;
@@ -158,14 +157,12 @@ void RunLwsnap(benchmark::State& state, lw::SnapshotMode mode) {
       state.SkipWithError(status.ToString().c_str());
       return;
     }
-    dirty_source = session.stats().dirty_source;
     const lw::PageStore::Stats& store = session.store().stats();
     resident_bytes = store.bytes_resident();
     dedup_hits = store.zero_dedup_hits + store.content_dedup_hits;
     compressed_blobs = store.compressed_blobs;
   }
-  state.SetLabel(std::string(lw::SnapshotModeName(mode)) + " dirty_src=" +
-                 lw::DirtySourceName(dirty_source));
+  state.SetLabel(lw::SnapshotModeName(mode));
   state.counters["leaves"] = static_cast<double>(args.leaves);
   state.counters["resident_bytes"] = static_cast<double>(resident_bytes);
   state.counters["dedup_hits"] = static_cast<double>(dedup_hits);
@@ -226,7 +223,6 @@ void QueensGuest(void* arg) {
 }
 
 void RunQueens(benchmark::State& state, lw::SnapshotMode mode) {
-  lw::DirtySource dirty_source = lw::DirtySource::kFull;
   uint64_t solutions = 0;
   uint64_t resident_bytes = 0;
   uint64_t dedup_hits = 0;
@@ -248,14 +244,12 @@ void RunQueens(benchmark::State& state, lw::SnapshotMode mode) {
       state.SkipWithError("engine produced a wrong n-queens solution count");
       return;
     }
-    dirty_source = session.stats().dirty_source;
     const lw::PageStore::Stats& store = session.store().stats();
     resident_bytes = store.bytes_resident();
     dedup_hits = store.zero_dedup_hits + store.content_dedup_hits;
     compressed_blobs = store.compressed_blobs;
   }
-  state.SetLabel(std::string(lw::SnapshotModeName(mode)) + " dirty_src=" +
-                 lw::DirtySourceName(dirty_source));
+  state.SetLabel(lw::SnapshotModeName(mode));
   state.counters["solutions"] = static_cast<double>(solutions);
   state.counters["resident_bytes"] = static_cast<double>(resident_bytes);
   state.counters["dedup_hits"] = static_cast<double>(dedup_hits);

@@ -20,9 +20,7 @@
 //
 // Counters report the engine's own ns/snapshot and ns/restore so the
 // comparison is invariant to the harness loop; the label column names the
-// engine (SnapshotModeName) plus the dirty-discovery mechanism the last
-// checkpoint used (dirty_src=faults|scan|full), so rows are comparable across
-// all backends.
+// engine (SnapshotModeName), so rows are comparable across all backends.
 
 #include <benchmark/benchmark.h>
 
@@ -72,7 +70,6 @@ void RunEngine(benchmark::State& state, lw::SnapshotMode mode, uint32_t workers 
   DirtyArgs args;
   args.dirty_pages = static_cast<uint32_t>(state.range(0));
   size_t arena_mb = static_cast<size_t>(state.range(1));
-  lw::DirtySource dirty_source = lw::DirtySource::kFull;
 
   uint64_t snap_ns = 0;
   uint64_t restore_ns = 0;
@@ -97,14 +94,12 @@ void RunEngine(benchmark::State& state, lw::SnapshotMode mode, uint32_t workers 
     restore_ns = session.stats().restore_ns;
     snapshots = session.stats().snapshots;
     pages = session.stats().pages_materialized;
-    dirty_source = session.stats().dirty_source;
     const lw::PageStore::Stats& store = session.store().stats();
     resident_bytes = store.bytes_resident();
     dedup_hits = store.zero_dedup_hits + store.content_dedup_hits;
     compressed_blobs = store.compressed_blobs;
   }
-  state.SetLabel(std::string(lw::SnapshotModeName(mode)) + " dirty_src=" +
-                 lw::DirtySourceName(dirty_source));
+  state.SetLabel(lw::SnapshotModeName(mode));
   if (snapshots != 0) {
     state.counters["ns/snapshot"] = static_cast<double>(snap_ns) / snapshots;
     state.counters["ns/restore"] = static_cast<double>(restore_ns) / snapshots;
@@ -239,7 +234,6 @@ void RunRestoreEngine(benchmark::State& state, lw::SnapshotMode mode, uint32_t r
   args.rounds = rounds;
   args.fanout = fanout;
   size_t arena_mb = static_cast<size_t>(state.range(1));
-  lw::DirtySource dirty_source = lw::DirtySource::kFull;
 
   uint64_t restore_ns = 0;
   uint64_t restores = 0;
@@ -265,10 +259,8 @@ void RunRestoreEngine(benchmark::State& state, lw::SnapshotMode mode, uint32_t r
     mprotect_calls = session.stats().restore_mprotect_calls;
     runs = session.stats().restore_runs_coalesced;
     skips = session.stats().pages_restore_skipped;
-    dirty_source = session.stats().dirty_source;
   }
-  state.SetLabel(std::string(lw::SnapshotModeName(mode)) + " dirty_src=" +
-                 lw::DirtySourceName(dirty_source));
+  state.SetLabel(lw::SnapshotModeName(mode));
   if (restores != 0) {
     state.counters["ns/restore"] = static_cast<double>(restore_ns) / restores;
     state.counters["pages/restore"] = static_cast<double>(pages_restored) / restores;

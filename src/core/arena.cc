@@ -204,7 +204,7 @@ GuestArena::GuestArena(const Layout& layout)
                     static_cast<size_t>(guard_hi_ - guard_lo_) * kPageSize, PROT_NONE) == 0);
 
   // No signal-state changes here: the SIGSEGV handler and sigaltstack are
-  // installed lazily by the first SetCowEnabled(true), so fault-free engine
+  // installed lazily by EnableCow(), so fault-free engine
   // configurations never perturb process signal dispositions.
   RegisterArena(this, base_, size_);
 }
@@ -216,23 +216,13 @@ GuestArena::~GuestArena() {
   }
 }
 
-void GuestArena::SetCowEnabled(bool enabled) {
-  if (enabled == cow_enabled_) {
+void GuestArena::EnableCow() {
+  if (cow_enabled_) {
     return;
   }
-  cow_enabled_ = enabled;
-  if (!enabled) {
-    // Everything writable; dirty tracking is meaningless from here on.
-    LW_CHECK(mprotect(base_, static_cast<size_t>(guard_lo_) * kPageSize,
-                      PROT_READ | PROT_WRITE) == 0);
-    LW_CHECK(mprotect(base_ + static_cast<size_t>(guard_hi_) * kPageSize,
-                      size_ - static_cast<size_t>(guard_hi_) * kPageSize,
-                      PROT_READ | PROT_WRITE) == 0);
-    dirty_.Clear();
-  } else {
-    EnsureGlobalHandlerInstalled();
-    ProtectAll();
-  }
+  cow_enabled_ = true;
+  EnsureGlobalHandlerInstalled();
+  ProtectAll();
 }
 
 void GuestArena::ProtectAll() {

@@ -22,9 +22,9 @@
 //
 // Signal state is installed *lazily*: constructing an arena only registers it
 // for fault lookup; the process-global SIGSEGV handler and the constructing
-// thread's sigaltstack are installed on the first SetCowEnabled(true). An
-// application that only ever runs fault-free engines (fullcopy, incremental)
-// never has its SIGSEGV disposition or signal stacks touched —
+// thread's sigaltstack are installed by EnableCow(). An application that only
+// ever runs fault-free engines (fullcopy, incremental) never has its SIGSEGV
+// disposition or signal stacks touched —
 // see the NeedsSignalProtocol() invariant in src/snapshot/engine.h.
 //
 // Thread model: one thread drives a given arena at a time (sessions are
@@ -46,7 +46,7 @@
 namespace lw {
 
 // Installs (once per thread) the alternate signal stack the SIGSEGV handler
-// runs on. SetCowEnabled(true) calls it for the enabling thread; sessions
+// runs on. EnableCow() calls it for the enabling thread; sessions
 // whose engine needs the signal protocol call it on every Drive (covering
 // cross-thread hand-off), and the parallel materializer on worker startup.
 // Cheap after the first call. Fault-free configurations never call it.
@@ -91,11 +91,11 @@ class GuestArena {
   uint32_t guard_lo() const { return guard_lo_; }
   uint32_t guard_hi() const { return guard_hi_; }
 
-  // CoW mode switch. When disabled (the fault-free engines), the arena stays
-  // fully writable and no faults are taken. The first enable installs the
-  // process-global SIGSEGV handler + this thread's sigaltstack, then protects
-  // everything; disabling makes all non-guard pages writable again.
-  void SetCowEnabled(bool enabled);
+  // Enters CoW mode, one way: installs the process-global SIGSEGV handler +
+  // this thread's sigaltstack (first time only), then protects everything.
+  // Fault-free engines never call it, so their arena stays fully writable
+  // and takes no faults. A no-op when CoW is already enabled.
+  void EnableCow();
   bool cow_enabled() const { return cow_enabled_; }
 
   // Write-protects every non-guard page and clears the dirty set (establishes the

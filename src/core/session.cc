@@ -28,7 +28,6 @@ std::string SessionStats::ToString() const {
   std::snprintf(buf, sizeof(buf),
                 "guesses=%llu snapshots=%llu restores=%llu exts=%llu fail=%llu done=%llu "
                 "sol=%llu pages_mat=%llu pages_rst=%llu incr_scan=%llu incr_copy=%llu "
-                "dirty_src=%s mat_by=%llu/%llu/%llu "
                 "rst_mprotect=%llu rst_runs=%llu rst_skip=%llu "
                 "snap_us=%.1f restore_us=%.1f",
                 static_cast<unsigned long long>(guesses),
@@ -42,10 +41,6 @@ std::string SessionStats::ToString() const {
                 static_cast<unsigned long long>(pages_restored),
                 static_cast<unsigned long long>(incr_pages_scanned),
                 static_cast<unsigned long long>(incr_pages_copied),
-                DirtySourceName(dirty_source),  // faults/scan/full order below
-                static_cast<unsigned long long>(materializes_by_faults),
-                static_cast<unsigned long long>(materializes_by_scan),
-                static_cast<unsigned long long>(materializes_by_full),
                 static_cast<unsigned long long>(restore_mprotect_calls),
                 static_cast<unsigned long long>(restore_runs_coalesced),
                 static_cast<unsigned long long>(pages_restore_skipped),

@@ -21,8 +21,9 @@
 //
 // The snapshot mechanics themselves — how a page image is captured and
 // reinstated — live in SnapshotEngine (src/snapshot/engine.h), whose
-// dirty-discovery mechanism SessionOptions::snapshot_mode selects. The session is pure search
-// orchestration: it never touches mprotect, hot-page prediction, or page copies.
+// dirty-discovery arm SessionOptions::snapshot_mode selects. The session is
+// pure search orchestration: it never touches mprotect, hot-page prediction,
+// or page copies.
 
 #ifndef LWSNAP_SRC_CORE_SESSION_H_
 #define LWSNAP_SRC_CORE_SESSION_H_
@@ -95,7 +96,7 @@ struct SessionOptions {
   // Parallel materialization inside this session (the ROADMAP's "publish the
   // dirty set with multiple threads"): a session-owned worker team of this
   // many threads (the session thread participates) publishes each snapshot's
-  // page set to the internally synchronized store; the scan mechanism's
+  // page set to the internally synchronized store; kIncremental's
   // content scan fans out too. The same team serves Restore: every mode's
   // restore copy loop fans out over it (the CoW path batch-unprotects the
   // coalesced restore runs first, so workers never fault). Snapshot

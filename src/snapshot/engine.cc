@@ -13,19 +13,6 @@ namespace {
 constexpr uint8_t kHotPromoteAfter = 4;
 constexpr uint8_t kHotDemoteAfter = 16;
 
-// The mechanism each mode pins.
-DirtySource InitialMechanism(SnapshotMode mode) {
-  switch (mode) {
-    case SnapshotMode::kFullCopy:
-      return DirtySource::kFull;
-    case SnapshotMode::kIncremental:
-      return DirtySource::kScan;
-    case SnapshotMode::kCow:
-      break;
-  }
-  return DirtySource::kFaults;
-}
-
 }  // namespace
 
 const char* SnapshotModeName(SnapshotMode mode) {
@@ -40,23 +27,10 @@ const char* SnapshotModeName(SnapshotMode mode) {
   return "unknown";
 }
 
-const char* DirtySourceName(DirtySource source) {
-  switch (source) {
-    case DirtySource::kFaults:
-      return "faults";
-    case DirtySource::kScan:
-      return "scan";
-    case DirtySource::kFull:
-      return "full";
-  }
-  return "unknown";
-}
-
 SnapshotEngine::SnapshotEngine(SnapshotMode mode, const Env& env)
     : mode_(mode),
       env_(env),
-      cur_map_(env.arena->num_pages()),
-      mech_(InitialMechanism(mode)) {
+      cur_map_(env.arena->num_pages()) {
   LW_CHECK(env_.arena != nullptr && env_.store != nullptr && env_.stats != nullptr);
   GuestArena& arena = *env_.arena;
   if (mode_ != SnapshotMode::kCow) {
@@ -79,24 +53,20 @@ SnapshotEngine::SnapshotEngine(SnapshotMode mode, const Env& env)
     clean_streak_.assign(arena.num_pages(), 0);
     hot_pages_.reserve(env_.hot_page_limit);
   }
-  switch (mech_) {
-    case DirtySource::kFaults:
-      // Enabling CoW installs the SIGSEGV handler + sigaltstack (first time)
-      // and protects everything; if the arena was already in CoW mode,
-      // re-establish the protocol invariant explicitly.
-      if (arena.cow_enabled()) {
-        arena.ProtectAll();
-      } else {
-        arena.SetCowEnabled(true);
-      }
-      break;
-    case DirtySource::kScan:
-    case DirtySource::kFull:
-      // No protection, no faults: the arena stays writable for its whole
-      // life. These arms list up to every page per checkpoint.
-      arena.SetCowEnabled(false);
-      dirty_pages_.reserve(arena.num_pages());
-      break;
+  if (mode_ == SnapshotMode::kCow) {
+    // Enabling CoW installs the SIGSEGV handler + sigaltstack (first time)
+    // and protects everything; if the arena was already in CoW mode,
+    // re-establish the protocol invariant explicitly.
+    if (arena.cow_enabled()) {
+      arena.ProtectAll();
+    } else {
+      arena.EnableCow();
+    }
+  } else {
+    // No protection, no faults: the arena stays writable for its whole life.
+    // These arms list up to every page per checkpoint.
+    LW_CHECK_MSG(!arena.cow_enabled(), "fault-free snapshot mode on a CoW-enabled arena");
+    dirty_pages_.reserve(arena.num_pages());
   }
 }
 
@@ -174,39 +144,38 @@ void SnapshotEngine::PromoteHot() {
   }
 }
 
-uint64_t SnapshotEngine::CopyBackChanged(const std::vector<uint32_t>& pages, const Snapshot& snap,
-                                         const EngineContext& ctx) {
-  restore_refs_.resize(pages.size());
-  for (size_t slot = 0; slot < pages.size(); ++slot) {
-    restore_refs_[slot] = snap.map.Get(pages[slot]);
+uint64_t SnapshotEngine::CopyBackHot(const Snapshot& snap, const EngineContext& ctx) {
+  restore_refs_.resize(hot_pages_.size());
+  for (size_t slot = 0; slot < hot_pages_.size(); ++slot) {
+    restore_refs_[slot] = snap.map.Get(hot_pages_[slot]);
     LW_CHECK_MSG(restore_refs_[slot].valid(), "restoring a page the snapshot does not cover");
   }
-  restore_flags_.assign(pages.size(), 0);
-  RunSlots(ctx, pages.size(), [this, &pages](size_t slot) {
-    if (restore_refs_[slot].CopyToIfDifferent(env_.arena->PageAddr(pages[slot]))) {
+  restore_flags_.assign(hot_pages_.size(), 0);
+  RunSlots(ctx, hot_pages_.size(), [this](size_t slot) {
+    if (restore_refs_[slot].CopyToIfDifferent(env_.arena->PageAddr(hot_pages_[slot]))) {
       restore_flags_[slot] = 1;
     }
     return OkStatus();
   });
   restore_refs_.clear();
   const uint64_t copied = std::count(restore_flags_.begin(), restore_flags_.end(), 1);
-  env_.stats->pages_restore_skipped += pages.size() - copied;
+  env_.stats->pages_restore_skipped += hot_pages_.size() - copied;
   return copied;
 }
 
 void SnapshotEngine::CollectDirty(const EngineContext& ctx) {
   GuestArena& arena = *env_.arena;
   dirty_pages_.clear();
-  switch (mech_) {
-    case DirtySource::kFaults: {
+  switch (mode_) {
+    case SnapshotMode::kCow: {
       const DirtyTracker& dirty = arena.dirty();
       // Fault (write-recency) order: publish order becomes the store's LRU
       // order, which a byte budget's compress/spill victims follow.
       dirty_pages_.assign(dirty.pages(), dirty.pages() + dirty.count());
       break;
     }
-    case DirtySource::kScan: {
-      // The scan is this mechanism's dominant cost (reads ∝ arena), so it
+    case SnapshotMode::kIncremental: {
+      // The scan is this mode's dominant cost (reads ∝ arena), so it
       // fans out; each slot flags only its own page.
       scan_changed_.resize(arena.num_pages(), 0);
       RunSlots(ctx, arena.num_pages(), [this, &arena](size_t slot) {
@@ -223,9 +192,10 @@ void SnapshotEngine::CollectDirty(const EngineContext& ctx) {
         }
       }
       env_.stats->incr_pages_scanned += non_guard_pages_;
+      env_.stats->incr_pages_copied += dirty_pages_.size();
       break;
     }
-    case DirtySource::kFull: {
+    case SnapshotMode::kFullCopy: {
       for (uint32_t page = 0; page < arena.num_pages(); ++page) {
         if (!arena.InGuard(page)) {
           dirty_pages_.push_back(page);
@@ -257,47 +227,24 @@ void SnapshotEngine::PublishDirty(const EngineContext& ctx) {
   publish_refs_.clear();
 }
 
-void SnapshotEngine::Arm() {
-  // Re-arm the mechanism for the next checkpoint. Only faults has tracking to
-  // re-establish; the compare/copy IS the detection for scan and full.
-  if (mech_ != DirtySource::kFaults) {
-    return;
-  }
-  GuestArena& arena = *env_.arena;
-  if (hot_pages_.empty()) {
-    arena.ReprotectDirty();
-  } else {
-    arena.ReprotectDirtyExcept(hot_.data());
-  }
-}
-
 void SnapshotEngine::Materialize(Snapshot& snap, const EngineContext& ctx) {
-  SnapshotEngineStats& stats = *env_.stats;
-  const DirtySource used = mech_;
   if (!hot_pages_.empty()) {
     PublishHot(ctx);
   }
   CollectDirty(ctx);
   PublishDirty(ctx);
-  if (used == DirtySource::kFaults && env_.hot_page_limit > 0) {
-    PromoteHot();
+  if (mode_ == SnapshotMode::kCow) {
+    if (env_.hot_page_limit > 0) {
+      PromoteHot();
+    }
+    // Re-arm the faults for the next checkpoint; hot pages stay writable.
+    GuestArena& arena = *env_.arena;
+    if (hot_pages_.empty()) {
+      arena.ReprotectDirty();
+    } else {
+      arena.ReprotectDirtyExcept(hot_.data());
+    }
   }
-
-  stats.dirty_source = used;
-  switch (used) {
-    case DirtySource::kFaults:
-      ++stats.materializes_by_faults;
-      break;
-    case DirtySource::kScan:
-      ++stats.materializes_by_scan;
-      stats.incr_pages_copied += dirty_pages_.size();
-      break;
-    case DirtySource::kFull:
-      ++stats.materializes_by_full;
-      break;
-  }
-  Arm();
-
   snap.map = cur_map_;  // live memory now matches cur_map_ byte-for-byte
 }
 
@@ -305,14 +252,14 @@ void SnapshotEngine::Restore(const Snapshot& snap, const EngineContext& ctx) {
   GuestArena& arena = *env_.arena;
   SnapshotEngineStats& stats = *env_.stats;
   uint64_t restored = 0;
-  switch (mech_) {
-    case DirtySource::kFaults: {
+  switch (mode_) {
+    case SnapshotMode::kCow: {
       // Hot pages are writable and fault-free, so their live contents are
       // unknowable without a compare. Everything else diverged exactly on the
       // dirty set plus wherever the immutable maps disagree; the two sources
       // are disjoint by construction and hot pages never fault, so the
       // sorted set is unique.
-      restored += CopyBackChanged(hot_pages_, snap, ctx);
+      restored += CopyBackHot(snap, ctx);
       DirtyTracker& dirty = arena.dirty();
       restore_pages_.assign(dirty.pages(), dirty.pages() + dirty.count());
       cur_map_.Diff(snap.map, [this, &dirty](uint32_t page, const PageRef& /*mine*/,
@@ -331,13 +278,13 @@ void SnapshotEngine::Restore(const Snapshot& snap, const EngineContext& ctx) {
       dirty.Clear();
       break;
     }
-    case DirtySource::kScan:
-    case DirtySource::kFull: {
+    case SnapshotMode::kIncremental:
+    case SnapshotMode::kFullCopy: {
       // No tracking armed: live memory may have diverged anywhere, so compare
       // against the target map directly and copy the difference — slot ==
       // page. kFullCopy is the whole-arena baseline and copies every page
       // without comparing.
-      const bool compare = mode_ != SnapshotMode::kFullCopy;
+      const bool compare = mode_ == SnapshotMode::kIncremental;
       restore_flags_.assign(arena.num_pages(), 0);
       RunSlots(ctx, arena.num_pages(), [this, &arena, &snap, compare](size_t slot) {
         const uint32_t page = static_cast<uint32_t>(slot);

@@ -8,39 +8,40 @@
 // exactly twice per extension — Materialize at a guess point, Restore before
 // resuming a sibling — plus a byte-budget hook after each guess.
 //
-// There is one engine. What varies is how it discovers the pages that changed
-// since the last checkpoint — the DirtySource mechanism — and each arm of
-// Materialize/Restore is one mechanism:
-//   * faults  — page-granular copy-on-write via mprotect/SIGSEGV (the paper's
-//               design; the host MMU stands in for Dune's nested pages).
-//   * scan    — memcmp every non-guard page against the current map: no
-//               mprotect traffic at all; reads ∝ arena, copies ∝ delta.
-//   * full    — no detection: republish the whole arena [libckpt], the
-//               baseline the paper argues against.
-// SnapshotMode pins the engine to one mechanism — kCow → faults,
-// kIncremental → scan, kFullCopy → full. Only kCow runs
-// hot-page prediction: a page dirtied in enough consecutive snapshots is left
-// writable and compared/copied eagerly instead of taking the SIGSEGV +
-// 2×mprotect round trip; a long unchanged streak demotes it.
+// There is one engine with three pinned arms. SnapshotMode picks how the
+// engine discovers the pages that changed since the last checkpoint, and each
+// arm of Materialize/Restore is one mode:
+//   * kCow         — page-granular copy-on-write via mprotect/SIGSEGV write
+//                    faults (the paper's design; the host MMU stands in for
+//                    Dune's nested pages). Publishes in fault order and runs
+//                    hot-page prediction: a page dirtied in enough consecutive
+//                    snapshots is left writable and compared/copied eagerly
+//                    instead of taking the SIGSEGV + 2×mprotect round trip; a
+//                    long unchanged streak demotes it.
+//   * kIncremental — memcmp every non-guard page against the current map: no
+//                    mprotect traffic and no faults at all; reads ∝ arena,
+//                    copies ∝ delta.
+//   * kFullCopy    — no detection: republish the whole arena [libckpt], the
+//                    baseline the paper argues against.
 //
 // Current-map invariant: immediately after any Materialize or Restore, the
 // current map is byte-identical to live arena memory (guard pages excluded).
-// Mechanism (re-)arming happens at the end of Materialize, the one point where
-// every mechanism's tracking state can be established from scratch:
-//   faults    — re-protect the dirty set (hot pages stay writable);
-//   scan/full — nothing to arm (the compare/copy IS the detection).
+// kCow re-protects the dirty set at the end of each Materialize (hot pages
+// stay writable); the fault-free modes have nothing to re-arm, because their
+// compare/copy IS the detection.
 //
 // Parallelism: every publish, scan and restore copy loop runs through
 // RunSlots, which fans slot work out over the session-owned worker team in
 // EngineContext (src/snapshot/parallel_materializer.h has the determinism
-// contract). Protection changes, tracker state and map adoption stay on the
+// contract). Protection changes, hot-page state and map adoption stay on the
 // session thread, so results are bit-identical to a serial run.
 //
 // SIGSEGV-protocol invariant: only kCow ever write-protects guest pages —
 // NeedsSignalProtocol() — and the process-wide SIGSEGV handler plus
-// per-thread sigaltstacks are installed lazily by GuestArena::SetCowEnabled(true). Constructing an arena or running
-// a fault-free mode leaves the process signal disposition untouched; sessions
-// gate EnsureThreadSignalStack on NeedsSignalProtocol().
+// per-thread sigaltstacks are installed lazily by GuestArena::EnableCow().
+// Constructing an arena or running a fault-free mode leaves the process signal
+// disposition untouched; sessions gate EnsureThreadSignalStack on
+// NeedsSignalProtocol().
 
 #ifndef LWSNAP_SRC_SNAPSHOT_ENGINE_H_
 #define LWSNAP_SRC_SNAPSHOT_ENGINE_H_
@@ -68,22 +69,12 @@ struct EngineContext {
 };
 
 enum class SnapshotMode {
-  kCow,
-  kFullCopy,
-  kIncremental,
+  kCow,          // write faults + hot pages
+  kFullCopy,     // whole-arena republish
+  kIncremental,  // content scan
 };
 
 const char* SnapshotModeName(SnapshotMode mode);
-
-// How the most recent Materialize discovered its dirty set, recorded in
-// stats->dirty_source so benches and ablations are self-describing.
-enum class DirtySource : uint8_t {
-  kFaults,    // SIGSEGV/mprotect write faults (CoW)
-  kScan,      // full-arena content scan (incremental)
-  kFull = 3,  // no dirty detection: whole arena republished (3 = golden value)
-};
-
-const char* DirtySourceName(DirtySource source);
 
 // Counters owned by the snapshot engine. SessionStats inherits these so the
 // session's stats block reports engine behaviour alongside search behaviour.
@@ -97,24 +88,18 @@ struct SnapshotEngineStats {
   uint64_t hot_demotions = 0;
   uint64_t hot_unchanged_skips = 0;  // hot pages found byte-identical at snapshot
   uint64_t incr_pages_scanned = 0;  // scan/compare passes: pages memcmp'd
-  uint64_t incr_pages_copied = 0;   // scan mechanism: pages actually copied
-  // Dirty-set provenance: how the latest Materialize found its delta, plus
-  // per-source materialize counts (each mode bumps exactly one of these).
-  DirtySource dirty_source = DirtySource::kFull;
-  uint64_t materializes_by_faults = 0;
-  uint64_t materializes_by_scan = 0;
-  uint64_t materializes_by_full = 0;
+  uint64_t incr_pages_copied = 0;   // kIncremental: pages actually copied
   // Restore-side provenance: syscall coalescing and skip accounting, so tests
   // and benches can assert the mprotect reduction instead of inferring it
-  // from timings. Only the faults mechanism issues restore-side mprotect
+  // from timings. Only kCow issues restore-side mprotect
   // calls, and every restore costs exactly two calls per coalesced run
   // (batch-unprotect + batch-reprotect), so
   // restore_mprotect_calls == 2 × restore_runs_coalesced by construction.
   uint64_t restore_mprotect_calls = 0;  // mprotect syscalls issued by restores
   uint64_t restore_runs_coalesced = 0;  // contiguous page runs those calls covered
-  // Tracked restore candidates (CoW hot pages) memcmp'd and found already byte-identical — copies saved. Full-arena
-  // compare loops (scan/full restores) are not counted here;
-  // incr_pages_scanned covers those.
+  // CoW hot pages memcmp'd at restore and found already byte-identical —
+  // copies saved. Whole-arena compare loops (kIncremental restores) are not
+  // counted here; incr_pages_scanned covers those.
   uint64_t pages_restore_skipped = 0;
   uint64_t snapshot_ns = 0;
   uint64_t restore_ns = 0;
@@ -159,18 +144,13 @@ class SnapshotEngine {
 
   // True iff this mode may write-protect guest pages (see the invariant note
   // at the top of this file).
-  bool NeedsSignalProtocol() const {
-    return mode_ == SnapshotMode::kCow;
-  }
+  bool NeedsSignalProtocol() const { return mode_ == SnapshotMode::kCow; }
 
   // Host bytes consumed by engine-side bookkeeping (current map structure,
-  // prediction tables, scratch) — excludes page blobs and snapshot
-  // maps.
+  // prediction tables, scratch) — excludes page blobs and snapshot maps.
   size_t StructureBytes() const;
 
   const PageMap& current_map() const { return cur_map_; }
-  // The mechanism armed for the *next* checkpoint.
-  DirtySource current_mechanism() const { return mech_; }
   size_t hot_page_count() const { return hot_pages_.size(); }
 
  private:
@@ -190,22 +170,17 @@ class SnapshotEngine {
   void PromoteHot();
   bool IsHot(uint32_t page) const { return !hot_.empty() && hot_[page] != 0; }
 
-  // Collects the current mechanism's dirty candidates into dirty_pages_
-  // (may overapproximate the changed set).
+  // Collects the mode's dirty candidates into dirty_pages_ (may
+  // overapproximate the changed set).
   void CollectDirty(const EngineContext& ctx);
   // Publishes dirty_pages_ into cur_map_.
   void PublishDirty(const EngineContext& ctx);
-  // Re-arms the mechanism for the next checkpoint. Called at the end of
-  // Materialize (live == cur_map_).
-  void Arm();
 
-  // Restore of tracked candidates whose live bytes are unknown (kCow hot
-  // pages): compare each page against snap's blob and
-  // copy only on divergence (fanned out); the rest count as restore skips.
-  // Returns the pages copied.
-  uint64_t CopyBackChanged(const std::vector<uint32_t>& pages, const Snapshot& snap,
-                           const EngineContext& ctx);
-  // Faults-mechanism restore tail. The caller fills restore_pages_ (sorted,
+  // kCow restore of the hot pages, whose live bytes are unknown because they
+  // never fault: compare each against snap's blob and copy only on divergence
+  // (fanned out); the rest count as restore skips. Returns the pages copied.
+  uint64_t CopyBackHot(const Snapshot& snap, const EngineContext& ctx);
+  // kCow restore tail. The caller fills restore_pages_ (sorted,
   // unique, non-guard) and restore_refs_ (matching blobs); this coalesces the
   // pages into contiguous runs, batch-unprotects each run with one mprotect,
   // fans the memcpys out, then batch-reprotects the same runs — exactly 2
@@ -217,7 +192,6 @@ class SnapshotEngine {
   const SnapshotMode mode_;
   Env env_;
   PageMap cur_map_;
-  DirtySource mech_;
   uint32_t non_guard_pages_ = 0;
 
   // kCow hot-page prediction (allocated only when hot_page_limit > 0).
@@ -230,7 +204,7 @@ class SnapshotEngine {
   // paying per-call allocation. Workers write disjoint slots; the session
   // thread reduces afterwards.
   std::vector<uint32_t> dirty_pages_;  // candidates for the current checkpoint
-  std::vector<uint8_t> scan_changed_;  // scan mechanism: page -> changed flag
+  std::vector<uint8_t> scan_changed_;  // kIncremental: page -> changed flag
   std::vector<PageRef> publish_refs_;  // publish slot -> new blob
   std::vector<uint32_t> restore_pages_;
   std::vector<PageRef> restore_refs_;

@@ -203,10 +203,6 @@ std::string CounterLine(const SnapshotEngineStats& s, const PageStore::Stats& st
       {"compressed_blobs", store.compressed_blobs},
       {"incr_pages_scanned", s.incr_pages_scanned},
       {"incr_pages_copied", s.incr_pages_copied},
-      {"dirty_source", static_cast<uint64_t>(s.dirty_source)},
-      {"materializes_by_faults", s.materializes_by_faults},
-      {"materializes_by_scan", s.materializes_by_scan},
-      {"materializes_by_full", s.materializes_by_full},
       {"restore_mprotect_calls", s.restore_mprotect_calls},
       {"restore_runs_coalesced", s.restore_runs_coalesced},
       {"pages_restore_skipped", s.pages_restore_skipped},
@@ -327,9 +323,7 @@ TEST_P(EngineGoldenCounterTest, ScriptHitsRecordedCounters) {
                      "pages_materialized=1237 pages_restored=948 hot_promotions=6 hot_demotions=2"
                      " hot_unchanged_skips=54 zero_dedup_hits=5 content_dedup_hits=957") +
                  kStoreTail +
-                 " incr_pages_scanned=0 incr_pages_copied=0 dirty_source=0"
-                 " materializes_by_faults=40 materializes_by_scan=0"
-                 " materializes_by_full=0"
+                 " incr_pages_scanned=0 incr_pages_copied=0"
                  " restore_mprotect_calls=84 restore_runs_coalesced=42"
                  " pages_restore_skipped=0" +
                  kReleaseTail + " cow_faults=1228";
@@ -339,9 +333,7 @@ TEST_P(EngineGoldenCounterTest, ScriptHitsRecordedCounters) {
                      "pages_materialized=19840 pages_restored=2976 hot_promotions=0 hot_demotions=0"
                      " hot_unchanged_skips=0 zero_dedup_hits=16448 content_dedup_hits=3117") +
                  kStoreTail +
-                 " incr_pages_scanned=0 incr_pages_copied=0 dirty_source=3"
-                 " materializes_by_faults=0 materializes_by_scan=0"
-                 " materializes_by_full=40"
+                 " incr_pages_scanned=0 incr_pages_copied=0"
                  " restore_mprotect_calls=0 restore_runs_coalesced=0"
                  " pages_restore_skipped=0" +
                  kReleaseTail + " cow_faults=0";
@@ -351,9 +343,7 @@ TEST_P(EngineGoldenCounterTest, ScriptHitsRecordedCounters) {
                      "pages_materialized=1236 pages_restored=948 hot_promotions=0 hot_demotions=0"
                      " hot_unchanged_skips=0 zero_dedup_hits=4 content_dedup_hits=957") +
                  kStoreTail +
-                 " incr_pages_scanned=22816 incr_pages_copied=1236 dirty_source=1"
-                 " materializes_by_faults=0 materializes_by_scan=40"
-                 " materializes_by_full=0"
+                 " incr_pages_scanned=22816 incr_pages_copied=1236"
                  " restore_mprotect_calls=0 restore_runs_coalesced=0"
                  " pages_restore_skipped=0" +
                  kReleaseTail + " cow_faults=0";
