@@ -225,8 +225,9 @@ std::string CounterLine(const SnapshotEngineStats& s, const PageStore::Stats& st
 // A fixed write/materialize/restore script touching every engine path: a page
 // dirtied every round (promoted hot, then demoted under kCow), content and
 // zero dedup, scribbles rolled back by restores, and a burst of wide deltas
-// followed by restores across it. hot_page_limit is set for every mode: only kCow may act
-// on it. Returns the store's counters as the last restore completes.
+// followed by restores across it. hot_page_limit is set for every mode: only
+// kCow may act on it. Returns the store's counters as the last restore
+// completes.
 PageStore::Stats GoldenScript(SnapshotMode mode, GuestArena& arena, PageStore& store,
                               SnapshotEngineStats& stats) {
   SnapshotEngine::Env env = MakeEnv(&arena, &store, &stats, mode);
