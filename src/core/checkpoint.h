@@ -22,11 +22,11 @@
 // ledger is internally synchronized and destruction only *queues* the release.
 // The owning session, which stays thread-affine, reclaims queued snapshots at
 // its next drive boundary (Run/Resume/TakeNewCheckpoints/ReleaseCheckpoint) or
-// at destruction — each reclaim walks only the radix spine the snapshot
-// uniquely owns and returns the dying page refs to the store in one
-// shard-batched PageStore::ReleaseBatch. A handle that outlives its session is
-// inert: the session detaches the ledger on destruction and late drops become
-// no-ops.
+// at destruction by dropping its reference; each dying snapshot's page map
+// walks only the radix spine it uniquely owns and returns the dying page refs
+// to the store in one shard-batched PageStore::ReleaseBatch. A handle that
+// outlives its session is inert: the session detaches the ledger on
+// destruction and late drops become no-ops.
 
 #ifndef LWSNAP_SRC_CORE_CHECKPOINT_H_
 #define LWSNAP_SRC_CORE_CHECKPOINT_H_

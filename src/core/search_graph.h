@@ -11,7 +11,9 @@
 // Lifetime is reference-counted: a snapshot lives while any unevaluated extension,
 // child snapshot, registered checkpoint, or the session's current-state pointer
 // references it. Dropping the last reference returns its private pages to the
-// pool — "rapid creation (and destruction) of snapshot trees" (§1).
+// pool through one batched release per dying map (PageMap), however the
+// reference is dropped — "rapid creation (and destruction) of snapshot trees"
+// (§1).
 
 #ifndef LWSNAP_SRC_CORE_SEARCH_GRAPH_H_
 #define LWSNAP_SRC_CORE_SEARCH_GRAPH_H_
@@ -20,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/snapshot/page_map.h"
@@ -57,6 +60,15 @@ struct Snapshot {
   size_t out_mark = 0;
 
   Snapshot() { uctx = ucontext_t{}; }
+  // Unlinks the ancestors this snapshot uniquely owns one at a time: left to
+  // shared_ptr, dropping a deep chain would recurse once per ancestor.
+  ~Snapshot() {
+    std::shared_ptr<Snapshot> ancestor = std::move(parent);
+    while (ancestor != nullptr && ancestor.use_count() == 1) {
+      std::shared_ptr<Snapshot> next = std::move(ancestor->parent);
+      ancestor = std::move(next);  // frees the old ancestor, already unlinked
+    }
+  }
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
 };

@@ -88,29 +88,10 @@ BacktrackSession::BacktrackSession(SessionOptions options)
 
 BacktrackSession::~BacktrackSession() {
   // Outstanding handles become inert: their future drops must not touch the
-  // pending-reclaim queue of a dead session.
+  // pending-reclaim queue of a dead session. Every snapshot holder (frontier,
+  // checkpoints, current and pending snapshots, the engine's map) is declared
+  // after store_, so each releases its pages in batches before the store dies.
   ledger_->Detach();
-  // Release every page reference before the store is destroyed (members
-  // declared after store_ destruct first, but strategy frontiers and
-  // checkpoints also hold snapshot refs — drop them deterministically, each
-  // through the O(spine) batch path). A shared store survives this session;
-  // only its refs are returned. An external strategy's frontier lives in the
-  // host-owned scheduler, not here — Pop would re-enter host code, so its
-  // refs drop with the scheduler instead.
-  if (strategy_ != nullptr && strategy_->kind() != StrategyKind::kExternal) {
-    while (std::optional<Extension> ext = strategy_->Pop()) {
-      ReclaimSnapshot(std::move(ext->snapshot));
-    }
-  }
-  strategy_.reset();
-  for (auto& [token, snap] : checkpoints_) {
-    ReclaimSnapshot(std::move(snap));
-  }
-  checkpoints_.clear();
-  ReclaimSnapshot(std::move(pending_snapshot_));
-  ReclaimSnapshot(std::move(scope_snapshot_));
-  ReclaimSnapshot(std::move(cur_snapshot_));
-  engine_.reset();  // drops the current map's refs (also batched)
 }
 
 void BacktrackSession::AddAttachment(SessionAttachment* attachment) {
@@ -334,14 +315,10 @@ SnapshotRef BacktrackSession::NewSnapshotShell(SnapshotKind kind) {
 
 void BacktrackSession::EnforceBudget() {
   EnforceByteBudget(*store_, options_.snapshot_byte_budget, [this] {
-    std::optional<Extension> evicted = strategy_->EvictWorst();
-    if (!evicted.has_value()) {
+    if (!strategy_->EvictWorst().has_value()) {
       return false;
     }
     ++stats_.evictions;
-    // Reclaim through the batch path so eviction storms under a tight
-    // budget pay O(shards touched) lock acquisitions, not O(dying blobs).
-    ReclaimSnapshot(std::move(evicted->snapshot));
     return true;
   });
 }
@@ -473,37 +450,8 @@ Status BacktrackSession::ValidateHandle(const Checkpoint& checkpoint) const {
 
 void BacktrackSession::DrainReleasedCheckpoints() {
   for (uint64_t token : ledger_->TakePendingReclaims()) {
-    auto it = checkpoints_.find(token);
-    if (it == checkpoints_.end()) {
-      continue;
-    }
-    SnapshotRef snap = std::move(it->second);
-    checkpoints_.erase(it);
-    ReclaimSnapshot(std::move(snap));
+    checkpoints_.erase(token);
   }
-}
-
-void BacktrackSession::ReclaimSnapshot(SnapshotRef snap) {
-  if (snap == nullptr) {
-    return;
-  }
-  // Walk the parent chain iteratively while this was the last reference:
-  // each uniquely-owned map contributes only its owned spine (shared radix
-  // subtrees are dropped with a single refcount decrement, never descended)
-  // and its dying page refs land in the drain. Iteration also keeps deep
-  // checkpoint chains off the call stack — the shared_ptr cascade would
-  // recurse once per ancestor.
-  while (snap != nullptr && snap.use_count() == 1) {
-    snap->map.ReleaseInto(&release_drain_);
-    SnapshotRef parent = std::move(snap->parent);
-    snap.reset();
-    snap = std::move(parent);
-  }
-  snap.reset();
-  if (release_drain_.empty()) {
-    return;
-  }
-  store_->ReleaseBatch(release_drain_);
 }
 
 std::vector<Checkpoint> BacktrackSession::TakeNewCheckpoints() {
@@ -555,12 +503,7 @@ Status BacktrackSession::ReleaseCheckpoint(Checkpoint& checkpoint) {
   DrainReleasedCheckpoints();
   LW_RETURN_IF_ERROR(ValidateHandle(checkpoint));
   if (ledger_->ReleaseRef(checkpoint.id())) {
-    auto it = checkpoints_.find(checkpoint.id());
-    if (it != checkpoints_.end()) {
-      SnapshotRef snap = std::move(it->second);
-      checkpoints_.erase(it);
-      ReclaimSnapshot(std::move(snap));
-    }
+    checkpoints_.erase(checkpoint.id());
   }
   // The session consumed this handle's reference; disarm so its destructor
   // does not drop a second one.

@@ -223,10 +223,6 @@ class BacktrackSession : public GuessExecutor {
   // were dropped on other threads.
   Status ValidateHandle(const Checkpoint& checkpoint) const;
   void DrainReleasedCheckpoints();
-  // Releases a snapshot (and any parents it uniquely owns) through the O(spine)
-  // path: each uniquely-held map drains its page refs into release_drain_ and
-  // one PageStore::ReleaseBatch recycles them shard-by-shard.
-  void ReclaimSnapshot(SnapshotRef snap);
   void HandleGuestEvent();
   // Runs the evict → compress → spill → drop ladder against
   // options_.snapshot_byte_budget (no-op when 0). Called after every
@@ -297,9 +293,6 @@ class BacktrackSession : public GuessExecutor {
   std::vector<uint64_t> new_checkpoints_;
 
   std::string out_buffer_;  // buffered-output mode
-  // Scratch drain for ReclaimSnapshot; kept as a member so release storms
-  // reuse one allocation instead of growing a fresh vector per release.
-  std::vector<PageRef> release_drain_;
   SessionStats stats_;
 };
 

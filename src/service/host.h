@@ -100,10 +100,10 @@ class CheckpointService {
   Status ReadResponse(const Checkpoint& checkpoint, void* out, size_t len) const;
 
   // Explicit release; the handle's destructor does the same implicitly.
-  // Either way the snapshot reclaims through the session's O(spine) batch
-  // path (PageStore::ReleaseBatch), so pool-issued release futures draining a
-  // fleet's checkpoints pay per-shard — not per-blob — lock traffic on the
-  // shared store.
+  // Either way each dying snapshot map returns its pages in one
+  // PageStore::ReleaseBatch (src/snapshot/page_map.h), so pool-issued release
+  // futures draining a fleet's checkpoints pay per-shard — not per-blob —
+  // lock traffic on the shared store.
   Status Release(Checkpoint& checkpoint);
 
   bool booted() const { return booted_; }

@@ -128,10 +128,10 @@ class ServicePool {
 
   // Runs `fn(service)` on worker `service`'s thread; the result comes back
   // through the future. `fn` must be invocable as R(S&) with R != void and
-  // move-constructible R (Result<Outcome>, Status, ...). Release jobs
-  // (`s.Release(token)`) reclaim through each session's O(spine) batch path,
-  // so a fleet draining checkpoints takes the shared store's shard locks
-  // per-shard per batch rather than once per dying blob.
+  // move-constructible R (Result<Outcome>, Status, ...). A release job
+  // (`s.Release(token)`) frees each dying snapshot map through one batched
+  // release, so a fleet draining checkpoints takes the shared store's shard
+  // locks per shard per map rather than once per dying blob.
   template <typename Fn>
   auto Submit(int service, Fn fn) -> std::future<std::invoke_result_t<Fn&, S&>> {
     using R = std::invoke_result_t<Fn&, S&>;

@@ -70,12 +70,6 @@ SnapshotEngine::SnapshotEngine(SnapshotMode mode, const Env& env)
   }
 }
 
-SnapshotEngine::~SnapshotEngine() {
-  std::vector<PageRef> drain;
-  cur_map_.ReleaseInto(&drain);
-  env_.store->ReleaseBatch(drain);
-}
-
 void SnapshotEngine::RunSlots(const EngineContext& ctx, size_t count,
                               const std::function<Status(size_t)>& fn) {
   if (ctx.parallel == nullptr) {

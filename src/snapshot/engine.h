@@ -123,10 +123,6 @@ class SnapshotEngine {
   // Establishes the mode's arena invariant (protection state, initial current
   // map). Call before any guest code runs in the arena.
   SnapshotEngine(SnapshotMode mode, const Env& env);
-  // Teardown drains the current map through PageStore::ReleaseBatch: spine
-  // nodes shared with still-live snapshots are dropped by refcount, and the
-  // uniquely-owned refs reclaim under batched shard holds.
-  ~SnapshotEngine();
 
   SnapshotEngine(const SnapshotEngine&) = delete;
   SnapshotEngine& operator=(const SnapshotEngine&) = delete;

@@ -7,6 +7,11 @@
 // This is the paper's "space-efficient encoding" of the parent relationship
 // (§3.1), and O(spine) release depends on the same structural sharing.
 //
+// Release: a map that dies or is reassigned drains the spine it uniquely owns
+// into one PageStore::ReleaseBatch, so every snapshot, frontier entry and
+// engine map pays O(shards touched) lock holds however it is dropped — there
+// is no per-ref release path for map-held pages.
+//
 // Identity: two map entries are equal iff they reference the same blob. Blobs are
 // immutable, so pointer equality implies content equality (the converse need not
 // hold, which only costs an occasional redundant page copy on restore).
@@ -15,6 +20,7 @@
 #define LWSNAP_SRC_SNAPSHOT_PAGE_MAP_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/snapshot/page_store.h"
@@ -29,11 +35,27 @@ class PageMap {
 
   explicit PageMap(uint32_t num_pages) : num_pages_(num_pages), radix_(num_pages) {}
 
-  // Copying *is* sharing: O(1), the radix root is refcounted.
+  // Copying *is* sharing: O(1), the radix root is refcounted. Assignment
+  // releases the replaced spine through the batch path.
   PageMap(const PageMap&) = default;
-  PageMap& operator=(const PageMap&) = default;
   PageMap(PageMap&&) = default;
-  PageMap& operator=(PageMap&&) = default;
+  PageMap& operator=(const PageMap& other) {
+    if (this != &other) {
+      Release();
+      num_pages_ = other.num_pages_;
+      radix_ = other.radix_;
+    }
+    return *this;
+  }
+  PageMap& operator=(PageMap&& other) noexcept {
+    if (this != &other) {
+      Release();
+      num_pages_ = other.num_pages_;
+      radix_ = std::move(other.radix_);
+    }
+    return *this;
+  }
+  ~PageMap() { Release(); }
 
   uint32_t num_pages() const { return num_pages_; }
 
@@ -49,12 +71,10 @@ class PageMap {
     radix_.Set(page, std::move(ref));
   }
 
-  // Explicit release: moves every ref this map uniquely owns into `*drain`
-  // and empties the map, for batch-grained reclamation via
-  // PageStore::ReleaseBatch. Walks only the owned spine — subtrees shared
-  // with sibling snapshots are dropped with one refcount decrement and never
-  // descended (returns the radix nodes visited, so callers can assert the
-  // O(delta · height) bound).
+  // Moves every ref this map uniquely owns into `*drain` and empties the map.
+  // Walks only the owned spine — subtrees shared with sibling snapshots are
+  // dropped with one refcount decrement and never descended (returns the
+  // radix nodes visited, so callers can assert the O(delta · height) bound).
   size_t ReleaseInto(std::vector<PageRef>* drain) { return radix_.ReleaseInto(drain); }
 
   // Invokes fn(page, mine, theirs) for every page where the two maps reference
@@ -74,6 +94,18 @@ class PageMap {
  private:
   static constexpr size_t kFanoutNodeBytes =
       PersistentRadixMap<PageRef>::kFanout * (sizeof(void*) * 2 + sizeof(PageRef));
+
+  // Drains the owned spine into one ReleaseBatch on the refs' store. The
+  // drain buffer is per thread and reused by every map that dies on it, so a
+  // release storm allocates nothing; maps therefore must not outlive their
+  // thread's thread-local storage (none live in static storage).
+  void Release() {
+    thread_local std::vector<PageRef> drain;
+    radix_.ReleaseInto(&drain);
+    if (!drain.empty()) {
+      drain.front().store()->ReleaseBatch(drain);
+    }
+  }
 
   uint32_t num_pages_;
   PersistentRadixMap<PageRef> radix_;

@@ -15,10 +15,13 @@
 // One blob lifecycle: publish → (raw, on the shard's LRU cold list) →
 // compressed or proven incompressible (on the spill-candidate cold list) →
 // spilled → faulted back to raw on first touch → ... → retired when the last
-// reference drops. Both release paths (PageRef's destructor and ReleaseBatch)
-// retire a dying blob through the same helper; headers and raw payloads are
-// recycled through per-shard free lists (snapshot trees churn pages at high
-// frequency; malloc per page would dominate).
+// reference drops. A page map releases every ref it owns through one
+// ReleaseBatch when it dies or is reassigned (src/snapshot/page_map.h); a
+// lone PageRef held outside any map (the store's zero page, a caller's
+// scratch ref) releases through its destructor. Both retire a dying blob
+// through the same helper; headers and raw payloads are recycled through
+// per-shard free lists (snapshot trees churn pages at high frequency; malloc
+// per page would dominate).
 //
 // Cold-compression tier: blobs referenced only by parked snapshots go cold (the
 // store approximates "parked-only" by publish/access recency); the byte-budget
@@ -190,6 +193,8 @@ class PageRef {
   // Owning shard of this ref's blob (stable for the blob's lifetime). Lets
   // tests assert ReleaseBatch's exact shard-lock count for a known ref set.
   uint32_t shard() const { return blob_ != nullptr ? blob_->shard : 0; }
+  // The store that minted this ref (null for an empty ref).
+  PageStore* store() const { return blob_ != nullptr ? blob_->store : nullptr; }
   bool compressed() const {
     return blob_ != nullptr && blob_->comp_bytes.load(std::memory_order_acquire) != 0;
   }

@@ -8,10 +8,16 @@
 //     shared subtree;
 //   * session-level parity — a checkpoint storm ends with exactly the store
 //     residency per-ref release would leave, for every engine;
+//   * one release path — every page a search publishes dies through
+//     ReleaseBatch, however its snapshot is dropped (frontier pops, the
+//     current snapshot moving on, session teardown);
+//   * deep chains — dropping a long snapshot parent chain unlinks ancestors
+//     iteratively, so it cannot overflow a small thread stack;
 //   * concurrency — sessions on different threads batching releases into one
 //     shared store never corrupt it.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -341,6 +347,101 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, ReleaseStormParityTest,
                          [](const ::testing::TestParamInfo<SnapshotMode>& info) {
                            return SnapshotModeName(info.param);
                          });
+
+// --- One release path for every dropped snapshot ---------------------------------
+
+struct QueensBoard {
+  int row[16];
+  int ld[32];
+  int rd[32];
+};
+
+void QueensGuest(void* arg) {
+  const int n = *static_cast<int*>(arg);
+  auto* b = GuestNew<QueensBoard>(Session()->heap());
+  std::memset(b, 0, sizeof(QueensBoard));
+  if (sys_guess_strategy(StrategyKind::kDfs)) {
+    for (int c = 0; c < n; ++c) {
+      int r = sys_guess(n);
+      if (b->row[r] || b->ld[r + c] || b->rd[n + r - c]) {
+        sys_guess_fail();
+      }
+      b->row[r] = 1;
+      b->ld[r + c] = 1;
+      b->rd[n + r - c] = 1;
+    }
+    sys_note_solution();
+    sys_guess_fail();
+  }
+}
+
+class SearchReleasePathTest : public ::testing::TestWithParam<SnapshotMode> {};
+
+// A DFS search drops snapshots implicitly: frontier pops, the current
+// snapshot moving on to a sibling, and session teardown. Each dying map must
+// still release through ReleaseBatch, so once the session is gone every blob
+// but the store's pinned zero page was recycled batched.
+TEST_P(SearchReleasePathTest, EveryPublishedPageDiesBatched) {
+  const char* reason = nullptr;
+  if (SkipForMode(GetParam(), &reason)) {
+    GTEST_SKIP() << reason;
+  }
+  auto store = std::make_shared<PageStore>();
+  {
+    SessionOptions options;
+    options.arena_bytes = 4ull << 20;
+    options.guest_stack_bytes = 256 * 1024;
+    options.snapshot_mode = GetParam();
+    options.store = store;
+    options.output = [](std::string_view) {};
+    BacktrackSession session(options);
+    int n = 6;
+    ASSERT_TRUE(session.Run(&QueensGuest, &n).ok());
+    EXPECT_EQ(session.stats().solutions, 4u);
+  }
+  const PageStore::Stats stats = store->stats();
+  EXPECT_GT(stats.total_published, 1u);
+  EXPECT_EQ(stats.blobs_recycled_batched, stats.total_published - 1);
+  EXPECT_EQ(stats.live_blobs, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(FaultAndScan, SearchReleasePathTest,
+                         ::testing::Values(SnapshotMode::kCow, SnapshotMode::kIncremental),
+                         [](const ::testing::TestParamInfo<SnapshotMode>& info) {
+                           return SnapshotModeName(info.param);
+                         });
+
+// --- Deep parent chains ------------------------------------------------------------
+
+void* DropDeepChain(void* arg) {
+  auto* expired = static_cast<bool*>(arg);
+  auto root = std::make_shared<Snapshot>();
+  std::weak_ptr<Snapshot> watch = root;
+  SnapshotRef tip = std::move(root);
+  for (uint32_t depth = 1; depth < 20000; ++depth) {
+    auto child = std::make_shared<Snapshot>();
+    child->depth = depth;
+    child->parent = std::move(tip);
+    tip = std::move(child);
+  }
+  tip.reset();  // the only reference to the whole chain
+  *expired = watch.expired();
+  return nullptr;
+}
+
+// Dropping the tip of a 20,000-deep chain on a 256 KiB stack must return: a
+// recursive shared_ptr cascade needs a stack frame per ancestor.
+TEST(SnapshotChainTest, DeepChainDropsOnSmallStack) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 256 * 1024), 0);
+  bool expired = false;
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(&thread, &attr, &DropDeepChain, &expired), 0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+  EXPECT_TRUE(expired);
+}
 
 // --- Concurrency: batched releases into one shared store -------------------------
 
