@@ -232,6 +232,11 @@ void BacktrackSession::HandleGuestEvent() {
         strategy_->Push(std::move(ext));
       }
       pending_costs_ = nullptr;
+      // SM-A*'s frontier cap drops the worst entries past max_frontier.
+      if (strategy_->kind() == StrategyKind::kSmaStar && options_.strategy.max_frontier > 0) {
+        while (strategy_->Size() > options_.strategy.max_frontier && EvictWorst()) {
+        }
+      }
       EnforceBudget();
       break;
     }
@@ -313,14 +318,16 @@ SnapshotRef BacktrackSession::NewSnapshotShell(SnapshotKind kind) {
   return snap;
 }
 
+bool BacktrackSession::EvictWorst() {
+  if (!strategy_->EvictWorst().has_value()) {
+    return false;
+  }
+  ++stats_.evictions;
+  return true;
+}
+
 void BacktrackSession::EnforceBudget() {
-  EnforceByteBudget(*store_, options_.snapshot_byte_budget, [this] {
-    if (!strategy_->EvictWorst().has_value()) {
-      return false;
-    }
-    ++stats_.evictions;
-    return true;
-  });
+  EnforceByteBudget(*store_, options_.snapshot_byte_budget, [this] { return EvictWorst(); });
 }
 
 void BacktrackSession::MaterializeInto(const SnapshotRef& snap) {

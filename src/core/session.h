@@ -224,6 +224,10 @@ class BacktrackSession : public GuessExecutor {
   Status ValidateHandle(const Checkpoint& checkpoint) const;
   void DrainReleasedCheckpoints();
   void HandleGuestEvent();
+  // Drops the strategy's worst frontier entry (its snapshot releases through
+  // the batch path) and counts the eviction; false if nothing can be evicted.
+  // The one eviction site for SM-A*'s frontier cap and the byte budget.
+  bool EvictWorst();
   // Runs the evict → compress → spill → drop ladder against
   // options_.snapshot_byte_budget (no-op when 0). Called after every
   // materialization that grows the store — guess fan-outs *and* parked

@@ -74,18 +74,15 @@ class BfsStrategy : public Strategy {
 
 // Best-first on f = g + h, FIFO among equals. Implemented as a sorted-on-demand
 // vector rather than std::priority_queue so EvictWorst (SM-A*) can remove the
-// max element.
+// max element. SM-A*'s frontier cap is enforced by the session, which evicts
+// through EvictWorst.
 class AstarStrategy : public Strategy {
  public:
-  explicit AstarStrategy(size_t max_frontier, bool bounded)
-      : max_frontier_(max_frontier), bounded_(bounded) {}
+  explicit AstarStrategy(bool bounded) : bounded_(bounded) {}
 
   void Push(Extension ext) override {
     heap_.push_back(std::move(ext));
     std::push_heap(heap_.begin(), heap_.end(), MinFirst);
-    if (bounded_ && max_frontier_ > 0 && heap_.size() > max_frontier_) {
-      EvictWorst();
-    }
   }
 
   std::optional<Extension> Pop() override {
@@ -112,7 +109,6 @@ class AstarStrategy : public Strategy {
         worst = i;
       }
     }
-    ++evictions_;
     Extension evicted = std::move(heap_[worst]);
     heap_.erase(heap_.begin() + static_cast<ptrdiff_t>(worst));
     std::make_heap(heap_.begin(), heap_.end(), MinFirst);
@@ -122,8 +118,6 @@ class AstarStrategy : public Strategy {
   StrategyKind kind() const override {
     return bounded_ ? StrategyKind::kSmaStar : StrategyKind::kAstar;
   }
-
-  uint64_t evictions() const { return evictions_; }
 
  private:
   // Strict-weak order used as the heap comparator: "a sorts after b" for a
@@ -144,9 +138,7 @@ class AstarStrategy : public Strategy {
   }
 
   std::vector<Extension> heap_;
-  size_t max_frontier_;
   bool bounded_;
-  uint64_t evictions_ = 0;
 };
 
 // Snapshot-retaining iterative deepening: extensions beyond the current depth
@@ -244,9 +236,9 @@ std::unique_ptr<Strategy> MakeStrategy(const StrategyConfig& config) {
     case StrategyKind::kBfs:
       return std::make_unique<BfsStrategy>();
     case StrategyKind::kAstar:
-      return std::make_unique<AstarStrategy>(0, /*bounded=*/false);
+      return std::make_unique<AstarStrategy>(/*bounded=*/false);
     case StrategyKind::kSmaStar:
-      return std::make_unique<AstarStrategy>(config.max_frontier, /*bounded=*/true);
+      return std::make_unique<AstarStrategy>(/*bounded=*/true);
     case StrategyKind::kIddfs:
       return std::make_unique<IddfsStrategy>(config.iddfs_initial_limit, config.iddfs_step);
     case StrategyKind::kRandom:

@@ -30,8 +30,7 @@ class Strategy {
   bool Empty() const { return Size() == 0; }
 
   // Removes and returns the least promising frontier entry (bounded-memory
-  // strategies) so the caller can reclaim its snapshot through the batched
-  // release path; nullopt if nothing can be evicted. Default: not supported.
+  // strategies); nullopt if nothing can be evicted. Default: not supported.
   virtual std::optional<Extension> EvictWorst() { return std::nullopt; }
 
   virtual StrategyKind kind() const = 0;
@@ -56,8 +55,10 @@ class ExternalScheduler {
 struct StrategyConfig {
   StrategyKind kind = StrategyKind::kDfs;
   uint64_t random_seed = 1;
-  // kSmaStar: maximum number of frontier entries before the worst is evicted
-  // (0 = unbounded; the session may additionally evict on a byte budget).
+  // kSmaStar: maximum number of frontier entries (0 = unbounded). After each
+  // guess the session evicts the worst entries past it, through the same
+  // EvictWorst site as its byte budget, and counts them in
+  // SessionStats::evictions.
   size_t max_frontier = 0;
   // kIddfs: initial depth limit and per-wave increment.
   uint32_t iddfs_initial_limit = 1;

@@ -66,20 +66,6 @@ TEST(StrategyUnitTest, AstarPopsMinFCost) {
   EXPECT_EQ(strategy->Pop()->value, 1);
 }
 
-TEST(StrategyUnitTest, SmaStarEvictsWorst) {
-  StrategyConfig config;
-  config.kind = StrategyKind::kSmaStar;
-  config.max_frontier = 2;
-  auto strategy = MakeStrategy(config);
-  strategy->Push(MakeExt(1, 1, 0, 5, 5));  // f=10 (worst)
-  strategy->Push(MakeExt(2, 2, 0, 1, 2));  // f=3
-  strategy->Push(MakeExt(3, 3, 0, 4, 2));  // f=6 -> evicts f=10
-  EXPECT_LE(strategy->Size(), 2u);
-  EXPECT_EQ(strategy->Pop()->value, 2);
-  EXPECT_EQ(strategy->Pop()->value, 3);
-  EXPECT_FALSE(strategy->Pop().has_value());  // f=10 was dropped
-}
-
 TEST(StrategyUnitTest, EvictWorstOnDemand) {
   StrategyConfig config;
   config.kind = StrategyKind::kSmaStar;
@@ -260,6 +246,31 @@ TEST(StrategySessionTest, SmaStarByteBudgetEvictsButTerminates) {
   EXPECT_GT(args.completions, 0);       // found at least one leaf
   EXPECT_GT(session.stats().evictions, 0u);
   EXPECT_LT(args.completions, 81);      // and the budget really pruned
+}
+
+// SM-A*'s frontier cap inside a session: with max_frontier = 2, a three-way
+// guess overflows the frontier by one. The session evicts the worst entry
+// (f = 10) and counts it; the survivors run best-first.
+void FrontierCapGuest(void* arg) {
+  auto* picks = static_cast<std::vector<int>*>(arg);
+  if (sys_guess_strategy(StrategyKind::kSmaStar)) {
+    GuessCost costs[3] = {{5.0, 5.0}, {1.0, 2.0}, {4.0, 2.0}};  // f = 10, 3, 6
+    picks->push_back(sys_guess_weighted(3, costs));
+    sys_guess_fail();
+  }
+}
+
+TEST(StrategySessionTest, SmaStarFrontierCapEvictsWorst) {
+  std::vector<int> picks;
+  SessionOptions options;
+  options.arena_bytes = 8ull << 20;
+  options.strategy.kind = StrategyKind::kSmaStar;
+  options.strategy.max_frontier = 2;
+  options.output = [](std::string_view) {};
+  BacktrackSession session(options);
+  ASSERT_TRUE(session.Run(&FrontierCapGuest, &picks).ok());
+  EXPECT_EQ(session.stats().evictions, 1u);
+  EXPECT_EQ(picks, (std::vector<int>{1, 2}));  // f = 3, then f = 6; f = 10 was dropped
 }
 
 }  // namespace
