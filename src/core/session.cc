@@ -74,9 +74,6 @@ BacktrackSession::BacktrackSession(SessionOptions options)
   if (options_.parallel_materialize_workers > 1) {
     ParallelMaterializerOptions pm_options;
     pm_options.workers = options_.parallel_materialize_workers;
-    // Fault-free engines must leave process signal state untouched, so their
-    // worker teams skip sigaltstack installation entirely.
-    pm_options.needs_signal_stack = engine_->NeedsSignalProtocol();
     materializer_ = std::make_unique<ParallelMaterializer>(pm_options);
   }
 

@@ -450,7 +450,6 @@ Status CheckpointDaemon::BootFleet() {
   ServicePoolOptions<SolverService> pool_options;
   pool_options.num_services = options_.num_services;
   pool_options.service = options_.service;
-  pool_options.store = options_.store;
   // Remote budgets are enforced per tenant by the daemon, not per session.
   pool_options.service.tuning.snapshot_byte_budget = 0;
   pool_ = std::make_unique<ServicePool<SolverService>>(std::move(pool_options));

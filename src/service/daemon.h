@@ -65,14 +65,11 @@ struct CheckpointDaemonOptions {
   int num_services = 4;
 
   // Per-service template (arena/mailbox sizing, engine selection, solver
-  // knobs). The pool injects the shared store; `service.tuning.store` and
-  // `service.tuning.snapshot_byte_budget` are ignored here — remote budgets
+  // knobs). The fleet shares one store: `service.tuning.store` when set,
+  // otherwise one built from `service.tuning.store_options` (ServicePool).
+  // `service.tuning.snapshot_byte_budget` is ignored here — remote budgets
   // are per-tenant, below.
   SolverServiceOptions service;
-
-  // Shared substrate for the whole fleet (null: the pool builds its default
-  // dedup+compression store).
-  std::shared_ptr<PageStore> store;
 
   // Default per-tenant snapshot byte budget (0 = unlimited). A tenant's
   // Hello may request a different budget; requests are clamped to

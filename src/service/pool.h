@@ -8,8 +8,8 @@
 //
 // Requirements on S:
 //   * `typename S::Options` with an embedded `ServiceTuning tuning` block
-//     (src/service/tuning.h) — the pool injects the shared store into
-//     `tuning.store` before constructing each service;
+//     (src/service/tuning.h) — every service is constructed with the
+//     fleet's one shared store in `tuning.store`;
 //   * constructible as S(S::Options) on the worker thread;
 //   * `const SessionStats& session_stats() const` for fleet accounting.
 //
@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "src/core/session.h"
+#include "src/service/tuning.h"
 #include "src/snapshot/page_store.h"
 #include "src/util/status.h"
 
@@ -69,19 +70,17 @@ template <typename S>
 struct ServicePoolOptions {
   int num_services = 4;  // one worker thread per service
 
-  // Per-service template. `service.tuning.store` is ignored: the pool injects
-  // one shared store into every service (see `store` below).
-  // `service.tuning.snapshot_mode` applies to every service in the fleet.
+  // Per-service template. Every service shares one store:
+  // `service.tuning.store` when set, otherwise one store the pool builds from
+  // `service.tuning.store_options` (so `spill_dir` gives the fleet a spill
+  // tier). `service.tuning.snapshot_mode` applies to every service in the
+  // fleet.
   // Core-splitting knob: `service.tuning.parallel_materialize_workers = W`
   // gives every service its own W-thread materialize team, so a fleet
   // occupies ~num_services × W cores at snapshot time — size num_services for
   // throughput (independent jobs) and W for per-job snapshot latency (big
   // parked states), keeping the product near the core count.
   typename S::Options service;
-
-  // The fleet's shared substrate. Null (default): the pool creates a store
-  // with default PageStoreOptions, shared by every service in the fleet.
-  std::shared_ptr<PageStore> store;
 };
 
 template <typename S>
@@ -91,8 +90,10 @@ class ServicePool {
 
   explicit ServicePool(Options options) : options_(std::move(options)) {
     LW_CHECK_MSG(options_.num_services > 0, "service pool needs at least one service");
-    store_ = options_.store != nullptr ? options_.store : std::make_shared<PageStore>();
-    options_.service.tuning.store = store_;
+    ServiceTuning& tuning = options_.service.tuning;
+    if (tuning.store == nullptr) {
+      tuning.store = std::make_shared<PageStore>(tuning.store_options);
+    }
     workers_.reserve(static_cast<size_t>(options_.num_services));
     for (int i = 0; i < options_.num_services; ++i) {
       workers_.push_back(std::make_unique<Worker>());
@@ -117,14 +118,14 @@ class ServicePool {
       worker->thread.join();
     }
     // Workers destroyed their services (and returned every page ref) before
-    // exiting; the shared store dies with the last holder of store_.
+    // exiting; the shared store dies with its last holder.
   }
 
   ServicePool(const ServicePool&) = delete;
   ServicePool& operator=(const ServicePool&) = delete;
 
   int num_services() const { return static_cast<int>(workers_.size()); }
-  const std::shared_ptr<PageStore>& store() const { return store_; }
+  const std::shared_ptr<PageStore>& store() const { return options_.service.tuning.store; }
 
   // Runs `fn(service)` on worker `service`'s thread; the result comes back
   // through the future. `fn` must be invocable as R(S&) with R != void and
@@ -228,7 +229,6 @@ class ServicePool {
   }
 
   Options options_;
-  std::shared_ptr<PageStore> store_;
   std::vector<std::unique_ptr<Worker>> workers_;
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/core/arena.h"
-
 namespace lw {
 
 ParallelMaterializer::ParallelMaterializer(const ParallelMaterializerOptions& options)
@@ -33,13 +31,6 @@ void ParallelMaterializer::EnsureStarted() {
 }
 
 void ParallelMaterializer::WorkerMain() {
-  // Worker-team startup path: under CoW the slot functions touch guest pages,
-  // and any SIGSEGV delivered on this thread must land on an alternate stack
-  // (the guest stack's pages may themselves be write-protected). Fault-free
-  // engines opt out so their teams never touch signal state.
-  if (options_.needs_signal_stack) {
-    EnsureThreadSignalStack();
-  }
   uint64_t seen_gen = 0;
   while (true) {
     {
@@ -102,11 +93,6 @@ Status ParallelMaterializer::Run(size_t count, const SlotFn& fn) {
       }
     }
     return OkStatus();
-  }
-  // The session thread works too; make sure it has its sigaltstack even when
-  // the materializer is driven outside a session Drive (tests, tools).
-  if (options_.needs_signal_stack) {
-    EnsureThreadSignalStack();
   }
   EnsureStarted();
   {

@@ -29,15 +29,13 @@
 // are thread-affine, so at most one materialize per team at a time). The
 // calling thread participates as a worker, so `workers = N` means N threads
 // publishing, N-1 of them pooled; pooled threads are spawned lazily on the
-// first parallel Run(). When the owning engine uses the SIGSEGV protocol
-// (options.needs_signal_stack), worker startup installs the per-thread
-// sigaltstack (EnsureThreadSignalStack): a worker touching guest pages under
-// the CoW protocol must never push a SIGSEGV frame onto a write-protected
-// guest stack. Fault-free engines clear the option so their teams leave
-// signal state untouched (the NeedsSignalProtocol invariant in engine.h).
-// Slot functions only read the arena and talk to the internally
-// synchronized store; they must not touch session/engine state that the
-// other slots (or the session thread) could be writing.
+// first parallel Run(). Workers never touch signal state: slot work runs on
+// host stacks, publishes only read guest pages, and CoW restores unprotect
+// every run before the fan-out, so no worker can take a SIGSEGV. Slot
+// functions only read the arena (or write pages already made writable) and
+// talk to the internally synchronized store; they must not touch
+// session/engine state that the other slots (or the session thread) could be
+// writing.
 
 #ifndef LWSNAP_SRC_SNAPSHOT_PARALLEL_MATERIALIZER_H_
 #define LWSNAP_SRC_SNAPSHOT_PARALLEL_MATERIALIZER_H_
@@ -64,10 +62,6 @@ struct ParallelMaterializerOptions {
   // (dedup hit vs fresh publish), large enough that the cursor fetch_add and
   // per-batch bookkeeping stay off the per-page path.
   uint32_t chunk_slots = 64;
-  // Install per-thread sigaltstacks on the team (and the calling thread).
-  // Sessions wire this to engine->NeedsSignalProtocol(); the default keeps
-  // standalone (test/tool) users safe under CoW.
-  bool needs_signal_stack = true;
 };
 
 class ParallelMaterializer {

@@ -1,7 +1,6 @@
 // ParallelMaterializer and the parallel-materialize engine seam:
 //   * team mechanics — slot coverage, serial-inline small jobs, one clean
-//     Status from a mid-materialize failing publish, team reuse after failure,
-//     sigaltstacks installed on the worker-team startup path;
+//     Status from a mid-materialize failing publish, team reuse after failure;
 //   * bit-identity — a parallel materialize produces a snapshot structure
 //     (page-ref table + StructureBytes) identical to a serial one, for all
 //     three engines, over a shared content-addressed store;
@@ -12,12 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <csignal>
 #include <cstring>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -128,40 +122,6 @@ TEST(ParallelMaterializerTest, MidMaterializeFailureStopsClaimingNewChunks) {
   // Poisoning is best-effort, but it must not degenerate into running the
   // whole job: in-flight chunks finish, new ones are not claimed.
   EXPECT_LT(ran.load(), 10000u);
-}
-
-// Worker-team startup path regression: every thread that runs slot work —
-// pooled workers and the caller — must have an alternate signal stack
-// installed, because slot functions touch guest pages under the CoW protocol
-// and a SIGSEGV frame must never land on a write-protected guest stack. The
-// rendezvous in the slot body guarantees at least two distinct threads
-// actually participate before anyone is released.
-TEST(ParallelMaterializerTest, WorkerTeamInstallsSigaltstacks) {
-  ParallelMaterializerOptions options;
-  options.workers = 4;
-  options.chunk_slots = 8;
-  ParallelMaterializer pm(options);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::set<std::thread::id> threads;
-  bool all_installed = true;
-  Status status = pm.Run(64, [&](size_t) {
-    stack_t ss{};
-    const bool installed = sigaltstack(nullptr, &ss) == 0 && (ss.ss_flags & SS_DISABLE) == 0 &&
-                           ss.ss_sp != nullptr;
-    std::unique_lock<std::mutex> lock(mu);
-    all_installed = all_installed && installed;
-    threads.insert(std::this_thread::get_id());
-    cv.notify_all();
-    // Hold until a second thread has joined the job (or time out and let the
-    // assertion below report the scheduling anomaly instead of hanging).
-    cv.wait_for(lock, std::chrono::seconds(10), [&threads] { return threads.size() >= 2; });
-    return OkStatus();
-  });
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_GE(threads.size(), 2u) << "parallel run never left the calling thread";
-  EXPECT_TRUE(all_installed) << "a worker ran slot work without a sigaltstack";
 }
 
 // --- Bit-identity vs serial, all three engines -----------------------------------

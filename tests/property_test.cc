@@ -275,7 +275,6 @@ std::string RunDifferentialScript(uint64_t seed, SnapshotMode mode, uint32_t wor
     ParallelMaterializerOptions options;
     options.workers = workers;
     options.chunk_slots = 4;
-    options.needs_signal_stack = engine->NeedsSignalProtocol();
     team = std::make_unique<ParallelMaterializer>(options);
     ctx.parallel = team.get();
   }

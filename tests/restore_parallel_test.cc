@@ -99,7 +99,6 @@ RestoreRun RunRestoreScript(SnapshotMode mode, uint32_t workers) {
     ParallelMaterializerOptions options;
     options.workers = workers;
     options.chunk_slots = 8;  // small chunks so even small restore sets fan out
-    options.needs_signal_stack = engine->NeedsSignalProtocol();
     team = std::make_unique<ParallelMaterializer>(options);
     mctx.parallel = team.get();
     rctx.parallel = team.get();

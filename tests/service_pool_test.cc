@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <future>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/service/pool.h"
@@ -185,6 +187,39 @@ TEST(SolverServicePoolTest, WrongServiceHandleFailsThroughFuture) {
   EXPECT_EQ(wrong.status().code(), ErrorCode::kInvalidArgument);
   EXPECT_TRUE(SubmitExtend(pool, 0, root0->token, {{MakeLit(0)}}).get().ok());
   EXPECT_TRUE(SubmitExtend(pool, 1, root1->token, {{MakeLit(0)}}).get().ok());
+}
+
+// Without an injected store the pool builds the fleet's one store from the
+// service template's store_options, so a spill_dir gives the fleet a spill
+// tier, and every service publishes into that store.
+TEST(SolverServicePoolTest, FleetStoreHonoursStoreOptions) {
+  char tmpl[] = "/tmp/lwsnap_pool_spill_XXXXXX";
+  const char* dir = mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  const std::string root = dir;
+  {
+    ServicePoolOptions<SolverService> options = PoolOptions(2);
+    options.service.tuning.store_options.spill_dir = root + "/store";
+    ServicePool<SolverService> pool(options);
+    EXPECT_TRUE(pool.store()->spill_enabled());
+    std::vector<SolverService::Outcome> roots;
+    ASSERT_TRUE(SolveRootEverywhere(pool, BaseProblem(), &roots).ok());
+    EXPECT_GT(pool.store()->stats().total_published, 0u);
+  }
+  const std::string cleanup = "rm -rf '" + root + "'";
+  EXPECT_EQ(std::system(cleanup.c_str()), 0);
+}
+
+// An injected `service.tuning.store` is the fleet's store.
+TEST(SolverServicePoolTest, FleetSharesInjectedTuningStore) {
+  auto store = std::make_shared<PageStore>();
+  ServicePoolOptions<SolverService> options = PoolOptions(2);
+  options.service.tuning.store = store;
+  ServicePool<SolverService> pool(options);
+  EXPECT_EQ(pool.store(), store);
+  std::vector<SolverService::Outcome> roots;
+  ASSERT_TRUE(SolveRootEverywhere(pool, BaseProblem(), &roots).ok());
+  EXPECT_GT(store->stats().cross_session_dedup_hits, 0u);
 }
 
 }  // namespace
