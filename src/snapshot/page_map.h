@@ -39,20 +39,10 @@ class PageMap {
   // releases the replaced spine through the batch path.
   PageMap(const PageMap&) = default;
   PageMap(PageMap&&) = default;
-  PageMap& operator=(const PageMap& other) {
-    if (this != &other) {
-      Release();
-      num_pages_ = other.num_pages_;
-      radix_ = other.radix_;
-    }
-    return *this;
-  }
-  PageMap& operator=(PageMap&& other) noexcept {
-    if (this != &other) {
-      Release();
-      num_pages_ = other.num_pages_;
-      radix_ = std::move(other.radix_);
-    }
+  PageMap& operator=(PageMap other) {
+    Release();
+    num_pages_ = other.num_pages_;
+    radix_ = std::move(other.radix_);
     return *this;
   }
   ~PageMap() { Release(); }
