@@ -247,18 +247,13 @@ BENCHMARK(BM_QueensFleetThreaded)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
-// --- E11: parallel materialization *inside* one session ------------------------
+// --- Materialize cost on the queens fixture ---------------------------------------
 //
-// The intra-session twin of BM_QueensFleetThreaded: the same queens fixture
-// (page-aligned trails, every solution parked), but instead of splitting
-// sessions across threads, one session splits each *materialize* across a
-// worker team (SessionOptions::parallel_materialize_workers). The full-copy
-// engine makes the snapshot the whole cost — every non-guard page is
-// published on every guess — so the sweep isolates the publish loop's
-// scaling; parity (92 solutions) and pages/snapshot must be invariant in the
-// worker count (the structure is bit-identical to serial by contract).
-void BM_QueensParallelMaterialize(benchmark::State& state) {
-  const uint32_t workers = static_cast<uint32_t>(state.range(0));
+// One session of BM_QueensFleetThreaded's queens fixture (page-aligned
+// trails, every solution parked) on the full-copy engine, which makes the
+// snapshot the whole cost: every non-guard page is published on every guess,
+// so the row times the publish loop. Parity (92 solutions) must hold.
+void BM_QueensMaterialize(benchmark::State& state) {
   uint64_t snap_ns = 0;
   uint64_t snapshots = 0;
   uint64_t pages = 0;
@@ -269,7 +264,6 @@ void BM_QueensParallelMaterialize(benchmark::State& state) {
     options.arena_bytes = 2ull << 20;
     options.guest_stack_bytes = 256 * 1024;
     options.snapshot_mode = lw::SnapshotMode::kFullCopy;
-    options.parallel_materialize_workers = workers;
     options.output = [](std::string_view) {};
     lw::BacktrackSession session(options);
     if (!session.Run(&QueensGuest, &n).ok()) {
@@ -282,7 +276,7 @@ void BM_QueensParallelMaterialize(benchmark::State& state) {
     pages = session.stats().pages_materialized;
   }
   if (!parity_ok) {
-    state.SkipWithError("parity violated under parallel materialization");
+    state.SkipWithError("parity violated: the session lost solutions");
     return;
   }
   if (snapshots != 0) {
@@ -290,14 +284,7 @@ void BM_QueensParallelMaterialize(benchmark::State& state) {
     state.counters["pages/snapshot"] = static_cast<double>(pages) / snapshots;
   }
 }
-BENCHMARK(BM_QueensParallelMaterialize)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
+BENCHMARK(BM_QueensMaterialize)->Unit(benchmark::kMillisecond);
 
 // --- E15: the spill tier's two costs ---------------------------------------------
 
@@ -386,13 +373,11 @@ void BM_SpillFaultback(benchmark::State& state) {
 }
 BENCHMARK(BM_SpillFaultback)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 
-// The queens parallel-materialize fixture under a RAM budget tight enough to
-// drive the full evict → compress → spill → drop ladder: the wall-clock
-// overhead of spilling on the park path, against BM_QueensParallelMaterialize
-// as its unbudgeted baseline. Parity (92 solutions) must survive paging parked
-// solutions out to disk.
-void BM_QueensParallelMaterializeSpill(benchmark::State& state) {
-  const uint32_t workers = static_cast<uint32_t>(state.range(0));
+// The queens materialize fixture under a RAM budget tight enough to drive the
+// full evict → compress → spill → drop ladder: the overhead of spilling on the
+// park path, against BM_QueensMaterialize as its unbudgeted baseline. Parity
+// (92 solutions) must survive paging parked solutions out to disk.
+void BM_QueensMaterializeSpill(benchmark::State& state) {
   ScopedSpillDir dir;
   if (!dir.ok()) {
     state.SkipWithError("mkdtemp failed");
@@ -417,7 +402,6 @@ void BM_QueensParallelMaterializeSpill(benchmark::State& state) {
     options.arena_bytes = 2ull << 20;
     options.guest_stack_bytes = 256 * 1024;
     options.snapshot_mode = lw::SnapshotMode::kFullCopy;
-    options.parallel_materialize_workers = workers;
     options.snapshot_byte_budget = 256 * 1024;  // well under the parked population
     options.store = store;
     options.output = [](std::string_view) {};
@@ -439,12 +423,7 @@ void BM_QueensParallelMaterializeSpill(benchmark::State& state) {
   state.counters["faultbacks"] = static_cast<double>(faultbacks);
   state.counters["resident_bytes"] = static_cast<double>(resident_bytes);
 }
-BENCHMARK(BM_QueensParallelMaterializeSpill)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
+BENCHMARK(BM_QueensMaterializeSpill)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SolverPool)
     ->Arg(1)
     ->Arg(2)

@@ -9,10 +9,10 @@
 //   IncrementalSnapshot/D/A — fault-free scan engine: reads ∝ arena, copies ∝
 //                            dirty pages (no mprotect traffic at all)
 //   ForkSnapshot/D         — fork+dirty+exit+wait per "snapshot" (the §3 strawman)
-//   {Cow,Incremental,FullCopy}Restore/D/A/W — restore-heavy
-//                            shape (fanout restores per snapshot) with a
-//                            W-thread worker team; reports ns/restore and the
-//                            mprotect-coalescing counters (E13)
+//   {Cow,Incremental,FullCopy}Restore/D/A — restore-heavy shape
+//                            (fanout restores per snapshot); reports
+//                            ns/restore and the mprotect-coalescing
+//                            counters (E13)
 //   {Cow,Incremental}ReleaseStorm/N — N-sibling checkpoint release
 //                            storm, timed on the release phase only; the
 //                            session reclaims through the O(spine) walk +
@@ -66,7 +66,7 @@ void DirtyGuest(void* arg) {
   }
 }
 
-void RunEngine(benchmark::State& state, lw::SnapshotMode mode, uint32_t workers = 0) {
+void RunEngine(benchmark::State& state, lw::SnapshotMode mode) {
   DirtyArgs args;
   args.dirty_pages = static_cast<uint32_t>(state.range(0));
   size_t arena_mb = static_cast<size_t>(state.range(1));
@@ -82,7 +82,6 @@ void RunEngine(benchmark::State& state, lw::SnapshotMode mode, uint32_t workers 
     lw::SessionOptions options;
     options.arena_bytes = arena_mb << 20;
     options.snapshot_mode = mode;
-    options.parallel_materialize_workers = workers;
     options.output = [](std::string_view) {};
     lw::BacktrackSession session(options);
     lw::Status status = session.Run(&DirtyGuest, &args);
@@ -149,49 +148,8 @@ BENCHMARK(BM_IncrementalSnapshot)
     ->Args({512, 64})
     ->Unit(benchmark::kMillisecond);
 
-// E11 — the same engines with the session's parallel-materialize worker team
-// (ROADMAP: "publish the dirty set with multiple threads"). Args are
-// {dirty_pages, arena_mb, workers}; rows are comparable against the serial
-// families above at the same first two args. Fat dirty sets (512 pages) are
-// the regime where fanning the publish loop out pays; the incremental rows
-// additionally parallelize the ∝-arena content scan.
-void BM_CowSnapshotParallel(benchmark::State& state) {
-  RunEngine(state, lw::SnapshotMode::kCow, static_cast<uint32_t>(state.range(2)));
-}
-BENCHMARK(BM_CowSnapshotParallel)
-    ->Args({512, 16, 1})
-    ->Args({512, 16, 2})
-    ->Args({512, 16, 4})
-    ->Args({512, 16, 8})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
-
-void BM_IncrementalSnapshotParallel(benchmark::State& state) {
-  RunEngine(state, lw::SnapshotMode::kIncremental, static_cast<uint32_t>(state.range(2)));
-}
-BENCHMARK(BM_IncrementalSnapshotParallel)
-    ->Args({512, 16, 1})
-    ->Args({512, 16, 2})
-    ->Args({512, 16, 4})
-    ->Args({512, 16, 8})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
-
-void BM_FullCopySnapshotParallel(benchmark::State& state) {
-  RunEngine(state, lw::SnapshotMode::kFullCopy, static_cast<uint32_t>(state.range(2)));
-}
-BENCHMARK(BM_FullCopySnapshotParallel)
-    ->Args({8, 16, 1})
-    ->Args({8, 16, 4})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
-
 // E13 — restore-heavy rows (the backtrack half). Args are {dirty_pages,
-// arena_mb, workers}. The guest snapshots once per round and then takes
+// arena_mb}. The guest snapshots once per round and then takes
 // `fanout` restores off that node, each rolling back a freshly dirtied
 // D-page window — restores dominate the session (fanout× more restores than
 // snapshots), which is the shape deep symx chains and checkpoint-per-revision
@@ -245,7 +203,6 @@ void RunRestoreEngine(benchmark::State& state, lw::SnapshotMode mode, uint32_t r
     lw::SessionOptions options;
     options.arena_bytes = arena_mb << 20;
     options.snapshot_mode = mode;
-    options.parallel_materialize_workers = static_cast<uint32_t>(state.range(2));
     options.output = [](std::string_view) {};
     lw::BacktrackSession session(options);
     lw::Status status = session.Run(&RestoreHeavyGuest, &args);
@@ -273,36 +230,18 @@ void RunRestoreEngine(benchmark::State& state, lw::SnapshotMode mode, uint32_t r
 void BM_CowRestore(benchmark::State& state) {
   RunRestoreEngine(state, lw::SnapshotMode::kCow, 16, 8);
 }
-BENCHMARK(BM_CowRestore)
-    ->Args({64, 16, 1})
-    ->Args({64, 16, 4})
-    ->Args({512, 16, 1})
-    ->Args({512, 16, 4})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
+BENCHMARK(BM_CowRestore)->Args({64, 16})->Args({512, 16})->Unit(benchmark::kMillisecond);
 
 void BM_IncrementalRestore(benchmark::State& state) {
   RunRestoreEngine(state, lw::SnapshotMode::kIncremental, 16, 8);
 }
-BENCHMARK(BM_IncrementalRestore)
-    ->Args({512, 16, 1})
-    ->Args({512, 16, 4})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
+BENCHMARK(BM_IncrementalRestore)->Args({512, 16})->Unit(benchmark::kMillisecond);
 
 // Whole-arena copy-back per restore: one iteration pays rounds×fanout of them.
 void BM_FullCopyRestore(benchmark::State& state) {
   RunRestoreEngine(state, lw::SnapshotMode::kFullCopy, 8, 4);
 }
-BENCHMARK(BM_FullCopyRestore)
-    ->Args({8, 16, 1})
-    ->Args({8, 16, 4})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
+BENCHMARK(BM_FullCopyRestore)->Args({8, 16})->Iterations(1)->Unit(benchmark::kMillisecond);
 
 // E14 — release-storm rows (the teardown half of the snapshot lifecycle).
 // The arg is num_checkpoints. The guest parks at a root checkpoint;

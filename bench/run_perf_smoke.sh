@@ -20,14 +20,13 @@ REPS=${LWSNAP_PERF_REPS:-5}
 MAX_PCT=${LWSNAP_PERF_MAX_REGRESSION_PCT:-25}
 
 # Gated rows. Small-but-representative: CoW + incremental primitive costs at
-# a thin and a fat dirty set, the parallel-materialize sweep endpoints, the
-# restore-heavy E13 rows (serial + 4-worker endpoints for the
-# coalesced-mprotect CoW path and the fan-out scan path), the E14
-# release-storm rows, the E11 queens fixture plus its spill-budgeted variant,
-# and the E15 fault-back microbenchmark at a thin and a fat spilled set. Fast
-# enough to repeat $REPS times; medians gate.
-SNAPSHOT_FILTER='^BM_CowSnapshot/(8|512)/16$|^BM_IncrementalSnapshot/(8|512)/16$|^BM_(Cow|Incremental)SnapshotParallel/512/16/(1|4)/|^BM_CowRestore/(64|512)/16/(1|4)/|^BM_IncrementalRestore/512/16/(1|4)/|^BM_(Cow|Incremental)ReleaseStorm/64/'
-STORE_FILTER='^BM_QueensParallelMaterialize(Spill)?/(1|4)/|^BM_SpillFaultback/(256|1024)$'
+# a thin and a fat dirty set, the restore-heavy E13 rows (the
+# coalesced-mprotect CoW path and the scan path), the E14 release-storm rows,
+# the queens materialize fixture plus its spill-budgeted variant, and the E15
+# fault-back microbenchmark at a thin and a fat spilled set. Fast enough to
+# repeat $REPS times; medians gate.
+SNAPSHOT_FILTER='^BM_CowSnapshot/(8|512)/16$|^BM_IncrementalSnapshot/(8|512)/16$|^BM_CowRestore/(64|512)/16$|^BM_IncrementalRestore/512/16$|^BM_(Cow|Incremental)ReleaseStorm/64/'
+STORE_FILTER='^BM_QueensMaterialize(Spill)?$|^BM_SpillFaultback/(256|1024)$'
 
 "$BUILD_DIR/bench_snapshot" \
   --benchmark_filter="$SNAPSHOT_FILTER" \

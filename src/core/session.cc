@@ -69,13 +69,7 @@ BacktrackSession::BacktrackSession(SessionOptions options)
   env.owner = store_owner_;
   env.stats = &stats_;
   env.hot_page_limit = options_.hot_page_limit;
-  engine_ = MakeSnapshotEngine(options_.snapshot_mode, env);
-
-  if (options_.parallel_materialize_workers > 1) {
-    ParallelMaterializerOptions pm_options;
-    pm_options.workers = options_.parallel_materialize_workers;
-    materializer_ = std::make_unique<ParallelMaterializer>(pm_options);
-  }
+  engine_ = std::make_unique<SnapshotEngine>(options_.snapshot_mode, env);
 
   // Heap construction happens *after* the engine establishes its invariant: in
   // CoW mode its writes fault and enter the dirty set like any guest write; in
@@ -329,9 +323,7 @@ void BacktrackSession::EnforceBudget() {
 
 void BacktrackSession::MaterializeInto(const SnapshotRef& snap) {
   StopWatch sw;
-  EngineContext ctx;
-  ctx.parallel = materializer_.get();
-  engine_->Materialize(*snap, ctx);
+  engine_->Materialize(*snap);
   snap->aux.reserve(attachments_.size());
   for (SessionAttachment* attachment : attachments_) {
     snap->aux.push_back(attachment->Capture());
@@ -343,9 +335,7 @@ void BacktrackSession::MaterializeInto(const SnapshotRef& snap) {
 
 void BacktrackSession::RestoreTo(const Snapshot& snap) {
   StopWatch sw;
-  EngineContext ctx;
-  ctx.parallel = materializer_.get();
-  engine_->Restore(snap, ctx);
+  engine_->Restore(snap);
   for (size_t i = 0; i < attachments_.size(); ++i) {
     attachments_[i]->Restore(i < snap.aux.size() ? snap.aux[i] : nullptr);
   }

@@ -46,7 +46,6 @@
 #include "src/snapshot/engine.h"
 #include "src/snapshot/page_map.h"
 #include "src/snapshot/page_store.h"
-#include "src/snapshot/parallel_materializer.h"
 #include "src/util/status.h"
 
 namespace lw {
@@ -92,21 +91,6 @@ struct SessionOptions {
   // every sharer's live bytes count, but each session can only evict its own
   // frontier, so sharers should agree on one budget value (or use 0).
   uint64_t snapshot_byte_budget = 0;
-
-  // Parallel materialization inside this session (the ROADMAP's "publish the
-  // dirty set with multiple threads"): a session-owned worker team of this
-  // many threads (the session thread participates) publishes each snapshot's
-  // page set to the internally synchronized store; kIncremental's
-  // content scan fans out too. The same team serves Restore: every mode's
-  // restore copy loop fans out over it (the CoW path batch-unprotects the
-  // coalesced restore runs first, so workers never fault). Snapshot
-  // structures and restored memory are bit-identical to serial (see
-  // src/snapshot/parallel_materializer.h). The CoW SIGSEGV protocol stays on
-  // the session thread — only page publishing and restore copies
-  // parallelize. 0/1 = serial (no team). Fleets should split
-  // cores between services and these intra-session workers (see
-  // ServicePool<S> in src/service/pool.h).
-  uint32_t parallel_materialize_workers = 0;
 
   // Hot-page prediction (kCow only): a page dirtied in enough consecutive
   // snapshots is left permanently writable; snapshots memcmp it and restores
@@ -249,9 +233,6 @@ class BacktrackSession : public GuessExecutor {
   std::shared_ptr<PageStore> store_;
   uint32_t store_owner_ = 0;  // this session's PageStore owner id
   std::unique_ptr<SnapshotEngine> engine_;  // holds the current map's page refs
-  // Worker team for parallel materialization (null = serial); declared after
-  // store_/engine_ so in-flight publish state can never outlive either.
-  std::unique_ptr<ParallelMaterializer> materializer_;
 
   GuestHeap* heap_ = nullptr;  // lives inside the arena
 

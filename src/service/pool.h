@@ -74,12 +74,9 @@ struct ServicePoolOptions {
   // `service.tuning.store` when set, otherwise one store the pool builds from
   // `service.tuning.store_options` (so `spill_dir` gives the fleet a spill
   // tier). `service.tuning.snapshot_mode` applies to every service in the
-  // fleet.
-  // Core-splitting knob: `service.tuning.parallel_materialize_workers = W`
-  // gives every service its own W-thread materialize team, so a fleet
-  // occupies ~num_services × W cores at snapshot time — size num_services for
-  // throughput (independent jobs) and W for per-job snapshot latency (big
-  // parked states), keeping the product near the core count.
+  // fleet. Each service's session runs on its worker thread, so a fleet
+  // occupies up to num_services cores: size num_services to the cores the
+  // fleet may use.
   typename S::Options service;
 };
 

@@ -2,9 +2,9 @@
 //
 // Before this header existed, each service Options struct
 // (SolverServiceOptions, PrologServiceOptions, SymxServiceOptions,
-// CheckpointServiceOptions) carried its own copy of the same eight fields —
-// arena/mailbox sizing, engine selection, store injection, byte budget,
-// materialize workers — and every new knob had to be threaded through four
+// CheckpointServiceOptions) carried its own copy of the same fields —
+// arena/mailbox sizing, engine selection, store injection, byte budget —
+// and every new knob had to be threaded through four
 // structs plus MakeHostOptions plus the host's SessionOptions mapping. Now
 // the subset lives here once: service Options embed a `ServiceTuning tuning`,
 // the host consumes it directly (CheckpointServiceOptions is an alias), and
@@ -43,12 +43,6 @@ struct ServiceTuning {
   // for shared-store semantics (the cap is store-wide, give sharers the same
   // value).
   uint64_t snapshot_byte_budget = 0;
-
-  // Intra-session parallel materialization: the service's session publishes
-  // each parked snapshot's page set from this many threads (0/1 = serial).
-  // See SessionOptions::parallel_materialize_workers; ServicePool<S> fleets
-  // use this to split cores between services and per-service workers.
-  uint32_t parallel_materialize_workers = 0;
 };
 
 // The single mapping from service tuning onto session construction. Fields
@@ -61,7 +55,6 @@ inline SessionOptions MakeSessionOptions(const ServiceTuning& tuning) {
   session_options.store = tuning.store;
   session_options.store_options = tuning.store_options;
   session_options.snapshot_byte_budget = tuning.snapshot_byte_budget;
-  session_options.parallel_materialize_workers = tuning.parallel_materialize_workers;
   return session_options;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/core/arena.h"
-#include "src/snapshot/parallel_materializer.h"
 
 namespace lw {
 namespace {
@@ -70,39 +69,17 @@ SnapshotEngine::SnapshotEngine(SnapshotMode mode, const Env& env)
   }
 }
 
-void SnapshotEngine::RunSlots(const EngineContext& ctx, size_t count,
-                              const std::function<Status(size_t)>& fn) {
-  if (ctx.parallel == nullptr) {
-    for (size_t slot = 0; slot < count; ++slot) {
-      Status status = fn(slot);
-      LW_CHECK_MSG(status.ok(), "engine slot work failed");
-    }
-    return;
-  }
-  Status status = ctx.parallel->Run(count, fn);
-  LW_CHECK_MSG(status.ok(), "engine slot fan-out failed");
-}
-
-void SnapshotEngine::PublishHot(const EngineContext& ctx) {
+void SnapshotEngine::PublishHot() {
   GuestArena& arena = *env_.arena;
   SnapshotEngineStats& stats = *env_.stats;
   // Hot pages are permanently writable, so the dirty set does not know about
   // them — memcmp against the current blob and republish only on a real
-  // change (slot work); streaks, demotions and every mprotect are applied
-  // serially afterwards.
-  publish_refs_.resize(hot_pages_.size());
-  RunSlots(ctx, hot_pages_.size(), [this, &arena](size_t slot) {
-    const uint32_t page = hot_pages_[slot];
-    if (!cur_map_.Get(page).EqualsPage(arena.PageAddr(page))) {
-      publish_refs_[slot] = PublishPage(arena.PageAddr(page));
-    }
-    return OkStatus();
-  });
+  // change; a long unchanged streak demotes the page back into the fault
+  // protocol.
   size_t hot_kept = 0;
-  for (size_t slot = 0; slot < hot_pages_.size(); ++slot) {
-    const uint32_t page = hot_pages_[slot];
-    if (publish_refs_[slot].valid()) {
-      cur_map_.Set(page, std::move(publish_refs_[slot]));
+  for (const uint32_t page : hot_pages_) {
+    if (!cur_map_.Get(page).EqualsPage(arena.PageAddr(page))) {
+      cur_map_.Set(page, PublishPage(arena.PageAddr(page)));
       ++stats.pages_materialized;
       clean_streak_[page] = 0;
       hot_pages_[hot_kept++] = page;
@@ -116,7 +93,6 @@ void SnapshotEngine::PublishHot(const EngineContext& ctx) {
     }
   }
   hot_pages_.resize(hot_kept);
-  publish_refs_.clear();
 }
 
 void SnapshotEngine::PromoteHot() {
@@ -138,26 +114,18 @@ void SnapshotEngine::PromoteHot() {
   }
 }
 
-uint64_t SnapshotEngine::CopyBackHot(const Snapshot& snap, const EngineContext& ctx) {
-  restore_refs_.resize(hot_pages_.size());
-  for (size_t slot = 0; slot < hot_pages_.size(); ++slot) {
-    restore_refs_[slot] = snap.map.Get(hot_pages_[slot]);
-    LW_CHECK_MSG(restore_refs_[slot].valid(), "restoring a page the snapshot does not cover");
+uint64_t SnapshotEngine::CopyBackHot(const Snapshot& snap) {
+  uint64_t copied = 0;
+  for (const uint32_t page : hot_pages_) {
+    const PageRef ref = snap.map.Get(page);
+    LW_CHECK_MSG(ref.valid(), "restoring a page the snapshot does not cover");
+    copied += ref.CopyToIfDifferent(env_.arena->PageAddr(page)) ? 1 : 0;
   }
-  restore_flags_.assign(hot_pages_.size(), 0);
-  RunSlots(ctx, hot_pages_.size(), [this](size_t slot) {
-    if (restore_refs_[slot].CopyToIfDifferent(env_.arena->PageAddr(hot_pages_[slot]))) {
-      restore_flags_[slot] = 1;
-    }
-    return OkStatus();
-  });
-  restore_refs_.clear();
-  const uint64_t copied = std::count(restore_flags_.begin(), restore_flags_.end(), 1);
   env_.stats->pages_restore_skipped += hot_pages_.size() - copied;
   return copied;
 }
 
-void SnapshotEngine::CollectDirty(const EngineContext& ctx) {
+void SnapshotEngine::CollectDirty() {
   GuestArena& arena = *env_.arena;
   dirty_pages_.clear();
   switch (mode_) {
@@ -169,19 +137,9 @@ void SnapshotEngine::CollectDirty(const EngineContext& ctx) {
       break;
     }
     case SnapshotMode::kIncremental: {
-      // The scan is this mode's dominant cost (reads ∝ arena), so it
-      // fans out; each slot flags only its own page.
-      scan_changed_.resize(arena.num_pages(), 0);
-      RunSlots(ctx, arena.num_pages(), [this, &arena](size_t slot) {
-        const uint32_t page = static_cast<uint32_t>(slot);
-        if (!arena.InGuard(page) && !cur_map_.Get(page).EqualsPage(arena.PageAddr(page))) {
-          scan_changed_[page] = 1;
-        }
-        return OkStatus();
-      });
+      // The scan is this mode's dominant cost: reads ∝ arena.
       for (uint32_t page = 0; page < arena.num_pages(); ++page) {
-        if (scan_changed_[page] != 0) {
-          scan_changed_[page] = 0;
+        if (!arena.InGuard(page) && !cur_map_.Get(page).EqualsPage(arena.PageAddr(page))) {
           dirty_pages_.push_back(page);
         }
       }
@@ -200,33 +158,22 @@ void SnapshotEngine::CollectDirty(const EngineContext& ctx) {
   }
 }
 
-void SnapshotEngine::PublishDirty(const EngineContext& ctx) {
+void SnapshotEngine::PublishDirty() {
   GuestArena& arena = *env_.arena;
-  publish_refs_.resize(dirty_pages_.size());
-  RunSlots(ctx, dirty_pages_.size(), [this, &arena](size_t slot) {
-    const uint32_t page = dirty_pages_[slot];
+  for (const uint32_t page : dirty_pages_) {
     if (!arena.InGuard(page)) {
-      publish_refs_[slot] = PublishPage(arena.PageAddr(page));
+      cur_map_.Set(page, PublishPage(arena.PageAddr(page)));
+      ++env_.stats->pages_materialized;
     }
-    return OkStatus();
-  });
-  // Adoption is serial, in candidate order.
-  for (size_t slot = 0; slot < dirty_pages_.size(); ++slot) {
-    if (!publish_refs_[slot].valid()) {
-      continue;
-    }
-    cur_map_.Set(dirty_pages_[slot], std::move(publish_refs_[slot]));
-    ++env_.stats->pages_materialized;
   }
-  publish_refs_.clear();
 }
 
-void SnapshotEngine::Materialize(Snapshot& snap, const EngineContext& ctx) {
+void SnapshotEngine::Materialize(Snapshot& snap) {
   if (!hot_pages_.empty()) {
-    PublishHot(ctx);
+    PublishHot();
   }
-  CollectDirty(ctx);
-  PublishDirty(ctx);
+  CollectDirty();
+  PublishDirty();
   if (mode_ == SnapshotMode::kCow) {
     if (env_.hot_page_limit > 0) {
       PromoteHot();
@@ -242,7 +189,7 @@ void SnapshotEngine::Materialize(Snapshot& snap, const EngineContext& ctx) {
   snap.map = cur_map_;  // live memory now matches cur_map_ byte-for-byte
 }
 
-void SnapshotEngine::Restore(const Snapshot& snap, const EngineContext& ctx) {
+void SnapshotEngine::Restore(const Snapshot& snap) {
   GuestArena& arena = *env_.arena;
   SnapshotEngineStats& stats = *env_.stats;
   uint64_t restored = 0;
@@ -253,7 +200,7 @@ void SnapshotEngine::Restore(const Snapshot& snap, const EngineContext& ctx) {
       // dirty set plus wherever the immutable maps disagree; the two sources
       // are disjoint by construction and hot pages never fault, so the
       // sorted set is unique.
-      restored += CopyBackHot(snap, ctx);
+      restored += CopyBackHot(snap);
       DirtyTracker& dirty = arena.dirty();
       restore_pages_.assign(dirty.pages(), dirty.pages() + dirty.count());
       cur_map_.Diff(snap.map, [this, &dirty](uint32_t page, const PageRef& /*mine*/,
@@ -268,35 +215,28 @@ void SnapshotEngine::Restore(const Snapshot& snap, const EngineContext& ctx) {
         restore_refs_[i] = snap.map.Get(restore_pages_[i]);
         LW_CHECK_MSG(restore_refs_[i].valid(), "restoring a page the snapshot does not cover");
       }
-      restored += RestoreProtectedSet(ctx);
+      restored += RestoreProtectedSet();
       dirty.Clear();
       break;
     }
     case SnapshotMode::kIncremental:
     case SnapshotMode::kFullCopy: {
       // No tracking armed: live memory may have diverged anywhere, so compare
-      // against the target map directly and copy the difference — slot ==
-      // page. kFullCopy is the whole-arena baseline and copies every page
-      // without comparing.
+      // against the target map directly and copy the difference. kFullCopy is
+      // the whole-arena baseline and copies every page without comparing.
       const bool compare = mode_ == SnapshotMode::kIncremental;
-      restore_flags_.assign(arena.num_pages(), 0);
-      RunSlots(ctx, arena.num_pages(), [this, &arena, &snap, compare](size_t slot) {
-        const uint32_t page = static_cast<uint32_t>(slot);
+      for (uint32_t page = 0; page < arena.num_pages(); ++page) {
         if (arena.InGuard(page)) {
-          return OkStatus();
+          continue;
         }
         const PageRef ref = snap.map.Get(page);
         LW_CHECK_MSG(ref.valid(), "restoring a page the snapshot does not cover");
         if (!compare) {
           ref.CopyTo(arena.PageAddr(page));
-          restore_flags_[page] = 1;
+          ++restored;
         } else if (ref.CopyToIfDifferent(arena.PageAddr(page))) {
-          restore_flags_[page] = 1;
+          ++restored;
         }
-        return OkStatus();
-      });
-      for (uint8_t flag : restore_flags_) {
-        restored += flag;
       }
       if (compare) {
         stats.incr_pages_scanned += non_guard_pages_;
@@ -310,7 +250,7 @@ void SnapshotEngine::Restore(const Snapshot& snap, const EngineContext& ctx) {
   stats.pages_restored += restored;
 }
 
-uint64_t SnapshotEngine::RestoreProtectedSet(const EngineContext& ctx) {
+uint64_t SnapshotEngine::RestoreProtectedSet() {
   const size_t count = restore_pages_.size();
   LW_CHECK(restore_refs_.size() == count);
   if (count == 0) return 0;
@@ -333,10 +273,9 @@ uint64_t SnapshotEngine::RestoreProtectedSet(const EngineContext& ctx) {
 
   GuestArena& arena = *env_.arena;
   for (const auto& run : restore_runs_) arena.UnprotectRange(run.first, run.second);
-  RunSlots(ctx, count, [this, &arena](size_t slot) {
-    restore_refs_[slot].CopyTo(arena.PageAddr(restore_pages_[slot]));
-    return OkStatus();
-  });
+  for (size_t i = 0; i < count; ++i) {
+    restore_refs_[i].CopyTo(arena.PageAddr(restore_pages_[i]));
+  }
   for (const auto& run : restore_runs_) arena.ProtectRange(run.first, run.second);
 
   env_.stats->restore_mprotect_calls += 2 * restore_runs_.size();
@@ -346,17 +285,11 @@ uint64_t SnapshotEngine::RestoreProtectedSet(const EngineContext& ctx) {
 
 size_t SnapshotEngine::StructureBytes() const {
   return cur_map_.StructureBytes() + hot_.capacity() + dirty_streak_.capacity() +
-                 clean_streak_.capacity() + hot_pages_.capacity() * sizeof(uint32_t) +
-                 dirty_pages_.capacity() * sizeof(uint32_t) + scan_changed_.capacity() +
-                 publish_refs_.capacity() * sizeof(PageRef) +
-                 restore_pages_.capacity() * sizeof(uint32_t) +
-                 restore_refs_.capacity() * sizeof(PageRef) + restore_flags_.capacity() +
+         clean_streak_.capacity() + hot_pages_.capacity() * sizeof(uint32_t) +
+         dirty_pages_.capacity() * sizeof(uint32_t) +
+         restore_pages_.capacity() * sizeof(uint32_t) +
+         restore_refs_.capacity() * sizeof(PageRef) +
          restore_runs_.capacity() * sizeof(std::pair<uint32_t, uint32_t>);
-}
-
-std::unique_ptr<SnapshotEngine> MakeSnapshotEngine(SnapshotMode mode,
-                                                   const SnapshotEngine::Env& env) {
-  return std::make_unique<SnapshotEngine>(mode, env);
 }
 
 }  // namespace lw

@@ -30,11 +30,11 @@
 // stay writable); the fault-free modes have nothing to re-arm, because their
 // compare/copy IS the detection.
 //
-// Parallelism: every publish, scan and restore copy loop runs through
-// RunSlots, which fans slot work out over the session-owned worker team in
-// EngineContext (src/snapshot/parallel_materializer.h has the determinism
-// contract). Protection changes, hot-page state and map adoption stay on the
-// session thread, so results are bit-identical to a serial run.
+// Threading: the engine runs on the session's thread. Every publish, scan and
+// restore copy is a plain loop in the order the mode defines (kCow publishes
+// in fault order, the store's LRU order); parallelism comes from many
+// sessions sharing one store (ServicePool, CheckpointDaemon), not from a
+// team inside one session.
 //
 // SIGSEGV-protocol invariant: only kCow ever write-protects guest pages —
 // NeedsSignalProtocol() — and the process-wide SIGSEGV handler plus
@@ -47,8 +47,6 @@
 #define LWSNAP_SRC_SNAPSHOT_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -59,14 +57,6 @@
 namespace lw {
 
 class GuestArena;
-class ParallelMaterializer;
-
-// Per-call options threaded from the session into Materialize and Restore.
-// `parallel` non-null fans the engine's slot loops out over the session-owned
-// worker team; null (the default) keeps everything on the calling thread.
-struct EngineContext {
-  ParallelMaterializer* parallel = nullptr;
-};
 
 enum class SnapshotMode {
   kCow,          // write faults + hot pages
@@ -132,11 +122,11 @@ class SnapshotEngine {
   // Captures the live arena image into snap.map (sharing the current map; the
   // snapshot becomes immutable from this point on). Called with the guest
   // parked, so the page image exactly matches the saved registers.
-  void Materialize(Snapshot& snap, const EngineContext& ctx = EngineContext{});
+  void Materialize(Snapshot& snap);
 
   // Rebuilds live arena memory to byte-equality with snap.map and adopts it as
-  // the current map. End-state memory is identical with or without a team.
-  void Restore(const Snapshot& snap, const EngineContext& ctx = EngineContext{});
+  // the current map.
+  void Restore(const Snapshot& snap);
 
   // True iff this mode may write-protect guest pages (see the invariant note
   // at the top of this file).
@@ -154,36 +144,30 @@ class SnapshotEngine {
   // (the single choke point for dedup accounting).
   PageRef PublishPage(const void* src) { return env_.store->Publish(src, env_.owner); }
 
-  // Runs fn(slot) for every slot in [0, count): serially when ctx carries no
-  // team, otherwise on ctx.parallel's workers. fn must write only its own
-  // slot's outputs so the caller can reduce serially, in slot order.
-  void RunSlots(const EngineContext& ctx, size_t count, const std::function<Status(size_t)>& fn);
-
   // kCow hot pages at Materialize: republish the changed ones, demote long
   // unchanged streaks back into the fault protocol.
-  void PublishHot(const EngineContext& ctx);
+  void PublishHot();
   // kCow: bump dirty streaks in fault order and promote persistent writers.
   void PromoteHot();
   bool IsHot(uint32_t page) const { return !hot_.empty() && hot_[page] != 0; }
 
   // Collects the mode's dirty candidates into dirty_pages_ (may
   // overapproximate the changed set).
-  void CollectDirty(const EngineContext& ctx);
+  void CollectDirty();
   // Publishes dirty_pages_ into cur_map_.
-  void PublishDirty(const EngineContext& ctx);
+  void PublishDirty();
 
   // kCow restore of the hot pages, whose live bytes are unknown because they
-  // never fault: compare each against snap's blob and copy only on divergence
-  // (fanned out); the rest count as restore skips. Returns the pages copied.
-  uint64_t CopyBackHot(const Snapshot& snap, const EngineContext& ctx);
+  // never fault: compare each against snap's blob and copy only on divergence;
+  // the rest count as restore skips. Returns the pages copied.
+  uint64_t CopyBackHot(const Snapshot& snap);
   // kCow restore tail. The caller fills restore_pages_ (sorted,
   // unique, non-guard) and restore_refs_ (matching blobs); this coalesces the
   // pages into contiguous runs, batch-unprotects each run with one mprotect,
-  // fans the memcpys out, then batch-reprotects the same runs — exactly 2
-  // syscalls per run. Every touched page is writable before any worker
-  // starts, so no SIGSEGV can fire off the session thread. Returns the number
+  // copies the pages, then batch-reprotects the same runs — exactly 2
+  // syscalls per run, and no copy ever takes a write fault. Returns the number
   // of pages copied.
-  uint64_t RestoreProtectedSet(const EngineContext& ctx);
+  uint64_t RestoreProtectedSet();
 
   const SnapshotMode mode_;
   Env env_;
@@ -196,20 +180,13 @@ class SnapshotEngine {
   std::vector<uint8_t> clean_streak_;  // hot page -> consecutive unchanged snapshots
   std::vector<uint32_t> hot_pages_;    // dense list of hot pages
 
-  // Reusable slot tables, kept as members so checkpoint-heavy workloads stop
-  // paying per-call allocation. Workers write disjoint slots; the session
-  // thread reduces afterwards.
+  // Reusable scratch, kept as members so checkpoint-heavy workloads stop
+  // paying per-call allocation.
   std::vector<uint32_t> dirty_pages_;  // candidates for the current checkpoint
-  std::vector<uint8_t> scan_changed_;  // kIncremental: page -> changed flag
-  std::vector<PageRef> publish_refs_;  // publish slot -> new blob
   std::vector<uint32_t> restore_pages_;
   std::vector<PageRef> restore_refs_;
-  std::vector<uint8_t> restore_flags_;
   std::vector<std::pair<uint32_t, uint32_t>> restore_runs_;  // (first page, count)
 };
-
-// Builds the engine for `mode` (see the constructor).
-std::unique_ptr<SnapshotEngine> MakeSnapshotEngine(SnapshotMode mode, const SnapshotEngine::Env& env);
 
 }  // namespace lw
 

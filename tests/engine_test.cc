@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -46,7 +47,8 @@ TEST_P(EngineRoundTripTest, MaterializeRestoreRoundTrip) {
   PageStore store;
   SnapshotEngineStats stats;
   {
-    auto engine = MakeSnapshotEngine(GetParam(), MakeEnv(&arena, &store, &stats, GetParam()));
+    auto engine =
+        std::make_unique<SnapshotEngine>(GetParam(), MakeEnv(&arena, &store, &stats, GetParam()));
     ASSERT_EQ(engine->mode(), GetParam());
 
     Snapshot snap_a;
@@ -101,8 +103,8 @@ TEST(IncrementalEngineTest, CopiesOnlyTheDelta) {
   PageStore store;
   SnapshotEngineStats stats;
   {
-    auto engine = MakeSnapshotEngine(SnapshotMode::kIncremental,
-                                     MakeEnv(&arena, &store, &stats, SnapshotMode::kIncremental));
+    auto engine = std::make_unique<SnapshotEngine>(
+        SnapshotMode::kIncremental, MakeEnv(&arena, &store, &stats, SnapshotMode::kIncremental));
     Snapshot snap1;
     Snapshot snap2;
 
@@ -138,8 +140,8 @@ TEST(IncrementalEngineTest, TakesNoFaults) {
   PageStore store;
   SnapshotEngineStats stats;
   {
-    auto engine = MakeSnapshotEngine(SnapshotMode::kIncremental,
-                                     MakeEnv(&arena, &store, &stats, SnapshotMode::kIncremental));
+    auto engine = std::make_unique<SnapshotEngine>(
+        SnapshotMode::kIncremental, MakeEnv(&arena, &store, &stats, SnapshotMode::kIncremental));
     Snapshot snap;
     std::memset(arena.PageAddr(1), 0x55, kPageSize);
     engine->Materialize(snap);
@@ -155,8 +157,8 @@ TEST(IncrementalEngineTest, StructureBytesCountsMapAndTracker) {
   GuestArena arena(SmallLayout());
   PageStore store;
   SnapshotEngineStats stats;
-  auto engine = MakeSnapshotEngine(SnapshotMode::kIncremental,
-                                   MakeEnv(&arena, &store, &stats, SnapshotMode::kIncremental));
+  auto engine = std::make_unique<SnapshotEngine>(
+      SnapshotMode::kIncremental, MakeEnv(&arena, &store, &stats, SnapshotMode::kIncremental));
   // At least the dense tracker list (4 bytes/page) beyond the map structure.
   EXPECT_GE(engine->StructureBytes(),
             engine->current_map().StructureBytes() + arena.num_pages() * sizeof(uint32_t));
@@ -167,8 +169,8 @@ TEST(IncrementalEngineTest, ZeroedPagesDedupOnRepublish) {
   PageStore store;
   SnapshotEngineStats stats;
   {
-    auto engine = MakeSnapshotEngine(SnapshotMode::kIncremental,
-                                     MakeEnv(&arena, &store, &stats, SnapshotMode::kIncremental));
+    auto engine = std::make_unique<SnapshotEngine>(
+        SnapshotMode::kIncremental, MakeEnv(&arena, &store, &stats, SnapshotMode::kIncremental));
     Snapshot snap1;
     Snapshot snap2;
     std::memset(arena.PageAddr(2), 0x77, kPageSize);
@@ -232,7 +234,7 @@ PageStore::Stats GoldenScript(SnapshotMode mode, GuestArena& arena, PageStore& s
                               SnapshotEngineStats& stats) {
   SnapshotEngine::Env env = MakeEnv(&arena, &store, &stats, mode);
   env.hot_page_limit = 4;
-  auto engine = MakeSnapshotEngine(mode, env);
+  auto engine = std::make_unique<SnapshotEngine>(mode, env);
   std::vector<Snapshot> snaps(64);
   size_t next = 0;
 

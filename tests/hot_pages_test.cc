@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -90,7 +91,7 @@ TEST(HotPagesTest, ExtractedCowEngineHotCycleDirect) {
     env.store = &store;
     env.stats = &stats;
     env.hot_page_limit = 8;
-    auto engine = MakeSnapshotEngine(SnapshotMode::kCow, env);
+    auto engine = std::make_unique<SnapshotEngine>(SnapshotMode::kCow, env);
 
     // Phase 1: dirty the same page across many snapshots — it must go hot.
     std::vector<Snapshot> snaps(40);

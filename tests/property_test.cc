@@ -17,7 +17,6 @@
 #include "src/prolog/term.h"
 #include "src/snapshot/budget_policy.h"
 #include "src/snapshot/engine.h"
-#include "src/snapshot/parallel_materializer.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 
@@ -208,7 +207,7 @@ TEST(TermHeapPropertyTest, CopyPreservesSharingAcrossHeaps) {
 // --- Snapshot engines: cross-mode differential against a shadow image ---
 
 // Seeded random page-write / materialize / restore scripts run against every
-// snapshot mode at 1 and 4 workers, unbudgeted and under a tight byte budget
+// snapshot mode, unbudgeted and under a tight byte budget
 // with the spill tier on. A shadow copy of the write window is taken at each
 // materialize; every restore must reproduce it byte for byte and leave the rest
 // of the arena zero. Dropped snapshots exercise release along the way; in the
@@ -244,8 +243,7 @@ class ScratchDir {
 
 // Returns "" on success, otherwise the first divergence. `budget` 0 runs with
 // no budget and no spill tier.
-std::string RunDifferentialScript(uint64_t seed, SnapshotMode mode, uint32_t workers,
-                                  uint64_t budget) {
+std::string RunDifferentialScript(uint64_t seed, SnapshotMode mode, uint64_t budget) {
   GuestArena::Layout layout;
   layout.arena_bytes = 2ull << 20;
   layout.stack_bytes = 256 * 1024;
@@ -268,16 +266,7 @@ std::string RunDifferentialScript(uint64_t seed, SnapshotMode mode, uint32_t wor
   env.store = &store;
   env.stats = &stats;
   env.hot_page_limit = 8;
-  auto engine = MakeSnapshotEngine(mode, env);
-  std::unique_ptr<ParallelMaterializer> team;
-  EngineContext ctx;
-  if (workers > 1) {
-    ParallelMaterializerOptions options;
-    options.workers = workers;
-    options.chunk_slots = 4;
-    team = std::make_unique<ParallelMaterializer>(options);
-    ctx.parallel = team.get();
-  }
+  SnapshotEngine engine(mode, env);
 
   const size_t window = static_cast<size_t>(kWindowPages) * kPageSize;
   std::vector<uint8_t> live(window, 0);  // shadow of the window's current bytes
@@ -320,7 +309,7 @@ std::string RunDifferentialScript(uint64_t seed, SnapshotMode mode, uint32_t wor
       }
     } else if (dice < 75) {  // materialize
       Kept k{std::make_unique<Snapshot>(), live};
-      engine->Materialize(*k.snap, ctx);
+      engine.Materialize(*k.snap);
       if (budget != 0) {
         EnforceByteBudget(store, budget, /*evict=*/[] { return false; });
       }
@@ -330,7 +319,7 @@ std::string RunDifferentialScript(uint64_t seed, SnapshotMode mode, uint32_t wor
       }
     } else if (!kept.empty()) {  // restore to a random kept snapshot
       const Kept& target = kept[rng.Next() % kept.size()];
-      engine->Restore(*target.snap, ctx);
+      engine.Restore(*target.snap);
       live = target.image;
       for (uint32_t page = 0; page < arena.num_pages(); ++page) {
         if (arena.InGuard(page)) {
@@ -370,14 +359,11 @@ TEST_P(EngineDifferentialTest, EveryModeRestoresTheShadowImage) {
   const uint64_t seed = GetParam();
   for (SnapshotMode mode : {SnapshotMode::kCow, SnapshotMode::kFullCopy,
                             SnapshotMode::kIncremental}) {
-    for (uint32_t workers : {1u, 4u}) {
-      for (uint64_t budget : {uint64_t{0}, kTightBudget}) {
-        const std::string failure = RunDifferentialScript(seed, mode, workers, budget);
-        EXPECT_TRUE(failure.empty())
-            << "seed " << seed << " mode " << SnapshotModeName(mode) << " workers " << workers
-            << " budget " << (budget == 0 ? std::string("unbounded") : std::to_string(budget))
-            << ": " << failure;
-      }
+    for (uint64_t budget : {uint64_t{0}, kTightBudget}) {
+      const std::string failure = RunDifferentialScript(seed, mode, budget);
+      EXPECT_TRUE(failure.empty())
+          << "seed " << seed << " mode " << SnapshotModeName(mode) << " budget "
+          << (budget == 0 ? std::string("unbounded") : std::to_string(budget)) << ": " << failure;
     }
   }
 }

@@ -1,7 +1,7 @@
-// Parallel, syscall-coalesced Restore (the EngineContext seam in engine.h):
-//   * parity sweep — serial vs workers 1/2/4/8 for every engine: identical
-//     post-restore arena bytes, identical pages_restored / skip counters, and
-//     (CoW) identical mprotect accounting regardless of worker count;
+// Syscall-coalesced Restore (engine.h):
+//   * every mode — a backtracking script ends with the arena byte-equal to the
+//     target snapshot's image; kCow pays exactly 2 mprotect calls per
+//     coalesced run, the fault-free modes pay none;
 //   * syscall coalescing — a CoW restore of a delta spread over R contiguous
 //     runs issues exactly 2·R mprotect calls (batch-unprotect + batch-
 //     reprotect), asserted via restore_mprotect_calls/restore_runs_coalesced;
@@ -11,12 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "src/core/arena.h"
 #include "src/snapshot/engine.h"
-#include "src/snapshot/parallel_materializer.h"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer) && !defined(__SANITIZE_THREAD__)
@@ -78,96 +76,57 @@ void Scribble(GuestArena& arena, int salt) {
   }
 }
 
-struct RestoreRun {
-  std::vector<uint8_t> image;  // non-guard arena bytes after the script
-  SnapshotEngineStats stats;
-};
+class RestoreAccountingTest : public ::testing::TestWithParam<SnapshotMode> {};
 
-// Runs the same materialize/scribble/restore script against a fresh arena +
-// store + engine, fanning both directions over a team of `workers` threads
-// (0 = the serial forwarding overload, no team at all).
-RestoreRun RunRestoreScript(SnapshotMode mode, uint32_t workers) {
+TEST_P(RestoreAccountingTest, RestoresTargetImageAndCountsProtectionSyscalls) {
+  const char* reason = nullptr;
+  if (SkipForMode(GetParam(), &reason)) {
+    GTEST_SKIP() << reason;
+  }
   PageStore store;
   GuestArena arena(SmallLayout());
   SnapshotEngineStats stats;
-  auto engine = MakeSnapshotEngine(mode, MakeEnv(&arena, &store, &stats, 16));
-
-  std::unique_ptr<ParallelMaterializer> team;
-  EngineContext mctx;
-  EngineContext rctx;
-  if (workers > 0) {
-    ParallelMaterializerOptions options;
-    options.workers = workers;
-    options.chunk_slots = 8;  // small chunks so even small restore sets fan out
-    team = std::make_unique<ParallelMaterializer>(options);
-    mctx.parallel = team.get();
-    rctx.parallel = team.get();
-  }
+  SnapshotEngine engine(GetParam(), MakeEnv(&arena, &store, &stats, 16));
 
   std::vector<Snapshot> snaps(6);
   for (int round = 0; round < 6; ++round) {
     WriteRound(arena, round);
-    engine->Materialize(snaps[round], mctx);
+    engine.Materialize(snaps[round]);
   }
   // Backtrack shape: live writes, jump down the tree, live writes, jump
   // further down, then forward again — exercising dirty-set restores, map-diff
   // restores, and (CoW) hot-page compares in one script.
   Scribble(arena, 101);
-  engine->Restore(snaps[3], rctx);
+  engine.Restore(snaps[3]);
   Scribble(arena, 202);
-  engine->Restore(snaps[1], rctx);
-  engine->Restore(snaps[5], rctx);
+  engine.Restore(snaps[1]);
+  engine.Restore(snaps[5]);
 
-  RestoreRun run;
-  run.stats = stats;
-  run.image.reserve(static_cast<size_t>(arena.num_pages()) * kPageSize);
+  // The arena now holds exactly what round 5 wrote, and zero elsewhere.
+  GuestArena reference_arena(SmallLayout());
+  WriteRound(reference_arena, 5);
   for (uint32_t page = 0; page < arena.num_pages(); ++page) {
     if (arena.InGuard(page)) {
       continue;  // PROT_NONE forever; never part of any snapshot
     }
-    const uint8_t* src = arena.PageAddr(page);
-    run.image.insert(run.image.end(), src, src + kPageSize);
+    EXPECT_EQ(std::memcmp(arena.PageAddr(page), reference_arena.PageAddr(page), kPageSize), 0)
+        << "page " << page << " diverged from the restored snapshot";
   }
-  return run;
-}
+  EXPECT_GT(stats.pages_restored, 0u);
 
-class RestoreParityTest : public ::testing::TestWithParam<SnapshotMode> {};
-
-TEST_P(RestoreParityTest, WorkerSweepMatchesSerialBitForBit) {
-  const char* reason = nullptr;
-  if (SkipForMode(GetParam(), &reason)) {
-    GTEST_SKIP() << reason;
-  }
-  const RestoreRun serial = RunRestoreScript(GetParam(), 0);
-  for (uint32_t workers : {1u, 2u, 4u, 8u}) {
-    const RestoreRun parallel = RunRestoreScript(GetParam(), workers);
-    ASSERT_EQ(serial.image.size(), parallel.image.size());
-    EXPECT_EQ(std::memcmp(serial.image.data(), parallel.image.data(), serial.image.size()), 0)
-        << "post-restore memory diverged at workers=" << workers;
-    EXPECT_EQ(parallel.stats.pages_restored, serial.stats.pages_restored)
-        << "workers=" << workers;
-    EXPECT_EQ(parallel.stats.pages_restore_skipped, serial.stats.pages_restore_skipped)
-        << "workers=" << workers;
-    // Protection batching happens on the session thread before/after the
-    // fan-out, so its accounting must be invariant in the worker count too.
-    EXPECT_EQ(parallel.stats.restore_runs_coalesced, serial.stats.restore_runs_coalesced)
-        << "workers=" << workers;
-    EXPECT_EQ(parallel.stats.restore_mprotect_calls, serial.stats.restore_mprotect_calls)
-        << "workers=" << workers;
-  }
-  // Engines that batch protection pay exactly two syscalls per coalesced run;
-  // fault-free engines pay none at all.
-  EXPECT_LE(serial.stats.restore_mprotect_calls, 2 * serial.stats.restore_runs_coalesced);
+  // kCow batches protection: exactly two syscalls per coalesced run.
+  // Fault-free modes pay none at all.
+  EXPECT_LE(stats.restore_mprotect_calls, 2 * stats.restore_runs_coalesced);
   if (GetParam() == SnapshotMode::kCow) {
-    EXPECT_GT(serial.stats.restore_runs_coalesced, 0u);
-    EXPECT_EQ(serial.stats.restore_mprotect_calls, 2 * serial.stats.restore_runs_coalesced);
+    EXPECT_GT(stats.restore_runs_coalesced, 0u);
+    EXPECT_EQ(stats.restore_mprotect_calls, 2 * stats.restore_runs_coalesced);
   }
   if (GetParam() == SnapshotMode::kFullCopy || GetParam() == SnapshotMode::kIncremental) {
-    EXPECT_EQ(serial.stats.restore_mprotect_calls, 0u);
+    EXPECT_EQ(stats.restore_mprotect_calls, 0u);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllEngines, RestoreParityTest,
+INSTANTIATE_TEST_SUITE_P(AllEngines, RestoreAccountingTest,
                          ::testing::Values(SnapshotMode::kCow, SnapshotMode::kFullCopy,
                                            SnapshotMode::kIncremental),
                          [](const ::testing::TestParamInfo<SnapshotMode>& info) {
@@ -186,10 +145,10 @@ TEST(CowRestoreCoalescingTest, DeltaOverThreeRunsCostsTwoSyscallsPerRun) {
   PageStore store;
   GuestArena arena(SmallLayout());
   SnapshotEngineStats stats;
-  auto engine = MakeSnapshotEngine(SnapshotMode::kCow, MakeEnv(&arena, &store, &stats, 0));
+  SnapshotEngine engine(SnapshotMode::kCow, MakeEnv(&arena, &store, &stats, 0));
 
   Snapshot base;
-  engine->Materialize(base);  // all-zero baseline
+  engine.Materialize(base);  // all-zero baseline
 
   std::vector<uint32_t> delta;
   for (uint32_t page = 10; page <= 19; ++page) delta.push_back(page);
@@ -199,7 +158,7 @@ TEST(CowRestoreCoalescingTest, DeltaOverThreeRunsCostsTwoSyscallsPerRun) {
     std::memset(arena.PageAddr(page), 0xAB, kPageSize);  // faults, marks dirty
   }
 
-  engine->Restore(base);
+  engine.Restore(base);
   EXPECT_EQ(stats.restore_runs_coalesced, 3u);
   EXPECT_EQ(stats.restore_mprotect_calls, 6u);
   EXPECT_EQ(stats.pages_restored, delta.size());
@@ -208,7 +167,7 @@ TEST(CowRestoreCoalescingTest, DeltaOverThreeRunsCostsTwoSyscallsPerRun) {
   }
 
   // A restore with nothing to do must not issue any protection syscalls.
-  engine->Restore(base);
+  engine.Restore(base);
   EXPECT_EQ(stats.restore_runs_coalesced, 3u);
   EXPECT_EQ(stats.restore_mprotect_calls, 6u);
   EXPECT_EQ(stats.pages_restored, delta.size());
@@ -223,25 +182,25 @@ TEST(CowRestoreHotSkipTest, UnchangedHotPagesAreComparedNotCopied) {
   PageStore store;
   GuestArena arena(SmallLayout());
   SnapshotEngineStats stats;
-  auto engine = MakeSnapshotEngine(SnapshotMode::kCow, MakeEnv(&arena, &store, &stats, 8));
+  SnapshotEngine engine(SnapshotMode::kCow, MakeEnv(&arena, &store, &stats, 8));
 
   // Page 10 dirtied every round goes hot after kHotPromoteAfter consecutive
   // dirty snapshots.
   std::vector<Snapshot> snaps(6);
   for (int round = 0; round < 6; ++round) {
     std::memset(arena.PageAddr(10), round + 1, kPageSize);
-    engine->Materialize(snaps[round]);
+    engine.Materialize(snaps[round]);
   }
   ASSERT_GT(stats.hot_promotions, 0u);
 
   // Live memory already equals snaps[5]; the hot page is memcmp'd and skipped.
   const uint64_t restored_before = stats.pages_restored;
-  engine->Restore(snaps[5]);
+  engine.Restore(snaps[5]);
   EXPECT_EQ(stats.pages_restored, restored_before);
   EXPECT_GE(stats.pages_restore_skipped, 1u);
 
   // Restoring down the chain must copy the (now divergent) hot page.
-  engine->Restore(snaps[0]);
+  engine.Restore(snaps[0]);
   EXPECT_EQ(stats.pages_restored, restored_before + 1);
   EXPECT_EQ(arena.PageAddr(10)[0], 1u);
 }

@@ -11,6 +11,7 @@
 
 #include <csignal>
 #include <cstring>
+#include <memory>
 #include <thread>
 
 #include "src/core/arena.h"
@@ -116,7 +117,7 @@ TEST(ASignalStateTest, CowEngineInstallsHandlerLazily) {
   SnapshotEngineStats stats;
   auto env = MakeEnv(&arena, &store, &stats);
   env.hot_page_limit = 8;
-  auto engine = MakeSnapshotEngine(SnapshotMode::kCow, env);
+  auto engine = std::make_unique<SnapshotEngine>(SnapshotMode::kCow, env);
   EXPECT_TRUE(engine->NeedsSignalProtocol());
 
   struct sigaction sa{};

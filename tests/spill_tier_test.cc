@@ -15,8 +15,7 @@
 //     spiller thread hammering one shared store stay coherent (tsan-safe);
 //   * E15 acceptance — a parked checkpoint population whose logical bytes are
 //     ≥ 10× the RAM budget stays resident under the budget and restores
-//     bit-identically to a never-spilled run, across all five engines and
-//     parallel-materialize worker counts {1, 4}.
+//     bit-identically to a never-spilled run, in every snapshot mode.
 
 #include <gtest/gtest.h>
 
@@ -779,8 +778,7 @@ struct E15Run {
   std::map<uint64_t, uint64_t> restored;  // branch -> checksum after restore
 };
 
-void RunE15(SnapshotMode mode, uint32_t workers, const std::string& spill_dir, uint64_t budget,
-            E15Run* out) {
+void RunE15(SnapshotMode mode, const std::string& spill_dir, uint64_t budget, E15Run* out) {
   PageStoreOptions store_options;
   store_options.spill_dir = spill_dir;
   store_options.spill_segment_bytes = SpillTier::kMinSegmentBytes * 4;
@@ -793,7 +791,6 @@ void RunE15(SnapshotMode mode, uint32_t workers, const std::string& spill_dir, u
   options.arena_bytes = 8ull << 20;
   options.guest_stack_bytes = 256 << 10;
   options.snapshot_mode = mode;
-  options.parallel_materialize_workers = workers;
   options.snapshot_byte_budget = budget;
   options.store = store;
   options.output = [](std::string_view) {};
@@ -856,45 +853,42 @@ TEST_P(SpillSessionTest, OverBudgetParkedPopulationRestoresBitIdentical) {
   if (SkipForMode(mode, &reason)) {
     GTEST_SKIP() << reason;
   }
-  for (uint32_t workers : {1u, 4u}) {
-    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
-    ScopedSpillDir tmp;
+  ScopedSpillDir tmp;
 
-    // Calibrate: the never-spilled run measures what the population logically
-    // holds; the spilled run then gets a RAM budget an order of magnitude
-    // smaller than that.
-    E15Run base;
-    RunE15(mode, workers, "", 0, &base);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
-    }
-    ASSERT_EQ(base.parked.size(), static_cast<size_t>(kE15Branches));
-    EXPECT_EQ(base.spilled_blobs, 0u);
-    EXPECT_EQ(base.faultbacks, 0u);
-    // /12 keeps the budget above the store's irreducible floor (spilled-blob
-    // headers stay resident) while the logical population is still ≥ 10×.
-    const uint64_t budget = base.live_after_park / 12;
-    ASSERT_GT(budget, 0u);
-
-    E15Run spilled;
-    RunE15(mode, workers, tmp.Sub("run"), budget, &spilled);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
-    }
-
-    // The ladder kept residency under the budget while the parked population
-    // logically holds ≥ 10× the budget — the spill tier's whole point.
-    EXPECT_LE(spilled.live_after_park, budget);
-    EXPECT_GE(spilled.logical_after_park, 10 * budget);
-    EXPECT_GT(spilled.spilled_blobs, 0u);
-    EXPECT_GT(spilled.faultbacks, 0u);
-
-    // Bit-identity: park-time checksums match the never-spilled run, and every
-    // restore-from-disk reproduced them exactly.
-    EXPECT_EQ(spilled.parked, base.parked);
-    EXPECT_EQ(spilled.restored, spilled.parked);
-    EXPECT_EQ(base.restored, base.parked);
+  // Calibrate: the never-spilled run measures what the population logically
+  // holds; the spilled run then gets a RAM budget an order of magnitude
+  // smaller than that.
+  E15Run base;
+  RunE15(mode, "", 0, &base);
+  if (::testing::Test::HasFatalFailure()) {
+    return;
   }
+  ASSERT_EQ(base.parked.size(), static_cast<size_t>(kE15Branches));
+  EXPECT_EQ(base.spilled_blobs, 0u);
+  EXPECT_EQ(base.faultbacks, 0u);
+  // /12 keeps the budget above the store's irreducible floor (spilled-blob
+  // headers stay resident) while the logical population is still ≥ 10×.
+  const uint64_t budget = base.live_after_park / 12;
+  ASSERT_GT(budget, 0u);
+
+  E15Run spilled;
+  RunE15(mode, tmp.Sub("run"), budget, &spilled);
+  if (::testing::Test::HasFatalFailure()) {
+    return;
+  }
+
+  // The ladder kept residency under the budget while the parked population
+  // logically holds ≥ 10× the budget — the spill tier's whole point.
+  EXPECT_LE(spilled.live_after_park, budget);
+  EXPECT_GE(spilled.logical_after_park, 10 * budget);
+  EXPECT_GT(spilled.spilled_blobs, 0u);
+  EXPECT_GT(spilled.faultbacks, 0u);
+
+  // Bit-identity: park-time checksums match the never-spilled run, and every
+  // restore-from-disk reproduced them exactly.
+  EXPECT_EQ(spilled.parked, base.parked);
+  EXPECT_EQ(spilled.restored, spilled.parked);
+  EXPECT_EQ(base.restored, base.parked);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, SpillSessionTest,
