@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "src/snapshot/budget_policy.h"
 #include "src/util/timer.h"
@@ -24,28 +25,36 @@ GuessExecutor* CurrentExecutor() { return g_current_executor; }
 void SetCurrentExecutor(GuessExecutor* executor) { g_current_executor = executor; }
 
 std::string SessionStats::ToString() const {
-  char buf[1536];
-  std::snprintf(buf, sizeof(buf),
-                "guesses=%llu snapshots=%llu restores=%llu exts=%llu fail=%llu done=%llu "
-                "sol=%llu pages_mat=%llu pages_rst=%llu incr_scan=%llu incr_copy=%llu "
-                "rst_mprotect=%llu rst_runs=%llu rst_skip=%llu "
-                "snap_us=%.1f restore_us=%.1f",
-                static_cast<unsigned long long>(guesses),
-                static_cast<unsigned long long>(snapshots),
-                static_cast<unsigned long long>(restores),
-                static_cast<unsigned long long>(extensions_evaluated),
-                static_cast<unsigned long long>(failures),
-                static_cast<unsigned long long>(completions),
-                static_cast<unsigned long long>(solutions),
-                static_cast<unsigned long long>(pages_materialized),
-                static_cast<unsigned long long>(pages_restored),
-                static_cast<unsigned long long>(incr_pages_scanned),
-                static_cast<unsigned long long>(incr_pages_copied),
-                static_cast<unsigned long long>(restore_mprotect_calls),
-                static_cast<unsigned long long>(restore_runs_coalesced),
-                static_cast<unsigned long long>(pages_restore_skipped),
+  const std::pair<const char*, uint64_t> counters[] = {
+      {"guesses", guesses},
+      {"snapshots", snapshots},
+      {"restores", restores},
+      {"exts", extensions_evaluated},
+      {"fail", failures},
+      {"done", completions},
+      {"sol", solutions},
+      {"checkpoints", checkpoints},
+      {"resumes", resumes},
+      {"evictions", evictions},
+      {"pages_mat", pages_materialized},
+      {"pages_rst", pages_restored},
+      {"hot_promo", hot_promotions},
+      {"hot_demo", hot_demotions},
+      {"hot_skip", hot_unchanged_skips},
+      {"incr_scan", incr_pages_scanned},
+      {"incr_copy", incr_pages_copied},
+      {"rst_mprotect", restore_mprotect_calls},
+      {"rst_runs", restore_runs_coalesced},
+      {"rst_skip", pages_restore_skipped},
+  };
+  std::string out;
+  for (const auto& [name, value] : counters) {
+    out += std::string(name) + "=" + std::to_string(value) + " ";
+  }
+  char timings[64];
+  std::snprintf(timings, sizeof(timings), "snap_us=%.1f restore_us=%.1f",
                 static_cast<double>(snapshot_ns) / 1e3, static_cast<double>(restore_ns) / 1e3);
-  return buf;
+  return out + timings;
 }
 
 BacktrackSession::BacktrackSession(SessionOptions options)

@@ -586,6 +586,43 @@ TEST(SessionTest, StatsAreCoherent) {
   EXPECT_GT(stats.pages_materialized, 0u);
 }
 
+TEST(SessionTest, StatsToStringPrintsEveryCounter) {
+  // A new counter must get a ToString key and a line below.
+  static_assert(sizeof(SessionStats) == 22 * sizeof(uint64_t), "SessionStats gained a field");
+  SessionStats stats;
+  stats.guesses = 1;
+  stats.snapshots = 2;
+  stats.restores = 3;
+  stats.extensions_evaluated = 4;
+  stats.failures = 5;
+  stats.completions = 6;
+  stats.solutions = 7;
+  stats.checkpoints = 8;
+  stats.resumes = 9;
+  stats.evictions = 10;
+  stats.pages_materialized = 11;
+  stats.pages_restored = 12;
+  stats.hot_promotions = 13;
+  stats.hot_demotions = 14;
+  stats.hot_unchanged_skips = 15;
+  stats.incr_pages_scanned = 16;
+  stats.incr_pages_copied = 17;
+  stats.restore_mprotect_calls = 18;
+  stats.restore_runs_coalesced = 19;
+  stats.pages_restore_skipped = 20;
+  stats.snapshot_ns = 21000;
+  stats.restore_ns = 22000;
+  const std::string text = " " + stats.ToString() + " ";
+  for (const char* token :
+       {"guesses=1", "snapshots=2", "restores=3", "exts=4", "fail=5", "done=6", "sol=7",
+        "checkpoints=8", "resumes=9", "evictions=10", "pages_mat=11", "pages_rst=12",
+        "hot_promo=13", "hot_demo=14", "hot_skip=15", "incr_scan=16", "incr_copy=17",
+        "rst_mprotect=18", "rst_runs=19", "rst_skip=20", "snap_us=21.0", "restore_us=22.0"}) {
+    EXPECT_NE(text.find(" " + std::string(token) + " "), std::string::npos)
+        << token << " missing from: " << text;
+  }
+}
+
 // --- Guard rails -------------------------------------------------------------------------------
 
 TEST(SessionTest, ReadGuestCopiesLiveMemory) {
