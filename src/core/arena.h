@@ -48,7 +48,8 @@ namespace lw {
 // Installs (once per thread) the alternate signal stack the SIGSEGV handler
 // runs on. EnableCow() calls it for the enabling thread; sessions
 // whose engine needs the signal protocol call it on every Drive (covering
-// cross-thread hand-off). Cheap after the first call. Fault-free configurations never call it.
+// cross-thread hand-off). Cheap after the first call. Fault-free
+// configurations never call it.
 void EnsureThreadSignalStack();
 
 class GuestArena {

@@ -32,9 +32,8 @@
 //
 // Threading: the engine runs on the session's thread. Every publish, scan and
 // restore copy is a plain loop in the order the mode defines (kCow publishes
-// in fault order, the store's LRU order); parallelism comes from many
-// sessions sharing one store (ServicePool, CheckpointDaemon), not from a
-// team inside one session.
+// in fault order, which becomes the store's LRU order); parallelism comes
+// from many sessions sharing one store (ServicePool, CheckpointDaemon).
 //
 // SIGSEGV-protocol invariant: only kCow ever write-protects guest pages —
 // NeedsSignalProtocol() — and the process-wide SIGSEGV handler plus

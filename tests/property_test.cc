@@ -207,12 +207,12 @@ TEST(TermHeapPropertyTest, CopyPreservesSharingAcrossHeaps) {
 // --- Snapshot engines: cross-mode differential against a shadow image ---
 
 // Seeded random page-write / materialize / restore scripts run against every
-// snapshot mode, unbudgeted and under a tight byte budget
-// with the spill tier on. A shadow copy of the write window is taken at each
-// materialize; every restore must reproduce it byte for byte and leave the rest
-// of the arena zero. Dropped snapshots exercise release along the way; in the
-// budgeted runs the ladder compresses and spills after every materialize, so
-// restores read pages back through decompression and fault-back.
+// snapshot mode, unbudgeted and under a tight byte budget with the spill tier
+// on. A shadow copy of the write window is taken at each materialize; every
+// restore must reproduce it byte for byte and leave the rest of the arena zero.
+// Dropped snapshots exercise release along the way; in the budgeted runs the
+// ladder compresses and spills after every materialize, so restores read pages
+// back through decompression and fault-back.
 class EngineDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 constexpr uint32_t kWindowPages = 256;  // writes land in pages [0, kWindowPages)
