@@ -32,9 +32,9 @@ struct ServiceTuning {
 
   // Shared page substrate: services on one store dedup each other's
   // byte-identical pages. Null = private store (see SessionOptions::store).
-  // store_options carries the spill-tier knobs (spill_dir,
-  // spill_segment_bytes) when the service should page cold checkpoints out
-  // to disk.
+  // A non-empty store_options.spill_dir pages cold checkpoints out to disk.
+  // Services that each build a private store may share one spill_dir: every
+  // store's spill segments are unnamed files, so they never collide.
   std::shared_ptr<PageStore> store;
   PageStoreOptions store_options;
 

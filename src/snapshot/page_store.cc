@@ -53,10 +53,7 @@ PageStore::PageStore(const PageStoreOptions& options) {
     shard.index.assign(kInitialIndexSlots, nullptr);
   }
   if (!options.spill_dir.empty()) {
-    SpillTierOptions spill_options;
-    spill_options.dir = options.spill_dir;
-    spill_options.segment_bytes = options.spill_segment_bytes;
-    auto tier = SpillTier::Open(spill_options);
+    auto tier = SpillTier::Open(options.spill_dir, options.spill_segment_bytes);
     if (tier.ok()) {
       spill_ = std::move(*tier);
     } else {
@@ -640,7 +637,7 @@ bool PageStore::SpillBlobLocked(Shard& shard, PageBlob* blob) {
   uint32_t len = comp != 0 ? comp : static_cast<uint32_t>(kPageSize);
   SpillRecord* rec = blob->spill_rec;
   if (rec == nullptr) {
-    rec = spill_->Append(blob->hash, blob->payload, len, comp);
+    rec = spill_->Append(blob->payload, len, comp);
     if (rec == nullptr) {
       return false;  // disk trouble — leave the blob resident
     }

@@ -32,10 +32,11 @@
 //
 // Spill tier (opt-in via PageStoreOptions::spill_dir): below the compressed
 // tier sits disk. The ladder's spill rung writes a spill candidate's payload
-// to the SpillTier's append-only segment files and frees the RAM copy (only
-// the blob header stays resident). The blob owns its spill record and keeps
-// it across fault-back, so re-spilling an unchanged blob is an accounting
-// flip with no I/O. The same guarded accessors that re-inflate cold blobs
+// to the SpillTier's append-only segments — unnamed scratch files under
+// spill_dir that no other store or process can see — and frees the RAM copy
+// (only the blob header stays resident). The blob owns its spill record and
+// keeps it across fault-back, so re-spilling an unchanged blob is an
+// accounting flip with no I/O. The same guarded accessors that re-inflate cold blobs
 // fault spilled blobs back transparently — refcounts, dedup identity, and the
 // unique-recycler 1 → 0 protocol are oblivious to where the payload lives, so
 // a parked checkpoint population can exceed the RAM budget by orders of
@@ -227,12 +228,14 @@ class PageRef {
 struct PageStoreOptions {
   // Non-empty = enable the spill tier (fourth budget rung): cold blobs can be
   // evicted to append-only segment files under this directory and are faulted
-  // back transparently on access. The directory is created if missing; its
-  // segment files live only as long as the store (deleted on destruction). If
-  // the tier fails to open, the store comes up with spill disabled and
-  // spill_status() carries the error.
+  // back transparently on access. The directory is created if missing. The
+  // segments are unlinked as soon as they are created, so they live only as
+  // long as the store, never collide with other stores sharing the directory,
+  // and the directory's other files are never read. If the tier fails to open,
+  // the store comes up with spill disabled and spill_status() carries the
+  // error.
   std::string spill_dir;
-  // Spill segment file size (floor 64 KiB; see SpillTierOptions).
+  // Spill segment file size (floor SpillTier::kMinSegmentBytes = 64 KiB).
   uint64_t spill_segment_bytes = 4ull << 20;
 };
 

@@ -1,140 +1,42 @@
 #include "src/snapshot/spill_tier.h"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace lw {
 namespace {
 
-void StoreU32(uint8_t* dst, uint32_t v) { std::memcpy(dst, &v, sizeof(v)); }
-void StoreU64(uint8_t* dst, uint64_t v) { std::memcpy(dst, &v, sizeof(v)); }
-
-uint32_t LoadU32(const uint8_t* src) {
-  uint32_t v;
-  std::memcpy(&v, src, sizeof(v));
-  return v;
-}
-
-uint64_t LoadU64(const uint8_t* src) {
-  uint64_t v;
-  std::memcpy(&v, src, sizeof(v));
-  return v;
-}
-
-std::string SegmentPath(const std::string& dir, uint32_t id) {
-  char name[48];
-  std::snprintf(name, sizeof(name), "/seg-%06u.lwspill", id);
-  return dir + name;
-}
-
-bool IsSegmentName(const char* name) {
-  size_t n = std::strlen(name);
-  static constexpr char kSuffix[] = ".lwspill";
-  return n > sizeof(kSuffix) + 3 && std::strncmp(name, "seg-", 4) == 0 &&
-         std::strcmp(name + n - (sizeof(kSuffix) - 1), kSuffix) == 0;
-}
-
-// Proves a leftover segment file is record-structured end to end. Anything
-// that fails — short file, bad magic, record bounds escaping the file — is a
-// torn/foreign file and surfaces as IoError from Open (the file is left in
-// place as evidence; nothing gets mapped).
-Status ValidateSegmentFile(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return IoError("cannot open spill segment " + path);
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return IoError("cannot stat spill segment " + path);
-  }
-  const uint64_t size = static_cast<uint64_t>(st.st_size);
-  if (size < SpillTier::kSegmentHeaderBytes) {
-    ::close(fd);
-    return IoError("truncated spill segment (no header): " + path);
-  }
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (map == MAP_FAILED) {
-    return IoError("cannot map spill segment " + path);
-  }
-  const uint8_t* base = static_cast<const uint8_t*>(map);
-  Status status = OkStatus();
-  if (LoadU32(base) != SpillTier::kSegmentMagic) {
-    status = IoError("bad segment magic: " + path);
-  } else if (LoadU32(base + 4) != SpillTier::kFormatVersion) {
-    status = IoError("unknown spill format version: " + path);
-  } else if (LoadU64(base + 8) != size) {
-    status = IoError("truncated spill segment: " + path);
-  } else {
-    uint64_t off = SpillTier::kSegmentHeaderBytes;
-    while (off + SpillTier::kRecordHeaderBytes <= size) {
-      uint32_t magic = LoadU32(base + off);
-      if (magic == 0) {
-        break;  // ftruncate zero-fill: end of appended records
-      }
-      uint32_t len = LoadU32(base + off + 8);
-      uint64_t span = (SpillTier::kRecordHeaderBytes + len + 7u) & ~uint64_t{7};
-      if (magic != SpillTier::kRecordMagic || len == 0 || span > size - off) {
-        status = IoError("corrupt spill record: " + path);
-        break;
-      }
-      off += span;
-    }
-  }
-  ::munmap(map, size);
-  return status;
-}
+// A sealed segment is compacted once this fraction of its appended bytes is
+// garbage.
+constexpr double kCompactDeadRatio = 0.5;
 
 }  // namespace
 
-SpillTier::SpillTier(SpillTierOptions options) : options_(std::move(options)) {}
+SpillTier::SpillTier(std::string dir, uint64_t segment_bytes)
+    : dir_(std::move(dir)), segment_bytes_(segment_bytes) {}
 
-Result<std::unique_ptr<SpillTier>> SpillTier::Open(const SpillTierOptions& options) {
-  if (options.dir.empty()) {
-    return InvalidArgument("SpillTierOptions::dir is empty");
+Result<std::unique_ptr<SpillTier>> SpillTier::Open(const std::string& dir,
+                                                   uint64_t segment_bytes) {
+  if (dir.empty()) {
+    return InvalidArgument("spill directory is empty");
   }
-  if (options.segment_bytes < kMinSegmentBytes) {
-    return InvalidArgument("SpillTierOptions::segment_bytes below 64 KiB floor");
+  if (segment_bytes < kMinSegmentBytes) {
+    return InvalidArgument("spill segment_bytes below 64 KiB floor");
   }
-  if (!(options.compact_dead_ratio > 0.0) || options.compact_dead_ratio > 1.0) {
-    return InvalidArgument("SpillTierOptions::compact_dead_ratio must be in (0, 1]");
-  }
-  if (::mkdir(options.dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return IoError("cannot create spill directory " + options.dir);
+  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
+    return IoError("cannot create spill directory " + dir);
   }
   struct stat st;
-  if (::stat(options.dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
-    return IoError("spill path is not a directory: " + options.dir);
+  if (::stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
+    return IoError("spill path is not a directory: " + dir);
   }
-  // A previous instance that crashed leaves its segments behind; their records'
-  // owning blobs died with that process, so valid leftovers are deleted. A
-  // leftover that fails validation aborts Open instead — never map a torn file.
-  DIR* d = ::opendir(options.dir.c_str());
-  if (d == nullptr) {
-    return IoError("cannot scan spill directory " + options.dir);
-  }
-  while (struct dirent* e = ::readdir(d)) {
-    if (!IsSegmentName(e->d_name)) {
-      continue;
-    }
-    std::string path = options.dir + "/" + e->d_name;
-    Status status = ValidateSegmentFile(path);
-    if (!status.ok()) {
-      ::closedir(d);
-      return status;
-    }
-    ::unlink(path.c_str());
-  }
-  ::closedir(d);
-  return std::unique_ptr<SpillTier>(new SpillTier(options));
+  return std::unique_ptr<SpillTier>(new SpillTier(dir, segment_bytes));
 }
 
 SpillTier::~SpillTier() {
@@ -146,14 +48,11 @@ SpillTier::~SpillTier() {
       seg->records = rec->seg_next;
       delete rec;
     }
-    ::munmap(seg->map, options_.segment_bytes);
-    ::close(seg->fd);
-    ::unlink(seg->path.c_str());
+    ::munmap(seg->map, segment_bytes_);
   }
 }
 
-SpillRecord* SpillTier::Append(uint64_t hash, const void* payload, uint32_t len,
-                               uint32_t comp_bytes) {
+SpillRecord* SpillTier::Append(const void* payload, uint32_t len, uint32_t comp_bytes) {
   LW_CHECK(len > 0);
   std::lock_guard<std::mutex> lock(mu_);
   appends_++;
@@ -164,7 +63,7 @@ SpillRecord* SpillTier::Append(uint64_t hash, const void* payload, uint32_t len,
   SpillRecord* rec = new SpillRecord;
   rec->len = len;
   rec->comp_bytes = comp_bytes;
-  WriteRecordLocked(*seg, *rec, hash, payload);
+  WriteRecordLocked(*seg, *rec, payload);
   live_records_++;
   live_payload_bytes_ += len;
   return rec;
@@ -215,7 +114,7 @@ SpillTier::Segment* SpillTier::TailForAppendLocked(uint64_t need) {
       continue;
     }
     Segment* tail = segments_[tail_].get();
-    if (tail->used + need <= options_.segment_bytes) {
+    if (tail->used + need <= segment_bytes_) {
       return tail;
     }
     tail->sealed = true;
@@ -232,54 +131,42 @@ SpillTier::Segment* SpillTier::TailForAppendLocked(uint64_t need) {
 }
 
 SpillTier::Segment* SpillTier::NewSegmentLocked() {
-  uint32_t id = static_cast<uint32_t>(segments_.size());
-  auto seg = std::make_unique<Segment>();
-  seg->id = id;
-  seg->path = SegmentPath(options_.dir, id);
-  int fd = ::open(seg->path.c_str(), O_RDWR | O_CREAT | O_EXCL, 0644);
+  // The name exists only until the unlink below: from then on nothing else
+  // can open the file, and its blocks go back when the mapping does.
+  std::string path = dir_ + "/lwspill-XXXXXX";
+  int fd = ::mkostemp(path.data(), O_CLOEXEC);
   if (fd < 0) {
     return nullptr;
   }
+  ::unlink(path.c_str());
   // Reserve every block up front: a sparse file would let a full disk surface
   // as SIGBUS on a later store through the shared mapping instead of as this
   // clean failure. posix_fallocate returns an error number, not -1.
-  if (::ftruncate(fd, static_cast<off_t>(options_.segment_bytes)) != 0 ||
-      ::posix_fallocate(fd, 0, static_cast<off_t>(options_.segment_bytes)) != 0) {
-    ::close(fd);
-    ::unlink(seg->path.c_str());
-    return nullptr;
+  void* map = MAP_FAILED;
+  if (::ftruncate(fd, static_cast<off_t>(segment_bytes_)) == 0 &&
+      ::posix_fallocate(fd, 0, static_cast<off_t>(segment_bytes_)) == 0) {
+    map = ::mmap(nullptr, segment_bytes_, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
   }
-  void* map = ::mmap(nullptr, options_.segment_bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+  ::close(fd);
   if (map == MAP_FAILED) {
-    ::close(fd);
-    ::unlink(seg->path.c_str());
     return nullptr;
   }
-  seg->fd = fd;
+  uint32_t id = static_cast<uint32_t>(segments_.size());
+  auto seg = std::make_unique<Segment>();
+  seg->id = id;
   seg->map = static_cast<uint8_t*>(map);
-  StoreU32(seg->map, kSegmentMagic);
-  StoreU32(seg->map + 4, kFormatVersion);
-  StoreU64(seg->map + 8, options_.segment_bytes);
-  seg->used = kSegmentHeaderBytes;
   segments_.push_back(std::move(seg));
   tail_ = id;
   segments_live_++;
   return segments_[id].get();
 }
 
-void SpillTier::WriteRecordLocked(Segment& seg, SpillRecord& rec, uint64_t hash,
-                                  const void* payload) {
+void SpillTier::WriteRecordLocked(Segment& seg, SpillRecord& rec, const void* payload) {
   uint64_t span = RecordSpan(rec.len);
-  LW_CHECK(seg.used + span <= options_.segment_bytes);
-  uint8_t* base = seg.map + seg.used;
-  StoreU32(base, kRecordMagic);
-  StoreU32(base + 4, rec.comp_bytes);
-  StoreU32(base + 8, rec.len);
-  StoreU32(base + 12, 0);
-  StoreU64(base + 16, hash);
-  std::memcpy(base + kRecordHeaderBytes, payload, rec.len);
+  LW_CHECK(seg.used + span <= segment_bytes_);
+  std::memcpy(seg.map + seg.used, payload, rec.len);
   rec.seg = seg.id;
-  rec.off = seg.used + kRecordHeaderBytes;
+  rec.off = seg.used;
   rec.seg_prev = nullptr;
   rec.seg_next = seg.records;
   if (seg.records != nullptr) {
@@ -313,7 +200,7 @@ void SpillTier::MaybeReclaimSealedLocked(uint32_t seg_id) {
   uint64_t spanned = seg->live_bytes + seg->dead_bytes;
   if (seg->dead_bytes > 0 &&
       static_cast<double>(seg->dead_bytes) / static_cast<double>(spanned) >=
-          options_.compact_dead_ratio) {
+          kCompactDeadRatio) {
     CompactSegmentLocked(seg_id);
   }
 }
@@ -328,10 +215,10 @@ void SpillTier::CompactSegmentLocked(uint32_t seg_id) {
     if (dst == nullptr) {
       return;  // disk trouble: abandon, the victim keeps serving its records
     }
-    const uint8_t* header = victim->map + rec->off - kRecordHeaderBytes;
+    const uint8_t* payload = victim->map + rec->off;
     UnlinkRecordLocked(*rec);
     victim->live_bytes -= RecordSpan(rec->len);
-    WriteRecordLocked(*dst, *rec, LoadU64(header + 16), header + kRecordHeaderBytes);
+    WriteRecordLocked(*dst, *rec, payload);
     records_rewritten_++;
   }
   segments_compacted_++;
@@ -341,9 +228,7 @@ void SpillTier::CompactSegmentLocked(uint32_t seg_id) {
 void SpillTier::DropSegmentLocked(uint32_t seg_id) {
   Segment* seg = segments_[seg_id].get();
   LW_CHECK(seg != nullptr && seg->live_bytes == 0 && seg_id != tail_);
-  ::munmap(seg->map, options_.segment_bytes);
-  ::close(seg->fd);
-  ::unlink(seg->path.c_str());
+  ::munmap(seg->map, segment_bytes_);
   dead_bytes_ -= seg->dead_bytes;
   segments_live_--;
   segments_[seg_id].reset();

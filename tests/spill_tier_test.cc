@@ -1,9 +1,9 @@
 // Spill tier (the budget ladder's fourth rung):
 //   * SpillTier unit coverage — append/read/free round trips, segment rollover
 //     and compaction, option validation;
-//   * crash model — a truncated or corrupt leftover segment makes Open fail
-//     with a clean IoError (file left as evidence, no UB); a valid stale
-//     segment is reclaimed silently;
+//   * unnamed segments — live segments leave no entry in the spill directory,
+//     Open ignores files already there, and two stores sharing one directory
+//     never collide;
 //   * rung ordering — EnforceByteBudget meets a budget reachable by compression
 //     alone without touching disk, and only reaches for the spill rung when
 //     compression is exhausted;
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/resource.h>
@@ -73,7 +74,8 @@ class ScopedSpillDir {
     path_ = dir;
   }
   ~ScopedSpillDir() {
-    // The tier unlinks its own segments; sweep whatever a failing test left.
+    // Live segments have no name in the directory; this sweeps the test's
+    // own files and the directories the stores created.
     std::string cmd = "rm -rf '" + path_ + "'";
     int rc = std::system(cmd.c_str());
     (void)rc;
@@ -115,6 +117,22 @@ void FillNoisePage(uint8_t* buf, uint64_t salt, uint64_t i) {
   }
 }
 
+// Names in `dir` other than "." and "..".
+std::vector<std::string> DirEntries(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* d = opendir(dir.c_str());
+  if (d == nullptr) {
+    return names;
+  }
+  while (struct dirent* e = readdir(d)) {
+    if (std::strcmp(e->d_name, ".") != 0 && std::strcmp(e->d_name, "..") != 0) {
+      names.push_back(e->d_name);
+    }
+  }
+  closedir(d);
+  return names;
+}
+
 uint64_t Fnv1a(const uint8_t* data, size_t len) {
   uint64_t h = 1469598103934665603ull;
   for (size_t i = 0; i < len; ++i) {
@@ -127,30 +145,15 @@ uint64_t Fnv1a(const uint8_t* data, size_t len) {
 
 TEST(SpillTierTest, OpenRejectsBadOptions) {
   ScopedSpillDir tmp;
-  SpillTierOptions options;
-  options.dir = "";
-  EXPECT_FALSE(SpillTier::Open(options).ok());
-
-  options.dir = tmp.Sub("t");
-  options.segment_bytes = SpillTier::kMinSegmentBytes - 1;
-  EXPECT_FALSE(SpillTier::Open(options).ok());
-
-  options.segment_bytes = SpillTier::kMinSegmentBytes;
-  options.compact_dead_ratio = 0.0;
-  EXPECT_FALSE(SpillTier::Open(options).ok());
-  options.compact_dead_ratio = 1.5;
-  EXPECT_FALSE(SpillTier::Open(options).ok());
-
-  options.compact_dead_ratio = 0.5;
-  EXPECT_TRUE(SpillTier::Open(options).ok());
+  EXPECT_FALSE(SpillTier::Open("", SpillTier::kMinSegmentBytes).ok());
+  EXPECT_FALSE(SpillTier::Open(tmp.Sub("t"), SpillTier::kMinSegmentBytes - 1).ok());
+  EXPECT_TRUE(SpillTier::Open(tmp.Sub("t"), SpillTier::kMinSegmentBytes).ok());
 }
 
 TEST(SpillTierTest, AppendReadFreeRoundTrip) {
   ScopedSpillDir tmp;
-  SpillTierOptions options;
-  options.dir = tmp.Sub("tier");
-  options.segment_bytes = SpillTier::kMinSegmentBytes;
-  auto tier_or = SpillTier::Open(options);
+  const std::string dir = tmp.Sub("tier");
+  auto tier_or = SpillTier::Open(dir, SpillTier::kMinSegmentBytes);
   ASSERT_TRUE(tier_or.ok()) << tier_or.status().ToString();
   std::unique_ptr<SpillTier> tier = std::move(*tier_or);
 
@@ -158,8 +161,8 @@ TEST(SpillTierTest, AppendReadFreeRoundTrip) {
   FillNoisePage(a, 1, 1);
   FillNoisePage(b, 1, 2);
 
-  SpillRecord* ra = tier->Append(1, a, kPageSize, 0);
-  SpillRecord* rb = tier->Append(2, b, kPageSize, 0);
+  SpillRecord* ra = tier->Append(a, kPageSize, 0);
+  SpillRecord* rb = tier->Append(b, kPageSize, 0);
   ASSERT_NE(ra, nullptr);
   ASSERT_NE(rb, nullptr);
   EXPECT_NE(ra, rb);
@@ -168,6 +171,9 @@ TEST(SpillTierTest, AppendReadFreeRoundTrip) {
   EXPECT_EQ(stats.live_records, 2u);
   EXPECT_EQ(stats.appends, 2u);
   EXPECT_EQ(stats.live_payload_bytes, 2 * kPageSize);
+  // The live segment is an unnamed file: nothing in the directory names it.
+  EXPECT_EQ(stats.segments, 1u);
+  EXPECT_TRUE(DirEntries(dir).empty());
 
   tier->Read(ra, out);
   EXPECT_EQ(std::memcmp(out, a, kPageSize), 0);
@@ -188,10 +194,8 @@ TEST(SpillTierTest, AppendReadFreeRoundTrip) {
 
 TEST(SpillTierTest, SegmentRolloverAndCompactionKeepRecordsReadable) {
   ScopedSpillDir tmp;
-  SpillTierOptions options;
-  options.dir = tmp.Sub("tier");
-  options.segment_bytes = SpillTier::kMinSegmentBytes;  // ~15 pages per segment
-  auto tier_or = SpillTier::Open(options);
+  // 16 pages per segment.
+  auto tier_or = SpillTier::Open(tmp.Sub("tier"), SpillTier::kMinSegmentBytes);
   ASSERT_TRUE(tier_or.ok()) << tier_or.status().ToString();
   std::unique_ptr<SpillTier> tier = std::move(*tier_or);
 
@@ -200,16 +204,16 @@ TEST(SpillTierTest, SegmentRolloverAndCompactionKeepRecordsReadable) {
   uint8_t buf[kPageSize];
   for (int i = 0; i < kCount; ++i) {
     FillNoisePage(buf, 7, static_cast<uint64_t>(i));
-    recs[i] = tier->Append(0, buf, kPageSize, 0);
+    recs[i] = tier->Append(buf, kPageSize, 0);
     ASSERT_NE(recs[i], nullptr);
   }
   SpillTier::Stats stats = tier->stats();
   EXPECT_GE(stats.segments, 3u);
   EXPECT_EQ(stats.live_records, static_cast<uint64_t>(kCount));
 
-  // Kill most of the first segment's records: its garbage fraction crosses
-  // compact_dead_ratio, so survivors get rewritten to the tail and the file
-  // goes away. Every surviving record must stay readable through the move.
+  // Kill most of the first segment's records: it becomes more than half
+  // garbage, so survivors get rewritten to the tail and the segment goes
+  // away. Every surviving record must stay readable through the move.
   for (int i = 0; i < 12; ++i) {
     tier->Free(recs[i]);
     recs[i] = nullptr;
@@ -230,81 +234,53 @@ TEST(SpillTierTest, SegmentRolloverAndCompactionKeepRecordsReadable) {
   EXPECT_EQ(stats.live_records, 0u);
 }
 
-TEST(SpillTierTest, TruncatedSegmentFailsOpenCleanly) {
+TEST(SpillTierTest, ForeignFilesAreIgnored) {
   ScopedSpillDir tmp;
-  std::string dir = tmp.Sub("tier");
+  const std::string dir = tmp.Sub("tier");
   ASSERT_EQ(mkdir(dir.c_str(), 0755), 0);
-  std::string seg = dir + "/seg-000000.lwspill";
-
-  // A header that claims a full segment over a file that is only one page:
-  // torn mid-write. Open must refuse with IoError and leave the file intact.
+  // A file that is no spill segment at all, under the name older builds gave
+  // their first segment. Open must neither read nor delete it.
+  const std::string foreign = dir + "/seg-000000.lwspill";
+  std::vector<uint8_t> garbage(kPageSize + 123);
+  for (size_t i = 0; i < garbage.size(); ++i) {
+    garbage[i] = static_cast<uint8_t>(i * 29 + 0xde);
+  }
   {
-    std::FILE* f = std::fopen(seg.c_str(), "wb");
+    std::FILE* f = std::fopen(foreign.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    uint32_t magic = SpillTier::kSegmentMagic;
-    uint32_t version = SpillTier::kFormatVersion;
-    uint64_t segment_bytes = SpillTier::kMinSegmentBytes;
-    std::fwrite(&magic, sizeof(magic), 1, f);
-    std::fwrite(&version, sizeof(version), 1, f);
-    std::fwrite(&segment_bytes, sizeof(segment_bytes), 1, f);
-    std::vector<uint8_t> pad(kPageSize - SpillTier::kSegmentHeaderBytes, 0);
-    std::fwrite(pad.data(), 1, pad.size(), f);
+    ASSERT_EQ(std::fwrite(garbage.data(), 1, garbage.size(), f), garbage.size());
     std::fclose(f);
   }
-  SpillTierOptions options;
-  options.dir = dir;
-  auto tier_or = SpillTier::Open(options);
-  ASSERT_FALSE(tier_or.ok());
-  EXPECT_EQ(tier_or.status().code(), ErrorCode::kIoError);
-  struct stat st;
-  EXPECT_EQ(stat(seg.c_str(), &st), 0) << "torn segment must be left as evidence";
 
-  // A full-size file with a corrupt record header (nonzero garbage where a
-  // record magic should be) is equally refused.
-  {
-    std::FILE* f = std::fopen(seg.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    uint32_t magic = SpillTier::kSegmentMagic;
-    uint32_t version = SpillTier::kFormatVersion;
-    uint64_t segment_bytes = SpillTier::kMinSegmentBytes;
-    std::fwrite(&magic, sizeof(magic), 1, f);
-    std::fwrite(&version, sizeof(version), 1, f);
-    std::fwrite(&segment_bytes, sizeof(segment_bytes), 1, f);
-    std::vector<uint8_t> rest(SpillTier::kMinSegmentBytes - SpillTier::kSegmentHeaderBytes, 0);
-    rest[0] = 0xde;  // not a record magic, not the zero end-marker
-    std::fwrite(rest.data(), 1, rest.size(), f);
-    std::fclose(f);
-  }
-  tier_or = SpillTier::Open(options);
-  ASSERT_FALSE(tier_or.ok());
-  EXPECT_EQ(tier_or.status().code(), ErrorCode::kIoError);
-}
-
-TEST(SpillTierTest, ValidStaleSegmentIsReclaimedOnOpen) {
-  ScopedSpillDir tmp;
-  std::string dir = tmp.Sub("tier");
-  ASSERT_EQ(mkdir(dir.c_str(), 0755), 0);
-  std::string seg = dir + "/seg-000000.lwspill";
-  {
-    // A well-formed empty segment left by a crashed previous instance.
-    std::FILE* f = std::fopen(seg.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    uint32_t magic = SpillTier::kSegmentMagic;
-    uint32_t version = SpillTier::kFormatVersion;
-    uint64_t segment_bytes = SpillTier::kMinSegmentBytes;
-    std::fwrite(&magic, sizeof(magic), 1, f);
-    std::fwrite(&version, sizeof(version), 1, f);
-    std::fwrite(&segment_bytes, sizeof(segment_bytes), 1, f);
-    std::vector<uint8_t> rest(SpillTier::kMinSegmentBytes - SpillTier::kSegmentHeaderBytes, 0);
-    std::fwrite(rest.data(), 1, rest.size(), f);
-    std::fclose(f);
-  }
-  SpillTierOptions options;
-  options.dir = dir;
-  auto tier_or = SpillTier::Open(options);
+  auto tier_or = SpillTier::Open(dir, SpillTier::kMinSegmentBytes);
   ASSERT_TRUE(tier_or.ok()) << tier_or.status().ToString();
-  struct stat st;
-  EXPECT_NE(stat(seg.c_str(), &st), 0) << "stale segment should be deleted by Open";
+  std::unique_ptr<SpillTier> tier = std::move(*tier_or);
+  constexpr int kCount = 40;  // three segments
+  std::vector<SpillRecord*> recs(kCount);
+  uint8_t buf[kPageSize], expect[kPageSize];
+  for (int i = 0; i < kCount; ++i) {
+    FillNoisePage(buf, 13, static_cast<uint64_t>(i));
+    recs[i] = tier->Append(buf, kPageSize, 0);
+    ASSERT_NE(recs[i], nullptr);
+  }
+  EXPECT_GE(tier->stats().segments, 3u);
+  for (int i = 0; i < kCount; ++i) {
+    FillNoisePage(expect, 13, static_cast<uint64_t>(i));
+    tier->Read(recs[i], buf);
+    EXPECT_EQ(std::memcmp(buf, expect, kPageSize), 0) << "record " << i;
+    tier->Free(recs[i]);
+  }
+  tier.reset();
+
+  std::vector<uint8_t> after(garbage.size() + 1);
+  std::FILE* f = std::fopen(foreign.c_str(), "rb");
+  ASSERT_NE(f, nullptr) << "foreign file was deleted";
+  size_t got = std::fread(after.data(), 1, after.size(), f);
+  std::fclose(f);
+  ASSERT_EQ(got, garbage.size());
+  after.resize(got);
+  EXPECT_EQ(after, garbage);
+  EXPECT_EQ(DirEntries(dir), std::vector<std::string>{"seg-000000.lwspill"});
 }
 
 // --- Store integration ------------------------------------------------------------
@@ -408,6 +384,51 @@ TEST(SpillStoreTest, SpillRoundTripIsBitIdenticalAndKeepsDedupIdentity) {
   stats = store.stats();
   EXPECT_EQ(stats.spilled_blobs, 0u);
   EXPECT_EQ(stats.spill_bytes, 0u);
+}
+
+// Two stores built from one spill_dir (as two services with private stores,
+// or two processes, would be) take turns spilling. Neither may see the
+// other's segments: every cold page spills on both stores in every round and
+// faults back bit-identical, and the directory stays empty throughout.
+TEST(SpillStoreTest, TwoStoresShareOneSpillDir) {
+  ScopedSpillDir tmp;
+  PageStoreOptions options;
+  options.spill_dir = tmp.Sub("shared");
+  options.spill_segment_bytes = SpillTier::kMinSegmentBytes;
+  PageStore stores[2] = {PageStore(options), PageStore(options)};
+  for (PageStore& store : stores) {
+    ASSERT_TRUE(store.spill_enabled()) << store.spill_status().ToString();
+  }
+
+  constexpr uint32_t kPages = 40;
+  constexpr int kRounds = 4;
+  uint8_t buf[kPageSize];
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<PageRef> refs[2];
+    for (int s = 0; s < 2; ++s) {
+      const uint64_t salt = 200 + static_cast<uint64_t>(round * 2 + s);
+      for (uint32_t i = 0; i < kPages; ++i) {
+        FillNoisePage(buf, salt, i);
+        refs[s].push_back(stores[s].Publish(buf));
+      }
+      stores[s].CompressAllCold();
+      EXPECT_EQ(stores[s].SpillAllCold(), kPages) << "round " << round << " store " << s;
+      EXPECT_TRUE(stores[s].spill_status().ok());
+    }
+    EXPECT_TRUE(DirEntries(options.spill_dir).empty()) << "round " << round;
+    for (int s = 0; s < 2; ++s) {
+      const uint64_t salt = 200 + static_cast<uint64_t>(round * 2 + s);
+      for (uint32_t i = 0; i < kPages; ++i) {
+        FillNoisePage(buf, salt, i);
+        EXPECT_TRUE(refs[s][i].EqualsPage(buf))
+            << "round " << round << " store " << s << " page " << i;
+      }
+      stores[s].ReleaseBatch(refs[s]);
+    }
+  }
+  for (PageStore& store : stores) {
+    EXPECT_EQ(store.stats().faultbacks, uint64_t{kPages} * kRounds);
+  }
 }
 
 TEST(SpillStoreTest, BudgetLadderSpillsOnlyAfterCompressionIsExhausted) {
@@ -615,7 +636,7 @@ TEST(SpillStoreTest, LadderScriptHitsRecordedCounters) {
             " live_bytes=44645 free_bytes=129920 peak_live_bytes=539736 release_batches=1"
             " blobs_recycled_batched=64 release_shard_locks=16 spilled_blobs=28"
             " spill_bytes=58953 spills=92 faultbacks=24 spill_segments=2"
-            " spill_segments_compacted=3 states="
+            " spill_segments_compacted=2 states="
             "r---cs---rs---ss---rc---rs---rs---ss---rc---ss---rs---ss---rs---cs---rs---sr---"
             "rc---rs---rs---sc---rc---cs---rs---sc---rr---cc---rc---ss---rc---rs---rs---sc---r");
   store.ReleaseBatch(refs);
