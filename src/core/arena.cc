@@ -233,40 +233,23 @@ void GuestArena::ProtectAll() {
   dirty_.Clear();
 }
 
-void GuestArena::ReprotectDirty() {
+void GuestArena::ReprotectDirty(const uint8_t* skip) {
   LW_CHECK(cow_enabled_);
   const uint32_t* pages = dirty_.pages();
   const uint32_t n = dirty_.count();
+  auto skipped = [skip](uint32_t page) { return skip != nullptr && skip[page] != 0; };
   // Coalesce consecutive pages into single mprotect calls: dirty lists are
   // generated in fault order, which for sequential writes is ascending.
   uint32_t i = 0;
   while (i < n) {
-    uint32_t run_start = pages[i];
-    uint32_t run_len = 1;
-    while (i + run_len < n && pages[i + run_len] == run_start + run_len) {
-      ++run_len;
-    }
-    LW_CHECK(mprotect(PageAddr(run_start), static_cast<size_t>(run_len) * kPageSize,
-                      PROT_READ) == 0);
-    i += run_len;
-  }
-  dirty_.Clear();
-}
-
-void GuestArena::ReprotectDirtyExcept(const uint8_t* skip) {
-  LW_CHECK(cow_enabled_);
-  const uint32_t* pages = dirty_.pages();
-  const uint32_t n = dirty_.count();
-  uint32_t i = 0;
-  while (i < n) {
-    if (skip[pages[i]] != 0) {
+    if (skipped(pages[i])) {
       ++i;
       continue;
     }
     uint32_t run_start = pages[i];
     uint32_t run_len = 1;
     while (i + run_len < n && pages[i + run_len] == run_start + run_len &&
-           skip[pages[i + run_len]] == 0) {
+           !skipped(pages[i + run_len])) {
       ++run_len;
     }
     LW_CHECK(mprotect(PageAddr(run_start), static_cast<size_t>(run_len) * kPageSize,
@@ -274,16 +257,6 @@ void GuestArena::ReprotectDirtyExcept(const uint8_t* skip) {
     i += run_len;
   }
   dirty_.Clear();
-}
-
-void GuestArena::UnprotectPage(uint32_t page) {
-  LW_CHECK(!InGuard(page));
-  LW_CHECK(mprotect(PageAddr(page), kPageSize, PROT_READ | PROT_WRITE) == 0);
-}
-
-void GuestArena::ProtectPage(uint32_t page) {
-  LW_CHECK(!InGuard(page));
-  LW_CHECK(mprotect(PageAddr(page), kPageSize, PROT_READ) == 0);
 }
 
 void GuestArena::UnprotectRange(uint32_t page, uint32_t count) {

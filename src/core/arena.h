@@ -103,17 +103,11 @@ class GuestArena {
   void ProtectAll();
 
   // Re-protects exactly the currently dirty pages and clears the dirty set.
-  // Cheaper than ProtectAll after a snapshot: cost ∝ dirty pages.
-  void ReprotectDirty();
-
-  // As ReprotectDirty, but pages with skip[page] != 0 stay writable (the
-  // session's hot-page prediction: pages dirtied on almost every extension are
-  // cheaper to copy eagerly than to re-fault). `skip` must cover num_pages().
-  void ReprotectDirtyExcept(const uint8_t* skip);
-
-  // Grants/revokes write access to one page (used around engine-side page copies).
-  void UnprotectPage(uint32_t page);
-  void ProtectPage(uint32_t page);
+  // Cheaper than ProtectAll after a snapshot: cost ∝ dirty pages. Pages with
+  // skip[page] != 0 stay writable (the session's hot-page prediction: pages
+  // dirtied on almost every extension are cheaper to copy eagerly than to
+  // re-fault); a non-null `skip` must cover num_pages(), null skips nothing.
+  void ReprotectDirty(const uint8_t* skip);
 
   // Range forms: one mprotect syscall over `count` contiguous pages starting at
   // `page`. The range must not span the guard (callers coalesce restore sets,

@@ -85,7 +85,7 @@ void SnapshotEngine::PublishHot() {
       hot_pages_[hot_kept++] = page;
     } else if (++clean_streak_[page] >= kHotDemoteAfter) {
       hot_[page] = 0;
-      arena.ProtectPage(page);
+      arena.ProtectRange(page, 1);
       ++stats.hot_demotions;
     } else {
       ++stats.hot_unchanged_skips;
@@ -179,12 +179,7 @@ void SnapshotEngine::Materialize(Snapshot& snap) {
       PromoteHot();
     }
     // Re-arm the faults for the next checkpoint; hot pages stay writable.
-    GuestArena& arena = *env_.arena;
-    if (hot_pages_.empty()) {
-      arena.ReprotectDirty();
-    } else {
-      arena.ReprotectDirtyExcept(hot_.data());
-    }
+    env_.arena->ReprotectDirty(hot_pages_.empty() ? nullptr : hot_.data());
   }
   snap.map = cur_map_;  // live memory now matches cur_map_ byte-for-byte
 }
