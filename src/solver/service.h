@@ -41,10 +41,10 @@ namespace lw {
 
 struct SolverServiceOptions {
   // The shared service knob block (arena/mailbox sizing, engine selection,
-  // store injection, byte budget, materialize workers) — one struct, one
-  // mapping onto the session (src/service/tuning.h). With a shared
-  // tuning.store, multiple services dedup each other's byte-identical pages:
-  // clause arenas and watch lists of related problems largely coincide.
+  // store injection, byte budget) — one struct, one mapping onto the session
+  // (src/service/tuning.h). With a shared tuning.store, multiple services
+  // dedup each other's byte-identical pages: clause arenas and watch lists of
+  // related problems largely coincide.
   ServiceTuning tuning;
   SolverOptions solver;
 };
