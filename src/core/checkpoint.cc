@@ -1,82 +1,31 @@
 #include "src/core/checkpoint.h"
 
-#include "src/util/status.h"
-
 namespace lw {
 namespace internal {
 
-uint32_t CheckpointLedger::Mint(uint64_t token) {
+void ReclaimQueue::Push(uint64_t token) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[token];
-  LW_CHECK_MSG(entry.refs == 0 && entry.generation == 0, "checkpoint token minted twice");
-  entry.generation = next_generation_++;
-  entry.refs = 1;
-  return entry.generation;
-}
-
-bool CheckpointLedger::AddRef(uint64_t token) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (detached_) {
-    return false;  // the session is gone; the clone comes up empty
-  }
-  auto it = entries_.find(token);
-  LW_CHECK_MSG(it != entries_.end() && it->second.refs > 0,
-               "checkpoint clone of a token with no live references");
-  ++it->second.refs;
-  return true;
-}
-
-void CheckpointLedger::DropRef(uint64_t token) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (detached_) {
-    return;  // the session (and every snapshot) is already gone
-  }
-  auto it = entries_.find(token);
-  if (it == entries_.end() || it->second.refs == 0) {
-    return;  // already reclaimed via an explicit release
-  }
-  if (--it->second.refs == 0) {
-    entries_.erase(it);
-    pending_reclaim_.push_back(token);
+  if (!detached_) {
+    pending_.push_back(token);
   }
 }
 
-CheckpointLedger::Probe CheckpointLedger::Lookup(uint64_t token, uint32_t generation) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(token);
-  if (it == entries_.end() || it->second.refs == 0) {
-    return Probe::kReleased;
-  }
-  if (it->second.generation != generation) {
-    return Probe::kStaleGeneration;
-  }
-  return Probe::kLive;
-}
-
-bool CheckpointLedger::ReleaseRef(uint64_t token) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(token);
-  LW_CHECK_MSG(it != entries_.end() && it->second.refs > 0,
-               "checkpoint release of a token with no live references");
-  if (--it->second.refs == 0) {
-    entries_.erase(it);
-    return true;
-  }
-  return false;
-}
-
-std::vector<uint64_t> CheckpointLedger::TakePendingReclaims() {
+std::vector<uint64_t> ReclaimQueue::Take() {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<uint64_t> out;
-  out.swap(pending_reclaim_);
+  out.swap(pending_);
   return out;
 }
 
-void CheckpointLedger::Detach() {
+void ReclaimQueue::Detach() {
   std::lock_guard<std::mutex> lock(mu_);
   detached_ = true;
-  entries_.clear();
-  pending_reclaim_.clear();
+  pending_.clear();
+}
+
+bool ReclaimQueue::detached() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return detached_;
 }
 
 }  // namespace internal

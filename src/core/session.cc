@@ -1,6 +1,5 @@
 #include "src/core/session.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -12,8 +11,6 @@ namespace lw {
 namespace {
 
 thread_local GuessExecutor* g_current_executor = nullptr;
-
-std::atomic<uint64_t> g_next_session_uid{1};
 
 void DefaultOutput(std::string_view text) {
   std::fwrite(text.data(), 1, text.size(), stdout);
@@ -65,8 +62,7 @@ BacktrackSession::BacktrackSession(SessionOptions options)
     options_.output = &DefaultOutput;
   }
   strategy_ = MakeStrategy(options_.strategy);
-  session_uid_ = g_next_session_uid.fetch_add(1, std::memory_order_relaxed);
-  ledger_ = std::make_shared<internal::CheckpointLedger>();
+  reclaim_ = std::make_shared<internal::ReclaimQueue>();
 
   store_ = options_.store != nullptr ? options_.store
                                      : std::make_shared<PageStore>(options_.store_options);
@@ -87,11 +83,11 @@ BacktrackSession::BacktrackSession(SessionOptions options)
 }
 
 BacktrackSession::~BacktrackSession() {
-  // Outstanding handles become inert: their future drops must not touch the
-  // pending-reclaim queue of a dead session. Every snapshot holder (frontier,
+  // Outstanding handles become inert: their future drops must not queue
+  // tokens for a dead session. Every snapshot holder (frontier,
   // checkpoints, current and pending snapshots, the engine's map) is declared
   // after store_, so each releases its pages in batches before the store dies.
-  ledger_->Detach();
+  reclaim_->Detach();
 }
 
 void BacktrackSession::AddAttachment(SessionAttachment* attachment) {
@@ -139,9 +135,7 @@ Status BacktrackSession::Resume(const Checkpoint& checkpoint, const void* msg, s
   DrainReleasedCheckpoints();
   LW_RETURN_IF_ERROR(ValidateHandle(checkpoint));
   auto it = checkpoints_.find(checkpoint.id());
-  if (it == checkpoints_.end()) {
-    return NotFound("unknown checkpoint token");
-  }
+  LW_CHECK(it != checkpoints_.end());
   SnapshotRef snap = it->second;
   if (len > snap->mailbox_cap) {
     return InvalidArgument("message exceeds checkpoint mailbox capacity");
@@ -437,22 +431,14 @@ Status BacktrackSession::ValidateHandle(const Checkpoint& checkpoint) const {
   if (!checkpoint.valid()) {
     return InvalidArgument("empty checkpoint handle (moved-from or already released)");
   }
-  if (checkpoint.session_uid() != session_uid_) {
+  if (checkpoint.ref_->queue != reclaim_) {
     return InvalidArgument("checkpoint handle belongs to a different session");
   }
-  switch (ledger_->Lookup(checkpoint.id(), checkpoint.generation())) {
-    case internal::CheckpointLedger::Probe::kLive:
-      return OkStatus();
-    case internal::CheckpointLedger::Probe::kStaleGeneration:
-      return InvalidArgument("stale checkpoint handle (generation mismatch)");
-    case internal::CheckpointLedger::Probe::kReleased:
-      return NotFound("checkpoint already released");
-  }
-  return Internal("unreachable");
+  return OkStatus();
 }
 
 void BacktrackSession::DrainReleasedCheckpoints() {
-  for (uint64_t token : ledger_->TakePendingReclaims()) {
+  for (uint64_t token : reclaim_->Take()) {
     checkpoints_.erase(token);
   }
 }
@@ -464,7 +450,7 @@ std::vector<Checkpoint> BacktrackSession::TakeNewCheckpoints() {
   std::vector<Checkpoint> out;
   out.reserve(tokens.size());
   for (uint64_t token : tokens) {
-    out.push_back(Checkpoint(ledger_, session_uid_, token, ledger_->Mint(token)));
+    out.push_back(Checkpoint(std::make_shared<const internal::CheckpointRef>(reclaim_, token)));
   }
   return out;
 }
@@ -473,9 +459,7 @@ Status BacktrackSession::ReadCheckpointMailbox(const Checkpoint& checkpoint, voi
                                                size_t len) const {
   LW_RETURN_IF_ERROR(ValidateHandle(checkpoint));
   auto it = checkpoints_.find(checkpoint.id());
-  if (it == checkpoints_.end()) {
-    return NotFound("unknown checkpoint token");
-  }
+  LW_CHECK(it != checkpoints_.end());
   const Snapshot& snap = *it->second;
   if (len > snap.mailbox_cap) {
     return OutOfRange("read exceeds mailbox capacity");
@@ -503,14 +487,10 @@ Status BacktrackSession::ReadCheckpointMailbox(const Checkpoint& checkpoint, voi
 }
 
 Status BacktrackSession::ReleaseCheckpoint(Checkpoint& checkpoint) {
-  DrainReleasedCheckpoints();
   LW_RETURN_IF_ERROR(ValidateHandle(checkpoint));
-  if (ledger_->ReleaseRef(checkpoint.id())) {
-    checkpoints_.erase(checkpoint.id());
-  }
-  // The session consumed this handle's reference; disarm so its destructor
-  // does not drop a second one.
-  checkpoint.Disarm();
+  // Dropping the last clone queues the token; the drain reclaims it at once.
+  checkpoint.ref_.reset();
+  DrainReleasedCheckpoints();
   return OkStatus();
 }
 

@@ -169,9 +169,6 @@ class BacktrackSession : public GuessExecutor {
 
   GuestHeap* heap() { return heap_; }
   GuestArena& arena() { return arena_; }
-  // Globally unique id of this session; every Checkpoint carries its minter's
-  // uid so cross-session misuse is detectable.
-  uint64_t session_uid() const { return session_uid_; }
   const PageStore& store() const { return *store_; }
   const SnapshotEngine& engine() const { return *engine_; }
   const SessionStats& stats() const { return stats_; }
@@ -202,9 +199,10 @@ class BacktrackSession : public GuessExecutor {
   void GuestMain();
 
   Status Drive(const std::function<void()>& first_transfer);
-  // Handle plumbing: validates a Checkpoint against this session's uid and the
-  // ledger's liveness/generation records; reclaims snapshots whose handles
-  // were dropped on other threads.
+  // Handle plumbing: a handle is valid here when it is non-empty and its ref
+  // names this session's reclaim queue (a live ref's token is always parked in
+  // checkpoints_); the drain reclaims snapshots whose last handle dropped,
+  // on any thread, since the previous boundary.
   Status ValidateHandle(const Checkpoint& checkpoint) const;
   void DrainReleasedCheckpoints();
   void HandleGuestEvent();
@@ -269,11 +267,10 @@ class BacktrackSession : public GuessExecutor {
   uint64_t next_snapshot_id_ = 1;
   uint64_t next_seq_ = 1;
 
-  // Handle bookkeeping: the ledger is shared with every minted Checkpoint and
-  // internally synchronized (handles may drop on any thread); checkpoints_ is
-  // session-thread-only.
-  uint64_t session_uid_ = 0;
-  std::shared_ptr<internal::CheckpointLedger> ledger_;
+  // Handle bookkeeping: the reclaim queue is shared with every minted
+  // Checkpoint and internally synchronized (handles may drop on any thread);
+  // checkpoints_ owns the parked snapshots and is session-thread-only.
+  std::shared_ptr<internal::ReclaimQueue> reclaim_;
   std::unordered_map<uint64_t, SnapshotRef> checkpoints_;
   std::vector<uint64_t> new_checkpoints_;
 

@@ -23,9 +23,9 @@
 // Threading contract:
 //   * Each service (and its BacktrackSession, arena, and SIGSEGV state) is
 //     constructed on its worker thread and never touched by any other thread
-//     — sessions are thread-affine; the shared PageStore and the checkpoint
-//     ledgers are the only cross-thread objects, and both synchronize
-//     internally.
+//     — sessions are thread-affine; the shared PageStore and each session's
+//     checkpoint reclaim queue are the only cross-thread objects, and both
+//     synchronize internally.
 //   * Submit may be called from any thread; results come back through
 //     std::future. Per-service FIFO order means a caller can enqueue
 //     dependent jobs back-to-back without waiting in between.

@@ -1,12 +1,17 @@
 // CheckpointService host-layer tests: the generic boot/mailbox/park/drain
 // machinery every service shares — boot-once lifecycle, exactly-one-checkpoint
 // protocol, raw request/response framing, typed-handle validation across two
-// hosts, and the WireReader/WireWriter bounds behavior the codecs rely on.
+// hosts, handles cloned and dropped on foreign threads, and the
+// WireReader/WireWriter bounds behavior the codecs rely on.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/core/guest_api.h"
 #include "src/service/host.h"
@@ -124,6 +129,77 @@ TEST(CheckpointServiceTest, DoubleParkIsProtocolError) {
   ASSERT_TRUE(root.ok());
   auto broken = host.Extend(*root, "x", 1);
   EXPECT_EQ(broken.status().code(), ErrorCode::kInternal);
+}
+
+// Handles travel to other threads, which clone and drop them while the host
+// keeps driving. A drop anywhere only queues its token; the host's next drive
+// boundary reclaims the snapshots whose last handle went.
+TEST(CheckpointServiceTest, HandlesClonedAndDroppedOnForeignThreads) {
+  constexpr int kParked = 48;
+  constexpr int kThreads = 4;
+  auto store = std::make_shared<PageStore>();
+  CheckpointServiceOptions options = SmallHost();
+  options.store = store;
+  {
+    CheckpointService host(options);
+    auto root = host.Boot(&EchoServe, nullptr);
+    ASSERT_TRUE(root.ok());
+
+    // Every thread gets a handle to every parked checkpoint, so the threads
+    // race on the same references and the last drop lands on any of them.
+    std::vector<std::vector<Checkpoint>> shares(kThreads);
+    for (int i = 0; i < kParked; ++i) {
+      const std::string payload = "payload-" + std::to_string(i) + std::string(200, 'a' + i % 26);
+      auto child = host.Extend(*root, payload.data(), payload.size());
+      ASSERT_TRUE(child.ok());
+      for (int t = 1; t < kThreads; ++t) {
+        shares[t].push_back(child->Clone());
+      }
+      shares[0].push_back(std::move(*child));
+    }
+
+    // Each thread clones every handle and drops both. The first half races
+    // the host's drains; the second half drops once the host has stopped, so
+    // those tokens are still queued after the join.
+    std::atomic<int> raced{0};
+    std::atomic<bool> host_stopped{false};
+    std::atomic<int> clones{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, handles = std::move(shares[t])]() mutable {
+        for (size_t i = 0; i < handles.size(); ++i) {
+          if (i == handles.size() / 2) {
+            raced.fetch_add(1);
+            while (!host_stopped.load()) {
+              std::this_thread::yield();
+            }
+          }
+          Checkpoint clone = handles[i].Clone();
+          clones.fetch_add(clone.valid() ? 1 : 0);
+          handles[i] = Checkpoint();
+        }
+      });
+    }
+    // Every Extend is a drive boundary that drains what the threads dropped.
+    bool extended = true;
+    while (extended && raced.load() < kThreads) {
+      extended = host.Extend(*root, "x", 1).ok();
+    }
+    host_stopped.store(true);
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    EXPECT_TRUE(extended);
+    EXPECT_EQ(clones.load(), kParked * kThreads);
+
+    const uint64_t live_after_join = store->stats().bytes_live();
+    auto next = host.Extend(*root, "y", 1);
+    ASSERT_TRUE(next.ok());
+    EXPECT_EQ(ReadEcho(host, *next), "y");
+    EXPECT_LT(store->stats().bytes_live(), live_after_join);
+  }
+  // The host's snapshots are gone; only the store-held zero blob may remain.
+  EXPECT_LE(store->stats().live_blobs, 1u);
 }
 
 TEST(WireCodecTest, ReaderRejectsOverflow) {

@@ -444,8 +444,8 @@ TEST(SessionTest, CheckpointHandleErrorPaths) {
   EXPECT_EQ(session.ReleaseCheckpoint(other_tokens[0]).code(), ErrorCode::kInvalidArgument);
   EXPECT_TRUE(other_tokens[0].valid());  // failed release leaves the handle intact
 
-  // Double release through a clone: the second handle sees kNotFound after the
-  // snapshot is gone, and a resume through it fails the same way.
+  // Release through one clone: the other clone keeps the snapshot alive until
+  // it is released too.
   Checkpoint clone = live.Clone();
   EXPECT_TRUE(session.ReleaseCheckpoint(live).ok());
   EXPECT_TRUE(clone.valid());  // the clone still holds a reference
