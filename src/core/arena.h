@@ -74,9 +74,15 @@ class GuestArena {
   uint32_t PageOf(const void* addr) const {
     return static_cast<uint32_t>((static_cast<const uint8_t*>(addr) - base_) >> kPageShift);
   }
-  bool Contains(const void* addr) const {
-    const uint8_t* p = static_cast<const uint8_t*>(addr);
-    return p >= base_ && p < base_ + size_;
+  // True when [addr, addr + len) lies wholly in the heap or wholly in the
+  // stack region, so it neither leaves the arena nor touches the guard.
+  bool ContainsRange(const void* addr, size_t len) const {
+    auto fits = [addr, len](const uint8_t* lo, size_t bytes) {
+      const uintptr_t p = reinterpret_cast<uintptr_t>(addr);
+      const uintptr_t l = reinterpret_cast<uintptr_t>(lo);
+      return p >= l && p - l < bytes && len <= bytes - (p - l);
+    };
+    return fits(heap_base(), heap_bytes_) || fits(stack_base(), stack_bytes_);
   }
 
   // Heap region (starts at base; the guest heap control block lives at its head).

@@ -401,7 +401,10 @@ bool BacktrackSession::OnStrategyScope(StrategyKind kind) {
 
 size_t BacktrackSession::OnYield(void* mailbox, size_t cap) {
   LW_CHECK_MSG(in_guest_, "sys_yield called outside guest execution");
-  LW_CHECK_MSG(cap == 0 || arena_.Contains(mailbox), "yield mailbox must live in the arena");
+  // Resume copies up to `cap` bytes into the mailbox and the mailbox read walks
+  // that many bytes of the snapshot, so the whole range must be guest memory.
+  LW_CHECK_MSG(cap == 0 || arena_.ContainsRange(mailbox, cap),
+               "yield mailbox [mailbox, mailbox + cap) must lie in the arena's heap or stack");
   pending_snapshot_ = NewSnapshotShell(SnapshotKind::kCheckpoint);  // no guest-stack RAII
   pending_snapshot_->mailbox = static_cast<uint8_t*>(mailbox);
   pending_snapshot_->mailbox_cap = cap;
@@ -495,8 +498,7 @@ Status BacktrackSession::ReleaseCheckpoint(Checkpoint& checkpoint) {
 }
 
 void BacktrackSession::ReadGuest(const void* guest_ptr, void* out, size_t len) const {
-  LW_CHECK(arena_.Contains(guest_ptr));
-  LW_CHECK(len == 0 || arena_.Contains(static_cast<const uint8_t*>(guest_ptr) + len - 1));
+  LW_CHECK(arena_.ContainsRange(guest_ptr, len));
   std::memcpy(out, guest_ptr, len);
 }
 

@@ -164,7 +164,8 @@ class BacktrackSession : public GuessExecutor {
   // descendants' snapshot refs.
   Status ReleaseCheckpoint(Checkpoint& checkpoint);
 
-  // Reads live guest memory (legal between drives; `guest_ptr` must be in-arena).
+  // Reads live guest memory (legal between drives; [guest_ptr, guest_ptr + len)
+  // must lie in the arena's heap or stack).
   void ReadGuest(const void* guest_ptr, void* out, size_t len) const;
 
   GuestHeap* heap() { return heap_; }

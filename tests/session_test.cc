@@ -638,5 +638,21 @@ TEST(SessionTest, ReadGuestCopiesLiveMemory) {
   EXPECT_EQ(out[63], 0x3c);
 }
 
+void OversizedMailboxGuest(void*) {
+  char mailbox[64];
+  // The claimed capacity runs far past the 256 KiB guest stack.
+  sys_yield(mailbox, 4ull << 20);
+}
+
+TEST(SessionDeathTest, YieldMailboxMustFitInTheArena) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        BacktrackSession session(SmallOptions());
+        (void)session.Run(&OversizedMailboxGuest, nullptr);
+      },
+      "yield mailbox");
+}
+
 }  // namespace
 }  // namespace lw
