@@ -29,16 +29,9 @@
 
 namespace lw {
 
-enum class SnapshotKind {
-  kGuess,       // created by sys_guess / sys_guess_weighted
-  kScope,       // created by sys_guess_strategy (the session scope root)
-  kCheckpoint,  // created by sys_yield (host-resumable service checkpoint)
-};
-
 struct Snapshot {
   uint64_t id = 0;
   uint32_t depth = 0;
-  SnapshotKind kind = SnapshotKind::kGuess;
   std::shared_ptr<Snapshot> parent;
 
   // Saved registers at the guess point. Written in place by swapcontext (never

@@ -303,10 +303,9 @@ void BacktrackSession::SwapToGuest(ucontext_t* target) {
 // the search-level envelope (attachments, output marks, counters, timing).
 // ---------------------------------------------------------------------------
 
-SnapshotRef BacktrackSession::NewSnapshotShell(SnapshotKind kind) {
+SnapshotRef BacktrackSession::NewSnapshotShell() {
   SnapshotRef snap = std::make_shared<Snapshot>();
   snap->id = next_snapshot_id_++;
-  snap->kind = kind;
   snap->parent = cur_snapshot_;
   snap->depth = cur_depth_;
   return snap;
@@ -362,7 +361,7 @@ int BacktrackSession::OnGuess(int n, const GuessCost* costs) {
   // CAUTION: this frame lives on the guest stack and is captured by the snapshot;
   // it must hold no host RAII objects (a shared_ptr local here would be restored
   // and re-destroyed once per resume). Ownership stays in host-side members.
-  pending_snapshot_ = NewSnapshotShell(SnapshotKind::kGuess);
+  pending_snapshot_ = NewSnapshotShell();
   ucontext_t* uctx = &pending_snapshot_->uctx;
   pending_count_ = n;
   pending_costs_ = costs;
@@ -392,7 +391,7 @@ bool BacktrackSession::OnStrategyScope(StrategyKind kind) {
     config.kind = kind;
     strategy_ = MakeStrategy(config);
   }
-  pending_snapshot_ = NewSnapshotShell(SnapshotKind::kScope);  // no guest-stack RAII (see OnGuess)
+  pending_snapshot_ = NewSnapshotShell();  // no guest-stack RAII (see OnGuess)
   ucontext_t* uctx = &pending_snapshot_->uctx;
   event_ = GuestEvent::kScopePending;
   LW_CHECK(swapcontext(uctx, &sched_ctx_) == 0);
@@ -405,7 +404,7 @@ size_t BacktrackSession::OnYield(void* mailbox, size_t cap) {
   // that many bytes of the snapshot, so the whole range must be guest memory.
   LW_CHECK_MSG(cap == 0 || arena_.ContainsRange(mailbox, cap),
                "yield mailbox [mailbox, mailbox + cap) must lie in the arena's heap or stack");
-  pending_snapshot_ = NewSnapshotShell(SnapshotKind::kCheckpoint);  // no guest-stack RAII
+  pending_snapshot_ = NewSnapshotShell();  // no guest-stack RAII
   pending_snapshot_->mailbox = static_cast<uint8_t*>(mailbox);
   pending_snapshot_->mailbox_cap = cap;
   ucontext_t* uctx = &pending_snapshot_->uctx;

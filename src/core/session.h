@@ -221,7 +221,7 @@ class BacktrackSession : public GuessExecutor {
   void RestoreTo(const Snapshot& snap);
   void EvaluateExtension(Extension ext);
   void SwapToGuest(ucontext_t* target);
-  SnapshotRef NewSnapshotShell(SnapshotKind kind);
+  SnapshotRef NewSnapshotShell();
   void EmitNow(std::string_view text);
 
   SessionOptions options_;

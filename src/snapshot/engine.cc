@@ -205,12 +205,7 @@ void SnapshotEngine::Restore(const Snapshot& snap) {
         }
       });
       std::sort(restore_pages_.begin(), restore_pages_.end());
-      restore_refs_.resize(restore_pages_.size());
-      for (size_t i = 0; i < restore_pages_.size(); ++i) {
-        restore_refs_[i] = snap.map.Get(restore_pages_[i]);
-        LW_CHECK_MSG(restore_refs_[i].valid(), "restoring a page the snapshot does not cover");
-      }
-      restored += RestoreProtectedSet();
+      restored += RestoreProtectedSet(snap);
       dirty.Clear();
       break;
     }
@@ -240,14 +235,12 @@ void SnapshotEngine::Restore(const Snapshot& snap) {
     }
   }
   restore_pages_.clear();
-  restore_refs_.clear();
   cur_map_ = snap.map;
   stats.pages_restored += restored;
 }
 
-uint64_t SnapshotEngine::RestoreProtectedSet() {
+uint64_t SnapshotEngine::RestoreProtectedSet(const Snapshot& snap) {
   const size_t count = restore_pages_.size();
-  LW_CHECK(restore_refs_.size() == count);
   if (count == 0) return 0;
   // Coalesce the sorted page set into contiguous runs. Guard pages never enter
   // restore sets, so a run can never span the arena guard.
@@ -268,23 +261,16 @@ uint64_t SnapshotEngine::RestoreProtectedSet() {
 
   GuestArena& arena = *env_.arena;
   for (const auto& run : restore_runs_) arena.UnprotectRange(run.first, run.second);
-  for (size_t i = 0; i < count; ++i) {
-    restore_refs_[i].CopyTo(arena.PageAddr(restore_pages_[i]));
+  for (uint32_t page : restore_pages_) {
+    const PageRef ref = snap.map.Get(page);
+    LW_CHECK_MSG(ref.valid(), "restoring a page the snapshot does not cover");
+    ref.CopyTo(arena.PageAddr(page));
   }
   for (const auto& run : restore_runs_) arena.ProtectRange(run.first, run.second);
 
   env_.stats->restore_mprotect_calls += 2 * restore_runs_.size();
   env_.stats->restore_runs_coalesced += restore_runs_.size();
   return count;
-}
-
-size_t SnapshotEngine::StructureBytes() const {
-  return cur_map_.StructureBytes() + hot_.capacity() + dirty_streak_.capacity() +
-         clean_streak_.capacity() + hot_pages_.capacity() * sizeof(uint32_t) +
-         dirty_pages_.capacity() * sizeof(uint32_t) +
-         restore_pages_.capacity() * sizeof(uint32_t) +
-         restore_refs_.capacity() * sizeof(PageRef) +
-         restore_runs_.capacity() * sizeof(std::pair<uint32_t, uint32_t>);
 }
 
 }  // namespace lw

@@ -131,10 +131,6 @@ class SnapshotEngine {
   // at the top of this file).
   bool NeedsSignalProtocol() const { return mode_ == SnapshotMode::kCow; }
 
-  // Host bytes consumed by engine-side bookkeeping (current map structure,
-  // prediction tables, scratch) — excludes page blobs and snapshot maps.
-  size_t StructureBytes() const;
-
   const PageMap& current_map() const { return cur_map_; }
   size_t hot_page_count() const { return hot_pages_.size(); }
 
@@ -160,13 +156,12 @@ class SnapshotEngine {
   // never fault: compare each against snap's blob and copy only on divergence;
   // the rest count as restore skips. Returns the pages copied.
   uint64_t CopyBackHot(const Snapshot& snap);
-  // kCow restore tail. The caller fills restore_pages_ (sorted,
-  // unique, non-guard) and restore_refs_ (matching blobs); this coalesces the
-  // pages into contiguous runs, batch-unprotects each run with one mprotect,
-  // copies the pages, then batch-reprotects the same runs — exactly 2
-  // syscalls per run, and no copy ever takes a write fault. Returns the number
-  // of pages copied.
-  uint64_t RestoreProtectedSet();
+  // kCow restore tail. The caller fills restore_pages_ (sorted, unique,
+  // non-guard); this coalesces the pages into contiguous runs,
+  // batch-unprotects each run with one mprotect, copies each page from snap's
+  // blob, then batch-reprotects the same runs — exactly 2 syscalls per run,
+  // and no copy ever takes a write fault. Returns the number of pages copied.
+  uint64_t RestoreProtectedSet(const Snapshot& snap);
 
   const SnapshotMode mode_;
   Env env_;
@@ -183,7 +178,6 @@ class SnapshotEngine {
   // paying per-call allocation.
   std::vector<uint32_t> dirty_pages_;  // candidates for the current checkpoint
   std::vector<uint32_t> restore_pages_;
-  std::vector<PageRef> restore_refs_;
   std::vector<std::pair<uint32_t, uint32_t>> restore_runs_;  // (first page, count)
 };
 

@@ -77,14 +77,7 @@ class PageMap {
     });
   }
 
-  // Approximate host bytes consumed by this map's own structure (excluding blobs,
-  // and counting radix nodes shared with other maps once per map).
-  size_t StructureBytes() const { return radix_.CountNodes() * kFanoutNodeBytes; }
-
  private:
-  static constexpr size_t kFanoutNodeBytes =
-      PersistentRadixMap<PageRef>::kFanout * (sizeof(void*) * 2 + sizeof(PageRef));
-
   // Drains the owned spine into one ReleaseBatch on the refs' store. The
   // drain buffer is per thread and reused by every map that dies on it, so a
   // release storm allocates nothing; maps therefore must not outlive their

@@ -132,12 +132,6 @@ class PersistentRadixMap {
     DiffRec(root_.get(), other.root_.get(), 0, height_ - 1, fn);
   }
 
-  // Number of heap nodes reachable from this map's root (for memory accounting;
-  // counts shared nodes once per call, not deduplicated across maps).
-  size_t CountNodes() const { return CountRec(root_.get(), height_ - 1); }
-
-  bool RootEquals(const PersistentRadixMap& other) const { return root_ == other.root_; }
-
  private:
   struct Node {
     // Interior levels use children; the leaf level (level 0) uses values.
@@ -223,19 +217,6 @@ class PersistentRadixMap {
       const Node* bc = b != nullptr ? b->children[slot].get() : nullptr;
       DiffRec(ac, bc, prefix * kFanout + slot, level - 1, fn);
     }
-  }
-
-  static size_t CountRec(const Node* node, int level) {
-    if (node == nullptr) {
-      return 0;
-    }
-    size_t n = 1;
-    if (level > 0) {
-      for (uint32_t slot = 0; slot < kFanout; ++slot) {
-        n += CountRec(node->children[slot].get(), level - 1);
-      }
-    }
-    return n;
   }
 
   uint32_t capacity_;

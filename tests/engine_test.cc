@@ -2,7 +2,7 @@
 // materialize/restore round trips for every mode, the incremental mode's
 // delta accounting, golden counters for one fixed script per mode, and
 // zero-page dedup in the PageStore (blob identity, refcounts,
-// StructureBytes/bytes_live accounting).
+// bytes_live accounting).
 
 #include <gtest/gtest.h>
 
@@ -81,7 +81,6 @@ TEST_P(EngineRoundTripTest, MaterializeRestoreRoundTrip) {
     EXPECT_EQ(arena.PageAddr(2)[100], 0xB2);
     EXPECT_EQ(arena.PageAddr(9)[0], 0xB9);
 
-    EXPECT_GT(engine->StructureBytes(), 0u);
     EXPECT_GT(stats.pages_materialized, 0u);
   }
   // Engine + snapshots dropped every ref; only the store-held canonical zero
@@ -151,17 +150,6 @@ TEST(IncrementalEngineTest, TakesNoFaults) {
   }
   EXPECT_EQ(arena.cow_faults(), 0u);  // the whole point: no mprotect traffic
   EXPECT_FALSE(arena.cow_enabled());
-}
-
-TEST(IncrementalEngineTest, StructureBytesCountsMapAndTracker) {
-  GuestArena arena(SmallLayout());
-  PageStore store;
-  SnapshotEngineStats stats;
-  auto engine = std::make_unique<SnapshotEngine>(
-      SnapshotMode::kIncremental, MakeEnv(&arena, &store, &stats, SnapshotMode::kIncremental));
-  // At least the dense tracker list (4 bytes/page) beyond the map structure.
-  EXPECT_GE(engine->StructureBytes(),
-            engine->current_map().StructureBytes() + arena.num_pages() * sizeof(uint32_t));
 }
 
 TEST(IncrementalEngineTest, ZeroedPagesDedupOnRepublish) {
