@@ -8,12 +8,13 @@
 //   * immutable auxiliary state captured by session attachments (e.g. the
 //     interposed filesystem's persistent root).
 //
-// Lifetime is reference-counted: a snapshot lives while any unevaluated extension,
-// child snapshot, registered checkpoint, or the session's current-state pointer
-// references it. Dropping the last reference returns its private pages to the
-// pool through one batched release per dying map (PageMap), however the
-// reference is dropped — "rapid creation (and destruction) of snapshot trees"
-// (§1).
+// Lifetime is reference-counted: a snapshot lives while something that can
+// restore it holds it (an unevaluated extension, a parked checkpoint, the
+// pending scope, or the execution restored from it); a child needs nothing
+// from its parent, whose relationship is the maps' structural sharing.
+// Dropping the last reference returns its private pages to the pool through
+// one batched release per dying map (PageMap), however the reference is
+// dropped — "rapid creation (and destruction) of snapshot trees" (§1).
 
 #ifndef LWSNAP_SRC_CORE_SEARCH_GRAPH_H_
 #define LWSNAP_SRC_CORE_SEARCH_GRAPH_H_
@@ -22,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/snapshot/page_map.h"
@@ -32,7 +32,6 @@ namespace lw {
 struct Snapshot {
   uint64_t id = 0;
   uint32_t depth = 0;
-  std::shared_ptr<Snapshot> parent;
 
   // Saved registers at the guess point. Written in place by swapcontext (never
   // copied: uc_mcontext.fpregs points into this very struct on x86-64 glibc, so
@@ -53,15 +52,6 @@ struct Snapshot {
   size_t out_mark = 0;
 
   Snapshot() { uctx = ucontext_t{}; }
-  // Unlinks the ancestors this snapshot uniquely owns one at a time: left to
-  // shared_ptr, dropping a deep chain would recurse once per ancestor.
-  ~Snapshot() {
-    std::shared_ptr<Snapshot> ancestor = std::move(parent);
-    while (ancestor != nullptr && ancestor.use_count() == 1) {
-      std::shared_ptr<Snapshot> next = std::move(ancestor->parent);
-      ancestor = std::move(next);  // frees the old ancestor, already unlinked
-    }
-  }
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
 };

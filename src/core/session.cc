@@ -306,7 +306,6 @@ void BacktrackSession::SwapToGuest(ucontext_t* target) {
 SnapshotRef BacktrackSession::NewSnapshotShell() {
   SnapshotRef snap = std::make_shared<Snapshot>();
   snap->id = next_snapshot_id_++;
-  snap->parent = cur_snapshot_;
   snap->depth = cur_depth_;
   return snap;
 }

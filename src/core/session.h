@@ -83,12 +83,12 @@ struct SessionOptions {
   // kExhausted and the session must be discarded.
   uint64_t max_extensions = 0;
 
-  // SM-A* style byte budget on live snapshot pages (0 = unbounded): after each
-  // guess and each parked checkpoint the session calls EnforceByteBudget
-  // (src/snapshot/budget_policy.h), which runs evict → compress → spill → drop
-  // until the store's live bytes fit. Measured against the *whole*
-  // store: with an injected shared store this is a fleet-wide residency cap —
-  // every sharer's live bytes count, but each session can only evict its own
+  // SM-A* style byte budget on snapshot pages (0 = unbounded): after each guess
+  // and each parked checkpoint the session calls EnforceByteBudget
+  // (src/snapshot/budget_policy.h): evict → compress → spill run while the
+  // store's live bytes exceed it, then drop trims the free list if live + free
+  // bytes do. Measured against the *whole* store: with a shared store this is
+  // a fleet-wide residency cap — each session can only evict its own
   // frontier, so sharers should agree on one budget value (or use 0).
   uint64_t snapshot_byte_budget = 0;
 
@@ -161,7 +161,8 @@ class BacktrackSession : public GuessExecutor {
   // it was the last one. The handle becomes empty; releasing an empty, foreign
   // or already-released handle is a clean error. Releasing a parent whose
   // descendants are still held is safe: shared pages stay pinned by the
-  // descendants' snapshot refs.
+  // descendants' snapshot refs. The parent dies here, or at the next drive
+  // that moves cur_snapshot_ off it.
   Status ReleaseCheckpoint(Checkpoint& checkpoint);
 
   // Reads live guest memory (legal between drives; [guest_ptr, guest_ptr + len)
@@ -251,7 +252,10 @@ class BacktrackSession : public GuessExecutor {
   bool started_ = false;
   bool driving_ = false;
 
-  SnapshotRef cur_snapshot_;  // the partial candidate the current execution extends
+  // The snapshot the running execution was restored from. Its map shares the
+  // engine's current map's spine, so the pages Materialize path-copies away
+  // die later with this map, in one ReleaseBatch, not one by one.
+  SnapshotRef cur_snapshot_;
   uint32_t cur_depth_ = 0;
 
   bool scope_active_ = false;

@@ -38,10 +38,10 @@ struct ServiceTuning {
   std::shared_ptr<PageStore> store;
   PageStoreOptions store_options;
 
-  // Residency cap driving the evict → compress → spill → drop ladder after
-  // each checkpoint (0 = unbounded). See SessionOptions::snapshot_byte_budget
-  // for shared-store semantics (the cap is store-wide, give sharers the same
-  // value).
+  // Cap on the store's resident bytes driving the evict → compress → spill →
+  // drop ladder after each checkpoint (0 = unbounded). See
+  // SessionOptions::snapshot_byte_budget for which rung compares which bytes
+  // and for shared-store semantics (store-wide: give sharers one value).
   uint64_t snapshot_byte_budget = 0;
 };
 

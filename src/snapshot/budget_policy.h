@@ -2,7 +2,8 @@
 // PageStore.
 //
 // Runs after each materialization when SessionOptions::snapshot_byte_budget is
-// set. Rungs, in order, while the store's live bytes exceed the budget:
+// set. Rungs 1-3 run in order while the store's live bytes exceed the budget;
+// rung 4 compares resident bytes (live + free list):
 //   1. evict   — drop worst frontier entries via the session's callback
 //                (SM-A* semantics: search work is lost, memory is reclaimed;
 //                the session reclaims each evicted snapshot through the
@@ -16,9 +17,9 @@
 //                lossless, still transparently restorable via fault-back, but
 //                the RAM cost drops to a blob header — this is the rung that
 //                lets a parked population's logical bytes dwarf the budget;
-//   4. drop    — when the budget still is not met, release recycled free-list
-//                blobs back to the host allocator (last resort: while the
-//                budget holds, the free list is what keeps Publish cheap).
+//   4. drop    — when live + free-list bytes exceed the budget, return the
+//                free list to the host allocator (a free list that fits
+//                beside the live bytes stays: it keeps Publish cheap).
 //
 // Eviction precedes compression so the lossy stage never runs while the
 // lossless ones could still be deferred by freeing evictable work. Note the
@@ -51,7 +52,7 @@ namespace lw {
 
 class PageStore;
 
-// Enforces `budget` (0 = unbounded) over `store`'s live bytes. `evict` removes
+// Enforces `budget` (0 = unbounded) over `store`'s resident bytes. `evict` removes
 // one frontier entry and returns false when nothing is evictable.
 void EnforceByteBudget(PageStore& store, uint64_t budget, const std::function<bool()>& evict);
 

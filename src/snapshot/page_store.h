@@ -323,6 +323,11 @@ class PageStore {
   // exact; relationships between counters may be skewed by in-flight
   // operations on other threads.
   Stats stats() const;
+  // The ladder's two byte counters, read without stats()'s spill-tier lock.
+  uint64_t bytes_live() const { return counters_.live_bytes.load(std::memory_order_relaxed); }
+  uint64_t bytes_resident() const {
+    return bytes_live() + counters_.free_bytes.load(std::memory_order_relaxed);
+  }
 
   // Frees all recycled blobs on every shard's free list back to the host
   // allocator.

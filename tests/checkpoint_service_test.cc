@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 
 #include "src/core/guest_api.h"
 #include "src/service/host.h"
+#include "src/snapshot/page_store.h"
 #include "src/util/vec.h"
 
 namespace lw {
@@ -48,6 +50,33 @@ void DoubleParkServe(GuestMailbox& mailbox, void* arg) {
   while (true) {
     mailbox.Park();
   }
+}
+
+// A codec whose every resume fills 16 page-aligned heap pages with
+// `request[0] + p`, so each checkpoint owns 16 private pages that name it.
+constexpr size_t kFillPages = 16;
+void PageFillServe(GuestMailbox& mailbox, void* arg) {
+  (void)arg;
+  auto raw = reinterpret_cast<uintptr_t>(mailbox.heap()->Alloc((kFillPages + 1) * kPageSize));
+  LW_CHECK(raw != 0);
+  auto* pages = reinterpret_cast<uint8_t*>((raw + kPageSize - 1) & ~(kPageSize - 1));
+  while (true) {
+    std::memset(mailbox.data(), 0, 4);
+    size_t len = mailbox.Park();
+    const uint8_t seed = len > 0 ? mailbox.data()[0] : 0;
+    for (size_t p = 0; p < kFillPages; ++p) {
+      std::memset(pages + p * kPageSize, static_cast<uint8_t>(seed + p), kPageSize);
+    }
+  }
+}
+
+// The content-dedup hits one publish of a page filled with `byte` scores: 1
+// when a live snapshot still holds that page, 0 when it died.
+uint64_t DedupHitsFor(PageStore& store, uint8_t byte) {
+  std::vector<uint8_t> page(kPageSize, byte);
+  const uint64_t before = store.stats().content_dedup_hits;
+  PageRef probe = store.Publish(page.data());
+  return store.stats().content_dedup_hits - before;
 }
 
 CheckpointServiceOptions SmallHost() {
@@ -200,6 +229,33 @@ TEST(CheckpointServiceTest, HandlesClonedAndDroppedOnForeignThreads) {
   }
   // The host's snapshots are gone; only the store-held zero blob may remain.
   EXPECT_LE(store->stats().live_blobs, 1u);
+}
+
+// A child needs nothing from its parent's snapshot object: once a released
+// parent is no longer the snapshot the last drive ran from, its private pages
+// die while its child is still held.
+TEST(CheckpointServiceTest, ReleasedParentDiesWhileChildIsHeld) {
+  auto store = std::make_shared<PageStore>();
+  CheckpointServiceOptions options = SmallHost();
+  options.store = store;
+  CheckpointService host(options);
+  auto root = host.Boot(&PageFillServe, nullptr);
+  ASSERT_TRUE(root.ok());
+  const uint8_t p_request = 1;
+  const uint8_t c_request = 100;
+  const uint8_t d_request = 200;
+  auto parent = host.Extend(*root, &p_request, 1);
+  ASSERT_TRUE(parent.ok());
+  auto child = host.Extend(*parent, &c_request, 1);
+  ASSERT_TRUE(child.ok());
+  EXPECT_EQ(DedupHitsFor(*store, 0x01), 1u);  // the parent's first private page is live
+
+  ASSERT_TRUE(host.Release(*parent).ok());
+  // The last drive ran from the parent; this one moves off it.
+  auto grandchild = host.Extend(*child, &d_request, 1);
+  ASSERT_TRUE(grandchild.ok());
+  EXPECT_EQ(DedupHitsFor(*store, 0x01), 0u);
+  EXPECT_EQ(DedupHitsFor(*store, c_request), 1u);  // the held child's pages stay
 }
 
 TEST(WireCodecTest, ReaderRejectsOverflow) {

@@ -341,28 +341,38 @@ TEST(ByteBudgetPolicyTest, CompressionCatchesWhatEvictionCannot) {
   EXPECT_LT(compressed_live, baseline_live);  // lower live bytes under the same budget
 }
 
-TEST(ByteBudgetPolicyTest, DropStageIsLastResortOnly) {
+TEST(ByteBudgetPolicyTest, DropStageTrimsFreeListPastResidentBudget) {
   // Random-byte pages are incompressible, so stage 2 fails on every blob.
   PageStore store;
-  std::vector<PageRef> pinned;
-  {
-    std::vector<PageRef> churn;
-    for (uint8_t i = 1; i <= 4; ++i) {
+  auto churn = [&store](uint8_t first) {
+    std::vector<PageRef> refs;
+    for (uint8_t i = first; i < first + 4; ++i) {
       auto page = RandomPage(i);
-      churn.push_back(store.Publish(page.data()));
+      refs.push_back(store.Publish(page.data()));
     }
-  }
-  ASSERT_GT(store.stats().free_blobs, 0u);
-
-  // Budget met by live bytes alone: the free list must survive (recycling is
-  // what keeps Publish off the host allocator while the budget holds).
-  EnforceByteBudget(store, store.stats().bytes_live() + 1, [] { return false; });
-  EXPECT_GT(store.stats().free_blobs, 0u);
-
-  // Budget unmeetable (nothing evictable, nothing compressible): the free
-  // list is pure overhead now — the drop stage returns it to the host.
+  };
+  std::vector<PageRef> pinned;
   auto page = RandomPage(9);
   pinned.push_back(store.Publish(page.data()));
+  churn(1);
+  ASSERT_GT(store.stats().free_blobs, 0u);
+  ASSERT_GT(store.bytes_resident(), store.bytes_live() + 1);
+
+  // Live + free bytes fit: the free list survives (recycling is what keeps
+  // Publish off the host allocator while the budget holds).
+  EnforceByteBudget(store, store.bytes_resident(), [] { return false; });
+  EXPECT_GT(store.stats().free_blobs, 0u);
+
+  // Live bytes fit but live + free does not: the drop stage trims the free
+  // list so residency meets the budget.
+  EnforceByteBudget(store, store.bytes_live() + 1, [] { return false; });
+  EXPECT_EQ(store.stats().free_blobs, 0u);
+  EXPECT_LE(store.bytes_resident(), store.bytes_live() + 1);
+
+  // Budget unmeetable (nothing evictable, the pinned page incompressible):
+  // the free list is pure overhead — the drop stage returns it to the host.
+  churn(11);
+  ASSERT_GT(store.stats().free_blobs, 0u);
   EnforceByteBudget(store, 1, [] { return false; });
   EXPECT_EQ(store.stats().free_blobs, 0u);
 }

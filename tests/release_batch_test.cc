@@ -11,13 +11,10 @@
 //   * one release path — every page a search publishes dies through
 //     ReleaseBatch, however its snapshot is dropped (frontier pops, the
 //     current snapshot moving on, session teardown);
-//   * deep chains — dropping a long snapshot parent chain unlinks ancestors
-//     iteratively, so it cannot overflow a small thread stack;
 //   * concurrency — sessions on different threads batching releases into one
 //     shared store never corrupt it.
 
 #include <gtest/gtest.h>
-#include <pthread.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -283,8 +280,7 @@ StormRun RunCheckpointStorm(SnapshotMode mode) {
     AddDistinctRefs(session.engine().current_map(), &retained);
     // Star shape: every sibling forks from the same root, sharing all pages
     // but its own small dirty delta — so releasing a sibling actually kills
-    // its delta blobs (a linear chain would keep each map pinned through its
-    // child's parent link).
+    // its delta blobs.
     std::vector<Checkpoint> siblings;
     for (int i = 0; i < 16; ++i) {
       // Distinct increments → distinct rounds → every sibling's dirty delta is
@@ -410,38 +406,6 @@ INSTANTIATE_TEST_SUITE_P(FaultAndScan, SearchReleasePathTest,
                          [](const ::testing::TestParamInfo<SnapshotMode>& info) {
                            return SnapshotModeName(info.param);
                          });
-
-// --- Deep parent chains ------------------------------------------------------------
-
-void* DropDeepChain(void* arg) {
-  auto* expired = static_cast<bool*>(arg);
-  auto root = std::make_shared<Snapshot>();
-  std::weak_ptr<Snapshot> watch = root;
-  SnapshotRef tip = std::move(root);
-  for (uint32_t depth = 1; depth < 20000; ++depth) {
-    auto child = std::make_shared<Snapshot>();
-    child->depth = depth;
-    child->parent = std::move(tip);
-    tip = std::move(child);
-  }
-  tip.reset();  // the only reference to the whole chain
-  *expired = watch.expired();
-  return nullptr;
-}
-
-// Dropping the tip of a 20,000-deep chain on a 256 KiB stack must return: a
-// recursive shared_ptr cascade needs a stack frame per ancestor.
-TEST(SnapshotChainTest, DeepChainDropsOnSmallStack) {
-  pthread_attr_t attr;
-  ASSERT_EQ(pthread_attr_init(&attr), 0);
-  ASSERT_EQ(pthread_attr_setstacksize(&attr, 256 * 1024), 0);
-  bool expired = false;
-  pthread_t thread;
-  ASSERT_EQ(pthread_create(&thread, &attr, &DropDeepChain, &expired), 0);
-  ASSERT_EQ(pthread_join(thread, nullptr), 0);
-  pthread_attr_destroy(&attr);
-  EXPECT_TRUE(expired);
-}
 
 // --- Concurrency: batched releases into one shared store -------------------------
 

@@ -630,10 +630,10 @@ TEST(SpillStoreTest, LadderScriptHitsRecordedCounters) {
   EnforceByteBudget(store, raw_live / 12, no_evict);
 
   EXPECT_EQ(LadderLine(store.stats(), refs),
-            "live_blobs=49 free_blobs=80 peak_live_blobs=129 total_published=129"
+            "live_blobs=49 free_blobs=0 peak_live_blobs=129 total_published=129"
             " zero_dedup_hits=16 content_dedup_hits=16 cross_session_dedup_hits=0"
             " compressed_blobs=14 compressions=95 compression_attempts=138 decompressions=10"
-            " live_bytes=44645 free_bytes=129920 peak_live_bytes=539736 release_batches=1"
+            " live_bytes=44645 free_bytes=0 peak_live_bytes=539736 release_batches=1"
             " blobs_recycled_batched=64 release_shard_locks=16 spilled_blobs=28"
             " spill_bytes=58953 spills=92 faultbacks=24 spill_segments=2"
             " spill_segments_compacted=2 states="
