@@ -2,9 +2,10 @@
 // vertices; candidate extension steps are the directed edges.
 //
 // A Snapshot owns:
-//   * the immutable register file (the ucontext captured at the guess point —
-//     the paper's "%rax return" is our resume_value delivered on restore),
 //   * the immutable address-space image (a PageMap of refcounted page blobs),
+//     which also holds the register file: the ucontext the guest saved on its
+//     own stack at the guess point (the paper's "%rax return" is our
+//     resume_value delivered on restore),
 //   * immutable auxiliary state captured by session attachments (e.g. the
 //     interposed filesystem's persistent root).
 //
@@ -33,10 +34,9 @@ struct Snapshot {
   uint64_t id = 0;
   uint32_t depth = 0;
 
-  // Saved registers at the guess point. Written in place by swapcontext (never
-  // copied: uc_mcontext.fpregs points into this very struct on x86-64 glibc, so
-  // Snapshot must not be relocated after capture).
-  ucontext_t uctx;
+  // Saved registers at the guess point: a guest-stack address, so the page
+  // image carries the context and restore brings it back byte for byte.
+  ucontext_t* ctx = nullptr;
 
   // Immutable address-space image.
   PageMap map;
@@ -50,10 +50,6 @@ struct Snapshot {
 
   // Buffered-output offset at capture (for the buffered output policy).
   size_t out_mark = 0;
-
-  Snapshot() { uctx = ucontext_t{}; }
-  Snapshot(const Snapshot&) = delete;
-  Snapshot& operator=(const Snapshot&) = delete;
 };
 
 using SnapshotRef = std::shared_ptr<Snapshot>;

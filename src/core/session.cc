@@ -85,7 +85,7 @@ BacktrackSession::BacktrackSession(SessionOptions options)
 BacktrackSession::~BacktrackSession() {
   // Outstanding handles become inert: their future drops must not queue
   // tokens for a dead session. Every snapshot holder (frontier,
-  // checkpoints, current and pending snapshots, the engine's map) is declared
+  // checkpoints, current and scope snapshots, the engine's map) is declared
   // after store_, so each releases its pages in batches before the store dies.
   reclaim_->Detach();
 }
@@ -153,7 +153,7 @@ Status BacktrackSession::Resume(const Checkpoint& checkpoint, const void* msg, s
     cur_depth_ = snap->depth;
     resume_value_ = static_cast<int>(len);
     ++stats_.resumes;
-    SwapToGuest(&snap->uctx);
+    SwapToGuest(snap->ctx);
   });
 }
 
@@ -191,7 +191,7 @@ Status BacktrackSession::Drive(const std::function<void()>& first_transfer) {
       cur_snapshot_ = scope;
       cur_depth_ = scope->depth;
       resume_value_ = 0;
-      SwapToGuest(&scope->uctx);
+      SwapToGuest(scope->ctx);
       continue;
     }
     break;
@@ -207,8 +207,7 @@ void BacktrackSession::HandleGuestEvent() {
     case GuestEvent::kNone:
       break;
     case GuestEvent::kGuessPending: {
-      SnapshotRef snap = std::move(pending_snapshot_);
-      MaterializeInto(snap);
+      SnapshotRef snap = MaterializeParked();
       // Reverse value order: with a LIFO strategy, extension 0 runs first,
       // matching sequential fork semantics (§3).
       for (int i = pending_count_ - 1; i >= 0; --i) {
@@ -235,8 +234,7 @@ void BacktrackSession::HandleGuestEvent() {
       break;
     }
     case GuestEvent::kScopePending: {
-      SnapshotRef snap = std::move(pending_snapshot_);
-      MaterializeInto(snap);
+      SnapshotRef snap = MaterializeParked();
       scope_snapshot_ = snap;
       scope_active_ = true;
       Extension ext;
@@ -248,8 +246,9 @@ void BacktrackSession::HandleGuestEvent() {
       break;
     }
     case GuestEvent::kYieldPending: {
-      SnapshotRef snap = std::move(pending_snapshot_);
-      MaterializeInto(snap);
+      SnapshotRef snap = MaterializeParked();
+      snap->mailbox = pending_mailbox_;
+      snap->mailbox_cap = pending_mailbox_cap_;
       checkpoints_[snap->id] = snap;
       new_checkpoints_.push_back(snap->id);
       ++stats_.checkpoints;
@@ -278,7 +277,7 @@ void BacktrackSession::EvaluateExtension(Extension ext) {
   cur_depth_ = ext.depth;
   resume_value_ = ext.value;
   ++stats_.extensions_evaluated;
-  SwapToGuest(&ext.snapshot->uctx);
+  SwapToGuest(ext.snapshot->ctx);
 }
 
 void BacktrackSession::SwapToGuest(ucontext_t* target) {
@@ -303,13 +302,6 @@ void BacktrackSession::SwapToGuest(ucontext_t* target) {
 // the search-level envelope (attachments, output marks, counters, timing).
 // ---------------------------------------------------------------------------
 
-SnapshotRef BacktrackSession::NewSnapshotShell() {
-  SnapshotRef snap = std::make_shared<Snapshot>();
-  snap->id = next_snapshot_id_++;
-  snap->depth = cur_depth_;
-  return snap;
-}
-
 bool BacktrackSession::EvictWorst() {
   if (!strategy_->EvictWorst().has_value()) {
     return false;
@@ -322,7 +314,11 @@ void BacktrackSession::EnforceBudget() {
   EnforceByteBudget(*store_, options_.snapshot_byte_budget, [this] { return EvictWorst(); });
 }
 
-void BacktrackSession::MaterializeInto(const SnapshotRef& snap) {
+SnapshotRef BacktrackSession::MaterializeParked() {
+  SnapshotRef snap = std::make_shared<Snapshot>();
+  snap->id = next_snapshot_id_++;
+  snap->depth = cur_depth_;
+  snap->ctx = pending_ctx_;
   StopWatch sw;
   engine_->Materialize(*snap);
   snap->aux.reserve(attachments_.size());
@@ -332,6 +328,7 @@ void BacktrackSession::MaterializeInto(const SnapshotRef& snap) {
   snap->out_mark = out_buffer_.size();
   ++stats_.snapshots;
   stats_.snapshot_ns += sw.ElapsedNanos();
+  return snap;
 }
 
 void BacktrackSession::RestoreTo(const Snapshot& snap) {
@@ -351,23 +348,31 @@ void BacktrackSession::RestoreTo(const Snapshot& snap) {
 // Guest-side system-call surface.
 // ---------------------------------------------------------------------------
 
+// Parks the guest with its registers saved in this guest-stack frame, so the
+// snapshot the scheduler materialises after the switch carries them in its
+// page image, and restore brings them back byte for byte. Guest frames hold no
+// host objects: each resume would restore and re-destroy them. ctx is zeroed
+// because getcontext leaves uc_stack unwritten and ASan's swapcontext reads it
+// on resume. Park is always inlined: TSan pushes its shadow stack once per park
+// and pops once per resume, and an extra frame here crashed it. ASan's stack
+// use-after-return must stay off (a fake-stack ctx lies outside the arena). The
+// saved registers still hold `this` and &sched_ctx_, fixed for the session.
+void BacktrackSession::Park(GuestEvent event) {
+  ucontext_t ctx{};
+  pending_ctx_ = &ctx;
+  event_ = event;
+  LW_CHECK(swapcontext(&ctx, &sched_ctx_) == 0);
+}
+
 int BacktrackSession::OnGuess(int n, const GuessCost* costs) {
   LW_CHECK_MSG(in_guest_, "sys_guess called outside guest execution");
   ++stats_.guesses;
   if (n <= 0) {
     OnFail();
   }
-  // CAUTION: this frame lives on the guest stack and is captured by the snapshot;
-  // it must hold no host RAII objects (a shared_ptr local here would be restored
-  // and re-destroyed once per resume). Ownership stays in host-side members.
-  pending_snapshot_ = NewSnapshotShell();
-  ucontext_t* uctx = &pending_snapshot_->uctx;
   pending_count_ = n;
   pending_costs_ = costs;
-  event_ = GuestEvent::kGuessPending;
-  // The scheduler materialises the snapshot *after* this switch, when the guest
-  // stack is quiescent — so the page image exactly matches the saved registers.
-  LW_CHECK(swapcontext(uctx, &sched_ctx_) == 0);
+  Park(GuestEvent::kGuessPending);
   return resume_value_;
 }
 
@@ -390,10 +395,7 @@ bool BacktrackSession::OnStrategyScope(StrategyKind kind) {
     config.kind = kind;
     strategy_ = MakeStrategy(config);
   }
-  pending_snapshot_ = NewSnapshotShell();  // no guest-stack RAII (see OnGuess)
-  ucontext_t* uctx = &pending_snapshot_->uctx;
-  event_ = GuestEvent::kScopePending;
-  LW_CHECK(swapcontext(uctx, &sched_ctx_) == 0);
+  Park(GuestEvent::kScopePending);
   return resume_value_ != 0;
 }
 
@@ -403,12 +405,9 @@ size_t BacktrackSession::OnYield(void* mailbox, size_t cap) {
   // that many bytes of the snapshot, so the whole range must be guest memory.
   LW_CHECK_MSG(cap == 0 || arena_.ContainsRange(mailbox, cap),
                "yield mailbox [mailbox, mailbox + cap) must lie in the arena's heap or stack");
-  pending_snapshot_ = NewSnapshotShell();  // no guest-stack RAII
-  pending_snapshot_->mailbox = static_cast<uint8_t*>(mailbox);
-  pending_snapshot_->mailbox_cap = cap;
-  ucontext_t* uctx = &pending_snapshot_->uctx;
-  event_ = GuestEvent::kYieldPending;
-  LW_CHECK(swapcontext(uctx, &sched_ctx_) == 0);
+  pending_mailbox_ = static_cast<uint8_t*>(mailbox);
+  pending_mailbox_cap_ = cap;
+  Park(GuestEvent::kYieldPending);
   return static_cast<size_t>(resume_value_);
 }
 
@@ -418,11 +417,9 @@ void BacktrackSession::OnEmit(const void* data, size_t len) {
   if (options_.buffer_output) {
     out_buffer_.append(static_cast<const char*>(data), len);
   } else {
-    EmitNow(std::string_view(static_cast<const char*>(data), len));
+    options_.output(std::string_view(static_cast<const char*>(data), len));
   }
 }
-
-void BacktrackSession::EmitNow(std::string_view text) { options_.output(text); }
 
 // ---------------------------------------------------------------------------
 // Checkpoint plumbing.

@@ -6,10 +6,10 @@
 // though many sessions on different worker threads may share one PageStore):
 //   * The host calls Run(guest_fn, arg). The guest runs on a stack inside the
 //     arena via ucontext; the session's scheduler runs on the host stack.
-//   * sys_guess(n) parks the guest (swapcontext into the scheduler), which
-//     materialises the snapshot — the engine publishes the changed page image,
-//     the page map is shared, the saved ucontext is the immutable register file —
-//     and pushes n extensions onto the strategy.
+//   * sys_guess(n) parks the guest: it saves its ucontext on its own stack and
+//     swaps into the scheduler, which materialises the snapshot — the engine
+//     publishes the changed page image, saved registers included, and the page
+//     map is shared — and pushes n extensions onto the strategy.
 //   * The scheduler pops the next extension, restores its snapshot (engine page
 //     restore + attachment states + register file) and resumes the guest inside
 //     sys_guess with the extension value as the return value (the paper's "%rax").
@@ -218,12 +218,12 @@ class BacktrackSession : public GuessExecutor {
   // checkpoints, so long-running services with no search frontier still
   // converge to the cap.
   void EnforceBudget();
-  void MaterializeInto(const SnapshotRef& snap);
+  // Captures the parked guest as a new snapshot (pages, registers, attachments).
+  SnapshotRef MaterializeParked();
   void RestoreTo(const Snapshot& snap);
   void EvaluateExtension(Extension ext);
   void SwapToGuest(ucontext_t* target);
-  SnapshotRef NewSnapshotShell();
-  void EmitNow(std::string_view text);
+  [[gnu::always_inline]] inline void Park(GuestEvent event);
 
   SessionOptions options_;
   GuestArena arena_;
@@ -243,10 +243,11 @@ class BacktrackSession : public GuessExecutor {
   ucontext_t sched_ctx_{};
   ucontext_t root_ctx_{};
   GuestEvent event_ = GuestEvent::kNone;
-  SnapshotRef pending_snapshot_;
+  ucontext_t* pending_ctx_ = nullptr;  // the parked guest's saved registers
   int pending_count_ = 0;
   const GuessCost* pending_costs_ = nullptr;
-  StrategyKind pending_scope_kind_ = StrategyKind::kDfs;
+  uint8_t* pending_mailbox_ = nullptr;
+  size_t pending_mailbox_cap_ = 0;
   int resume_value_ = 0;
   bool in_guest_ = false;
   bool started_ = false;

@@ -19,6 +19,12 @@
 #include "src/snapshot/page_store.h"
 #include "src/util/vec.h"
 
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer) && !defined(__SANITIZE_THREAD__)
+#define __SANITIZE_THREAD__ 1
+#endif
+#endif
+
 namespace lw {
 namespace {
 
@@ -257,6 +263,46 @@ TEST(CheckpointServiceTest, ReleasedParentDiesWhileChildIsHeld) {
   EXPECT_EQ(DedupHitsFor(*store, 0x01), 0u);
   EXPECT_EQ(DedupHitsFor(*store, c_request), 1u);  // the held child's pages stay
 }
+
+// A published page holds guest state only: re-running the same request from
+// the same checkpoint republishes nothing, however the host heap moved between
+// the two runs (a host address left in a guest-stack page would mint a blob).
+class CheckpointImageTest : public ::testing::TestWithParam<SnapshotMode> {};
+
+TEST_P(CheckpointImageTest, SameExtendRepublishesNothing) {
+#ifdef __SANITIZE_THREAD__
+  // Besides the CoW protocol conflict: TSan's runtime calls run on the guest
+  // stack and leave values of TSan's own per-thread state in the dead frames
+  // below the parked stack pointer, so the published stack page follows them.
+  GTEST_SKIP() << "TSan state reaches the guest stack's dead frames";
+#endif
+  auto store = std::make_shared<PageStore>();
+  CheckpointServiceOptions options = SmallHost();
+  options.store = store;
+  options.snapshot_mode = GetParam();
+  CheckpointService host(options);
+  auto root = host.Boot(&EchoServe, nullptr);
+  ASSERT_TRUE(root.ok());
+  auto first = host.Extend(*root, "ab", 2);
+  ASSERT_TRUE(first.ok());
+  const uint64_t published = store->stats().total_published;
+
+  std::vector<std::unique_ptr<char[]>> churn;
+  for (size_t i = 0; i < 64; ++i) {
+    churn.push_back(std::make_unique<char[]>(64 + 48 * i));
+  }
+  auto second = host.Extend(*root, "ab", 2);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(ReadEcho(host, *second), "ab");
+  EXPECT_EQ(store->stats().total_published, published);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, CheckpointImageTest,
+                         ::testing::Values(SnapshotMode::kCow, SnapshotMode::kIncremental,
+                                           SnapshotMode::kFullCopy),
+                         [](const ::testing::TestParamInfo<SnapshotMode>& info) {
+                           return SnapshotModeName(info.param);
+                         });
 
 TEST(WireCodecTest, ReaderRejectsOverflow) {
   uint8_t buf[8] = {1, 2, 3, 4, 5, 6, 7, 8};

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/backtrack.h"
@@ -620,6 +621,61 @@ TEST(SessionTest, StatsToStringPrintsEveryCounter) {
         "rst_mprotect=18", "rst_runs=19", "rst_skip=20", "snap_us=21.0", "restore_us=22.0"}) {
     EXPECT_NE(text.find(" " + std::string(token) + " "), std::string::npos)
         << token << " missing from: " << text;
+  }
+}
+
+// --- Published images depend only on guest state ---------------------------------------------
+
+// 8-queens over a page trail: each placement fills one page-aligned trail
+// page, so every guess dirties whole pages, and each solution parks its board
+// in a 16-byte mailbox (the guest of lwbench's search workloads).
+void PageTrailQueensGuest(void*) {
+  constexpr int kN = 8;
+  struct Placement {
+    int row[16];
+    int ld[32];
+    int rd[32];
+  };
+  auto* b = GuestNew<Placement>(Session()->heap());
+  std::memset(b, 0, sizeof(Placement));
+  auto raw = reinterpret_cast<uintptr_t>(Session()->heap()->Alloc((kN + 1) * kPageSize));
+  auto* trail = reinterpret_cast<uint8_t*>((raw + kPageSize - 1) & ~(kPageSize - 1));
+  auto* mailbox = static_cast<uint8_t*>(Session()->heap()->Alloc(16));
+  if (sys_guess_strategy(StrategyKind::kDfs)) {
+    for (int c = 0; c < kN; ++c) {
+      int r = sys_guess(kN);
+      if (b->row[r] || b->ld[r + c] || b->rd[kN + r - c]) {
+        sys_guess_fail();
+      }
+      b->row[r] = b->ld[r + c] = b->rd[kN + r - c] = 1;
+      std::memset(trail + static_cast<size_t>(c) * kPageSize, r + 1, kPageSize);
+      mailbox[c] = static_cast<uint8_t>(r);
+    }
+    sys_note_solution();
+    sys_yield(mailbox, 16);
+    sys_guess_fail();
+  }
+}
+
+// The same search in fresh sessions over private stores publishes the same
+// pages: no host address (a snapshot's, say) may reach a published page, or
+// dedup would follow where the host allocator put things. The warm-up absorbs
+// the process's one-time lazy initialization.
+TEST(SessionTest, SameSearchPublishesTheSamePagesInEverySession) {
+  auto run = [] {
+    SessionOptions options;
+    options.arena_bytes = 2ull << 20;
+    options.output = [](std::string_view) {};
+    BacktrackSession session(options);
+    EXPECT_TRUE(session.Run(&PageTrailQueensGuest, nullptr).ok());
+    EXPECT_EQ(session.stats().solutions, 92u);
+    return std::make_pair(session.store().stats().total_published,
+                          session.store().stats().content_dedup_hits);
+  };
+  run();
+  const auto first = run();
+  for (int i = 1; i < 4; ++i) {
+    EXPECT_EQ(run(), first) << "session " << i;
   }
 }
 
