@@ -52,6 +52,7 @@ struct DaemonConnection {
   Socket sock;
   std::thread reader;
   std::thread writer;
+  std::atomic<bool> finished{false};  // reader is past teardown: reapable
 
   std::mutex mu;
   std::condition_variable reader_cv;  // in-flight slot free, or closing
@@ -175,7 +176,9 @@ void DaemonConnection::ReaderMain() {
     ++daemon->connections_dropped_;
   }
   // Signal EOF to the peer (stats above are visible before it observes the
-  // close). The fd itself stays open until the daemon reaps the connection.
+  // close). The fd itself stays open until the daemon reaps the connection:
+  // the accept loop joins and frees finished connections before each new one.
+  finished = true;
   sock.ShutdownBoth();
 }
 
@@ -480,25 +483,21 @@ Status CheckpointDaemon::BootFleet() {
 
 Result<std::unique_ptr<CheckpointDaemon>> CheckpointDaemon::StartUnix(
     const std::string& path, CheckpointDaemonOptions options) {
-  std::unique_ptr<CheckpointDaemon> daemon(new CheckpointDaemon(std::move(options)));
-  LW_RETURN_IF_ERROR(daemon->BootFleet());
-  auto listener = Listener::ListenUnix(path);
-  if (!listener.ok()) {
-    return listener.status();
-  }
-  daemon->listener_ = *std::move(listener);
-  daemon->accept_thread_ = std::thread([d = daemon.get()] { d->AcceptLoop(); });
-  return daemon;
+  return Start(Listener::ListenUnix(path), std::move(options));
 }
 
 Result<std::unique_ptr<CheckpointDaemon>> CheckpointDaemon::StartTcp(
     uint16_t port, CheckpointDaemonOptions options) {
-  std::unique_ptr<CheckpointDaemon> daemon(new CheckpointDaemon(std::move(options)));
-  LW_RETURN_IF_ERROR(daemon->BootFleet());
-  auto listener = Listener::ListenTcp(port);
+  return Start(Listener::ListenTcp(port), std::move(options));
+}
+
+Result<std::unique_ptr<CheckpointDaemon>> CheckpointDaemon::Start(
+    Result<Listener> listener, CheckpointDaemonOptions options) {
   if (!listener.ok()) {
     return listener.status();
   }
+  std::unique_ptr<CheckpointDaemon> daemon(new CheckpointDaemon(std::move(options)));
+  LW_RETURN_IF_ERROR(daemon->BootFleet());
   daemon->listener_ = *std::move(listener);
   daemon->accept_thread_ = std::thread([d = daemon.get()] { d->AcceptLoop(); });
   return daemon;
@@ -517,6 +516,10 @@ void CheckpointDaemon::AcceptLoop() {
     c->writer = std::thread([c] { c->WriterMain(); });
     c->reader = std::thread([c] { c->ReaderMain(); });
     std::lock_guard<std::mutex> lock(conn_mu_);
+    auto done = std::partition(connections_.begin(), connections_.end(),
+                               [](const auto& live) { return !live->finished; });
+    std::for_each(done, connections_.end(), [](auto& conn) { conn->reader.join(); });
+    connections_.erase(done, connections_.end());
     ++connections_accepted_;
     connections_.push_back(std::move(conn));
   }
@@ -563,9 +566,7 @@ void CheckpointDaemon::Stop() {
     }
   }
   for (auto& conn : connections_) {
-    if (conn->reader.joinable()) {
-      conn->reader.join();
-    }
+    conn->reader.join();
   }
   connections_.clear();
   // All jobs retired and all tenant tokens dropped; release the empty roots

@@ -125,6 +125,8 @@ class CheckpointDaemon {
 
   explicit CheckpointDaemon(CheckpointDaemonOptions options);
 
+  static Result<std::unique_ptr<CheckpointDaemon>> Start(Result<Listener> listener,
+                                                         CheckpointDaemonOptions options);
   Status BootFleet();
   void AcceptLoop();
 

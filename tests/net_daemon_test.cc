@@ -2,12 +2,15 @@
 // tenants must be *bit-identical* to an in-process service driven with the
 // same wire bytes (the one-codec-two-transports contract), per-tenant byte
 // budgets must reject the over-budget tenant — and only that tenant — with a
-// typed error and refund on release, and per-tenant backpressure must bound
-// in-flight jobs at the daemon's admission cap.
+// typed error and refund on release, per-tenant backpressure must bound
+// in-flight jobs at the daemon's admission cap, and a closed connection must
+// give back its socket.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -318,6 +321,36 @@ TEST(NetDaemonTest, DisconnectReleasesSessionsForTheNextTenant) {
   }
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE((*second)->SolveRoot(*session, tiny).ok());
+}
+
+// Open descriptors of this process (the daemon runs in it).
+size_t OpenFds() {
+  size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(NetDaemonTest, ClosedConnectionsAreReaped) {
+  auto daemon = CheckpointDaemon::StartUnix(SocketPath("reap"), DaemonOptions(1));
+  ASSERT_TRUE(daemon.ok());
+  const size_t before = OpenFds();
+  for (int i = 0; i < 50; ++i) {
+    auto sock = ConnectUnix((*daemon)->path());
+    ASSERT_TRUE(sock.ok());
+    // Half-close, then wait for the daemon's EOF: its reader has finished.
+    ASSERT_EQ(::shutdown(sock->fd(), SHUT_WR), 0);
+    uint8_t byte = 0;
+    bool clean_eof = false;
+    ASSERT_TRUE(sock->ReadFull(&byte, 1, &clean_eof).ok());
+    EXPECT_TRUE(clean_eof);
+  }
+  // Each accept reaps the connections that finished before it; only the
+  // last one may still hold its socket.
+  EXPECT_LE(OpenFds(), before + 1);
+  EXPECT_EQ((*daemon)->stats().connections_accepted, 50u);
 }
 
 }  // namespace
