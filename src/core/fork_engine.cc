@@ -115,7 +115,6 @@ int ForkSession::OnGuess(int n, const GuessCost* /*costs*/) {
   if (n <= 0) {
     OnFail();
   }
-  int inflight = 0;
   for (int i = 0; i < n; ++i) {
     shared_->forks.fetch_add(1, std::memory_order_relaxed);
     pid_t pid = fork();
@@ -128,26 +127,8 @@ int ForkSession::OnGuess(int n, const GuessCost* /*costs*/) {
     if (pid == 0) {
       return i;  // the child IS the extension evaluation for value i
     }
-    if (!options_.parallel) {
-      int status = 0;
-      waitpid(pid, &status, 0);
-    } else {
-      ++inflight;
-      if (inflight >= options_.max_inflight) {
-        int status = 0;
-        if (wait(&status) > 0) {
-          --inflight;
-        }
-      }
-    }
-  }
-  // Parallel mode: join the stragglers before this node retires.
-  while (options_.parallel && inflight > 0) {
     int status = 0;
-    if (wait(&status) <= 0) {
-      break;
-    }
-    --inflight;
+    waitpid(pid, &status, 0);
   }
   // All extensions enumerated; this process's own continuation is dead (in the
   // snapshot engine the pre-guess execution likewise never continues).

@@ -8,15 +8,12 @@
 //    encapsulated [...] And last but not least, the large performance overheads
 //    of this naive approach would likely dwarf any benefit."
 //
-// Sequential mode = depth-first: fork before exploring each extension, child
-// explores the subtree, parent waits. Parallel mode forks without waiting
-// (bounded per-node in-flight children) — the paper's "possibly dire
-// consequences" variant, kept tame by the bound.
+// Depth-first: fork before exploring each extension, child explores the
+// subtree, parent waits.
 //
 // Limitations inherent to the model (and the point of the comparison):
-// checkpoints (sys_yield) are unsupported, only DFS order is available, output
-// ordering in parallel mode is arbitrary, and cross-extension isolation is only
-// as good as fork's.
+// checkpoints (sys_yield) are unsupported, only DFS order is available, and
+// cross-extension isolation is only as good as fork's.
 
 #ifndef LWSNAP_SRC_CORE_FORK_ENGINE_H_
 #define LWSNAP_SRC_CORE_FORK_ENGINE_H_
@@ -31,8 +28,6 @@
 namespace lw {
 
 struct ForkSessionOptions {
-  bool parallel = false;
-  int max_inflight = 4;  // parallel mode: per-node bound on concurrent children
   std::function<void(std::string_view)> output;  // default: stdout
 };
 

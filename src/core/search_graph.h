@@ -1,13 +1,13 @@
 // The search graph of §3.1: partial candidates (immutable snapshots) are the
 // vertices; candidate extension steps are the directed edges.
 //
-// A Snapshot owns:
-//   * the immutable address-space image (a PageMap of refcounted page blobs),
-//     which also holds the register file: the ucontext the guest saved on its
-//     own stack at the guess point (the paper's "%rax return" is our
-//     resume_value delivered on restore),
-//   * immutable auxiliary state captured by session attachments (e.g. the
-//     interposed filesystem's persistent root).
+// A Snapshot is its immutable address-space image (a PageMap of refcounted
+// page blobs) plus scheduler bookkeeping (id, depth, the register file's
+// address, the checkpoint mailbox). The image holds all guest state: the
+// register file (the ucontext the guest saved on its own stack at the guess
+// point; the paper's "%rax return" is our resume_value delivered on restore)
+// and every structure in the guest heap, the interposed filesystem and the
+// buffered output included.
 //
 // Lifetime is reference-counted: a snapshot lives while something that can
 // restore it holds it (an unevaluated extension, a parked checkpoint, the
@@ -22,9 +22,9 @@
 
 #include <ucontext.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "src/snapshot/page_map.h"
 
@@ -41,15 +41,9 @@ struct Snapshot {
   // Immutable address-space image.
   PageMap map;
 
-  // Opaque per-attachment states (index-aligned with the session's attachments).
-  std::vector<std::shared_ptr<const void>> aux;
-
   // For checkpoints: guest-provided mailbox for host→guest message delivery.
   uint8_t* mailbox = nullptr;
   size_t mailbox_cap = 0;
-
-  // Buffered-output offset at capture (for the buffered output policy).
-  size_t out_mark = 0;
 };
 
 using SnapshotRef = std::shared_ptr<Snapshot>;

@@ -80,6 +80,12 @@ BacktrackSession::BacktrackSession(SessionOptions options)
   // CoW mode its writes fault and enter the dirty set like any guest write; in
   // the scan-based engines they are picked up by the first materialization.
   heap_ = GuestHeap::Init(arena_.heap_base(), arena_.heap_bytes());
+  if (options_.buffer_output) {
+    // Guest memory, so every snapshot carries the path's output so far and a
+    // restore rolls it back with the pages.
+    ScopedAllocHooks hooks(heap_->Hooks());
+    out_buffer_ = GuestNew<Vec<char>>(heap_);
+  }
 }
 
 BacktrackSession::~BacktrackSession() {
@@ -88,11 +94,6 @@ BacktrackSession::~BacktrackSession() {
   // checkpoints, current and scope snapshots, the engine's map) is declared
   // after store_, so each releases its pages in batches before the store dies.
   reclaim_->Detach();
-}
-
-void BacktrackSession::AddAttachment(SessionAttachment* attachment) {
-  LW_CHECK_MSG(!started_, "attachments must be added before Run");
-  attachments_.push_back(attachment);
 }
 
 // ---------------------------------------------------------------------------
@@ -264,8 +265,8 @@ void BacktrackSession::HandleGuestEvent() {
       break;
     case GuestEvent::kCompleted:
       ++stats_.completions;
-      if (options_.buffer_output && !out_buffer_.empty()) {
-        options_.output(out_buffer_);
+      if (out_buffer_ != nullptr && !out_buffer_->empty()) {
+        options_.output(std::string_view(out_buffer_->data(), out_buffer_->size()));
       }
       break;
   }
@@ -299,7 +300,7 @@ void BacktrackSession::SwapToGuest(ucontext_t* target) {
 
 // ---------------------------------------------------------------------------
 // Snapshot capture/restore: page mechanics are the engine's; the session adds
-// the search-level envelope (attachments, output marks, counters, timing).
+// the search-level envelope (ids, depth, counters, timing).
 // ---------------------------------------------------------------------------
 
 bool BacktrackSession::EvictWorst() {
@@ -321,11 +322,6 @@ SnapshotRef BacktrackSession::MaterializeParked() {
   snap->ctx = pending_ctx_;
   StopWatch sw;
   engine_->Materialize(*snap);
-  snap->aux.reserve(attachments_.size());
-  for (SessionAttachment* attachment : attachments_) {
-    snap->aux.push_back(attachment->Capture());
-  }
-  snap->out_mark = out_buffer_.size();
   ++stats_.snapshots;
   stats_.snapshot_ns += sw.ElapsedNanos();
   return snap;
@@ -334,12 +330,6 @@ SnapshotRef BacktrackSession::MaterializeParked() {
 void BacktrackSession::RestoreTo(const Snapshot& snap) {
   StopWatch sw;
   engine_->Restore(snap);
-  for (size_t i = 0; i < attachments_.size(); ++i) {
-    attachments_[i]->Restore(i < snap.aux.size() ? snap.aux[i] : nullptr);
-  }
-  if (options_.buffer_output) {
-    out_buffer_.resize(snap.out_mark);
-  }
   ++stats_.restores;
   stats_.restore_ns += sw.ElapsedNanos();
 }
@@ -414,8 +404,11 @@ size_t BacktrackSession::OnYield(void* mailbox, size_t cap) {
 void BacktrackSession::OnNoteSolution() { ++stats_.solutions; }
 
 void BacktrackSession::OnEmit(const void* data, size_t len) {
-  if (options_.buffer_output) {
-    out_buffer_.append(static_cast<const char*>(data), len);
+  if (out_buffer_ != nullptr) {
+    const char* text = static_cast<const char*>(data);
+    for (size_t i = 0; i < len; ++i) {
+      out_buffer_->push_back(text[i]);
+    }
   } else {
     options_.output(std::string_view(static_cast<const char*>(data), len));
   }

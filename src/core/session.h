@@ -10,9 +10,11 @@
 //     swaps into the scheduler, which materialises the snapshot — the engine
 //     publishes the changed page image, saved registers included, and the page
 //     map is shared — and pushes n extensions onto the strategy.
-//   * The scheduler pops the next extension, restores its snapshot (engine page
-//     restore + attachment states + register file) and resumes the guest inside
-//     sys_guess with the extension value as the return value (the paper's "%rax").
+//   * The scheduler pops the next extension, restores its snapshot (the engine's
+//     page restore, which brings back the register file and every guest-heap
+//     structure: the interposed filesystem, the buffered output) and resumes
+//     the guest inside sys_guess with the extension value as the return value
+//     (the paper's "%rax").
 //   * sys_guess_fail abandons the current extension: a bare jump back to the
 //     scheduler; all memory effects since the last restore are dead and will be
 //     overwritten by the next restore (no undo log).
@@ -47,18 +49,9 @@
 #include "src/snapshot/page_map.h"
 #include "src/snapshot/page_store.h"
 #include "src/util/status.h"
+#include "src/util/vec.h"
 
 namespace lw {
-
-// Subsystems whose state must travel with snapshots (e.g. the interposed
-// filesystem) register an attachment. Capture must return an immutable value
-// (persistent data structure or deep copy); Restore reinstates it.
-class SessionAttachment {
- public:
-  virtual ~SessionAttachment() = default;
-  virtual std::shared_ptr<const void> Capture() = 0;
-  virtual void Restore(const std::shared_ptr<const void>& state) = 0;
-};
 
 struct SessionOptions {
   size_t arena_bytes = 64ull << 20;
@@ -102,8 +95,9 @@ struct SessionOptions {
 
   // Output policy. Default (false): guest emissions are forwarded to `output`
   // immediately (the paper's n-queens prints answers as it finds them). true:
-  // emissions accumulate per path and are forwarded only when a path completes
-  // without failing; failed paths' output is rolled back with the snapshot.
+  // emissions accumulate per path in a guest-heap buffer and are forwarded only
+  // when a path completes without failing; a restore rolls the buffer back
+  // with the pages, so failed paths' output never escapes.
   bool buffer_output = false;
   std::function<void(std::string_view)> output;  // default: write to stdout
 };
@@ -176,9 +170,6 @@ class BacktrackSession : public GuessExecutor {
   const SessionStats& stats() const { return stats_; }
   size_t frontier_size() const { return strategy_ != nullptr ? strategy_->Size() : 0; }
 
-  // Subsystem hookup; must happen before Run.
-  void AddAttachment(SessionAttachment* attachment);
-
   // GuessExecutor (guest-side entry points; invoked via the sys_* free functions):
   int OnGuess(int n, const GuessCost* costs) override;
   [[noreturn]] void OnFail() override;
@@ -218,7 +209,7 @@ class BacktrackSession : public GuessExecutor {
   // checkpoints, so long-running services with no search frontier still
   // converge to the cap.
   void EnforceBudget();
-  // Captures the parked guest as a new snapshot (pages, registers, attachments).
+  // Captures the parked guest as a new snapshot (pages, registers included).
   SnapshotRef MaterializeParked();
   void RestoreTo(const Snapshot& snap);
   void EvaluateExtension(Extension ext);
@@ -237,7 +228,6 @@ class BacktrackSession : public GuessExecutor {
   GuestHeap* heap_ = nullptr;  // lives inside the arena
 
   std::unique_ptr<Strategy> strategy_;
-  std::vector<SessionAttachment*> attachments_;
 
   // Scheduler/guest transfer state.
   ucontext_t sched_ctx_{};
@@ -280,7 +270,8 @@ class BacktrackSession : public GuessExecutor {
   std::unordered_map<uint64_t, SnapshotRef> checkpoints_;
   std::vector<uint64_t> new_checkpoints_;
 
-  std::string out_buffer_;  // buffered-output mode
+  // Buffered-output mode only: the path's output so far, in the guest heap.
+  Vec<char>* out_buffer_ = nullptr;
   SessionStats stats_;
 };
 

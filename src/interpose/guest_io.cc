@@ -16,8 +16,9 @@ thread_local GuestIo* g_current_io = nullptr;
 GuestIo* GuestIo::Current() { return g_current_io; }
 void GuestIo::SetCurrent(GuestIo* io) { g_current_io = io; }
 
-GuestIo::GuestIo(SimFs* fs, InterposePolicy policy) : fs_(fs), policy_(std::move(policy)) {
-  LW_CHECK(fs_ != nullptr);
+GuestIo::GuestIo(SimFs* fs, FdTable* fds, InterposePolicy policy)
+    : fs_(fs), fds_(fds), policy_(std::move(policy)) {
+  LW_CHECK(fs_ != nullptr && fds_ != nullptr);
 }
 
 PolicyDecision GuestIo::Gate(GuestSyscall call) {
@@ -78,7 +79,7 @@ int GuestIo::Open(const char* path, uint32_t flags) {
     Status s = fs_->Truncate(*ino, 0);
     LW_CHECK(s.ok());
   }
-  auto fd = fds_.Alloc(*ino, flags);
+  auto fd = fds_->Alloc(*ino, flags);
   if (!fd.ok()) {
     stats_.failed[static_cast<size_t>(GuestSyscall::kOpen)]++;
     return ToError(fd.status());
@@ -90,7 +91,7 @@ int GuestIo::Close(int fd) {
   if (Gate(GuestSyscall::kClose) == PolicyDecision::kDeny) {
     return ToError(PermissionDenied(""));
   }
-  Status s = fds_.Close(fd);
+  Status s = fds_->Close(fd);
   if (!s.ok()) {
     stats_.failed[static_cast<size_t>(GuestSyscall::kClose)]++;
     return ToError(s);
@@ -105,7 +106,7 @@ int64_t GuestIo::Read(int fd, void* buf, size_t len) {
   if (fd == 0) {
     return 0;  // interposed stdin: EOF
   }
-  FdEntry* e = fds_.Get(fd);
+  FdEntry* e = fds_->Get(fd);
   if (e == nullptr || (e->flags & kOpenRead) == 0) {
     stats_.failed[static_cast<size_t>(GuestSyscall::kRead)]++;
     return ToError(InvalidArgument(""));
@@ -134,7 +135,7 @@ int64_t GuestIo::Write(int fd, const void* buf, size_t len) {
     }
     return static_cast<int64_t>(len);
   }
-  FdEntry* e = fds_.Get(fd);
+  FdEntry* e = fds_->Get(fd);
   if (e == nullptr || (e->flags & kOpenWrite) == 0) {
     stats_.failed[static_cast<size_t>(GuestSyscall::kWrite)]++;
     return ToError(InvalidArgument(""));
@@ -157,7 +158,7 @@ int64_t GuestIo::Pread(int fd, void* buf, size_t len, uint64_t offset) {
   if (Gate(GuestSyscall::kPread) == PolicyDecision::kDeny) {
     return ToError(PermissionDenied(""));
   }
-  FdEntry* e = fds_.Get(fd);
+  FdEntry* e = fds_->Get(fd);
   if (e == nullptr || (e->flags & kOpenRead) == 0) {
     stats_.failed[static_cast<size_t>(GuestSyscall::kPread)]++;
     return ToError(InvalidArgument(""));
@@ -174,7 +175,7 @@ int64_t GuestIo::Pwrite(int fd, const void* buf, size_t len, uint64_t offset) {
   if (Gate(GuestSyscall::kPwrite) == PolicyDecision::kDeny) {
     return ToError(PermissionDenied(""));
   }
-  FdEntry* e = fds_.Get(fd);
+  FdEntry* e = fds_->Get(fd);
   if (e == nullptr || (e->flags & kOpenWrite) == 0) {
     stats_.failed[static_cast<size_t>(GuestSyscall::kPwrite)]++;
     return ToError(InvalidArgument(""));
@@ -191,7 +192,7 @@ int64_t GuestIo::Lseek(int fd, int64_t offset, SeekWhence whence) {
   if (Gate(GuestSyscall::kLseek) == PolicyDecision::kDeny) {
     return ToError(PermissionDenied(""));
   }
-  FdEntry* e = fds_.Get(fd);
+  FdEntry* e = fds_->Get(fd);
   if (e == nullptr) {
     stats_.failed[static_cast<size_t>(GuestSyscall::kLseek)]++;
     return ToError(InvalidArgument(""));
@@ -238,7 +239,7 @@ int GuestIo::Fstat(int fd, SimFsStat* out) {
   if (Gate(GuestSyscall::kFstat) == PolicyDecision::kDeny) {
     return ToError(PermissionDenied(""));
   }
-  FdEntry* e = fds_.Get(fd);
+  FdEntry* e = fds_->Get(fd);
   if (e == nullptr) {
     stats_.failed[static_cast<size_t>(GuestSyscall::kFstat)]++;
     return ToError(InvalidArgument(""));
@@ -351,20 +352,6 @@ int GuestIo::Connect() {
 int GuestIo::Ioctl(int /*fd*/, uint64_t /*request*/) {
   Gate(GuestSyscall::kIoctl);
   return ToError(PermissionDenied(""));
-}
-
-std::shared_ptr<const void> GuestIo::Capture() {
-  auto snap = std::make_shared<Snapshot>();
-  snap->fs_state = fs_->TakeSnapshot();
-  snap->fds = fds_.Clone();
-  return std::shared_ptr<const void>(snap, snap.get());
-}
-
-void GuestIo::Restore(const std::shared_ptr<const void>& state) {
-  const auto* snap = static_cast<const Snapshot*>(state.get());
-  LW_CHECK(snap != nullptr);
-  fs_->Restore(snap->fs_state);
-  fds_ = snap->fds;
 }
 
 // --- free functions ---

@@ -2,10 +2,12 @@
 //
 // Figure 2's libOS "traps" box: guest code calls the io_* free functions, which
 // forward to the thread-current GuestIo. Each call is counted, checked against
-// the InterposePolicy, and serviced against the session's SimFs + FdTable. The
-// dispatcher registers itself as a SessionAttachment so that the filesystem
-// image and the fd table travel with every snapshot — file side effects of a
-// failed extension vanish on backtrack with no undo log.
+// the InterposePolicy, and serviced against a SimFs and an FdTable. The
+// dispatcher itself holds only host-side state, the policy and the stats,
+// which count every path. A session places the SimFs and the FdTable in its
+// guest heap (see src/simfs/fs.h), so the filesystem image and the open
+// descriptors travel with every snapshot like any other guest memory: file
+// side effects of a failed extension vanish on backtrack with no undo log.
 //
 // Error model: the io_* functions return negative lw::ErrorCode values (like
 // -errno) so guest code can run without host types; 0/positive is success.
@@ -17,11 +19,8 @@
 #define LWSNAP_SRC_INTERPOSE_GUEST_IO_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "src/core/session.h"
 #include "src/interpose/policy.h"
 #include "src/interpose/syscall.h"
 #include "src/simfs/fd_table.h"
@@ -30,10 +29,10 @@
 
 namespace lw {
 
-class GuestIo : public SessionAttachment {
+class GuestIo {
  public:
-  // `fs` must outlive the GuestIo. The policy is copied.
-  GuestIo(SimFs* fs, InterposePolicy policy);
+  // `fs` and `fds` must outlive the GuestIo. The policy is copied.
+  GuestIo(SimFs* fs, FdTable* fds, InterposePolicy policy);
 
   GuestIo(const GuestIo&) = delete;
   GuestIo& operator=(const GuestIo&) = delete;
@@ -60,31 +59,20 @@ class GuestIo : public SessionAttachment {
   int Connect();
   int Ioctl(int fd, uint64_t request);
 
-  // --- SessionAttachment ---
-  std::shared_ptr<const void> Capture() override;
-  void Restore(const std::shared_ptr<const void>& state) override;
-
   const SyscallStats& stats() const { return stats_; }
-  const FdTable& fd_table() const { return fds_; }
-  SimFs* fs() { return fs_; }
 
   // Thread-current dispatcher (mirrors GuessExecutor registration).
   static GuestIo* Current();
   static void SetCurrent(GuestIo* io);
 
  private:
-  struct Snapshot {
-    SimFs::State fs_state;
-    FdTable fds;
-  };
-
   static int ToError(const Status& status) { return -static_cast<int>(status.code()); }
   PolicyDecision Gate(GuestSyscall call);
   PolicyDecision GatePath(GuestSyscall call, const char* path, std::string* normalized);
 
   SimFs* fs_;
+  FdTable* fds_;
   InterposePolicy policy_;
-  FdTable fds_;
   SyscallStats stats_;
 };
 

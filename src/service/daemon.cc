@@ -129,8 +129,7 @@ void DaemonConnection::WriterMain() {
     // token registration and byte charge happen inside) before teardown.
     std::vector<uint8_t> frame = reply.frame.get();
     if (!write_failed) {
-      Status status = WriteFrame(sock, frame.data(), frame.size(),
-                                 daemon->options_.max_frame_bytes);
+      Status status = WriteFrame(sock, frame.data(), frame.size(), kDefaultMaxFrameBytes);
       if (!status.ok()) {
         write_failed = true;  // peer is gone; keep draining silently
       }
@@ -149,7 +148,7 @@ void DaemonConnection::ReaderMain() {
   std::vector<uint8_t> payload;
   while (true) {
     bool clean_eof = false;
-    Status status = ReadFrame(sock, &payload, daemon->options_.max_frame_bytes, &clean_eof);
+    Status status = ReadFrame(sock, &payload, kDefaultMaxFrameBytes, &clean_eof);
     if (!status.ok()) {
       dropped = true;  // framing violation: the stream is unsynchronized
       break;
@@ -237,7 +236,7 @@ bool DaemonConnection::HandleFrame(const std::vector<uint8_t>& payload) {
         w.u32(kFabricProtocolVersion);
         w.u64(budget_bytes);
         w.u32(opts.max_inflight_per_tenant);
-        w.u32(opts.max_frame_bytes);
+        w.u32(static_cast<uint32_t>(kDefaultMaxFrameBytes));
       }
       EnqueueReady(EncodeOkResponse(type, request_id, body));
       return true;

@@ -80,9 +80,6 @@ struct CheckpointDaemonOptions {
   // Admission cap: solve jobs in flight per tenant before its reader stops
   // reading frames.
   uint32_t max_inflight_per_tenant = 8;
-
-  // Frame-size ceiling enforced before any payload allocation.
-  uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
 };
 
 namespace internal {

@@ -1,8 +1,10 @@
 // FdTable: per-candidate open-file state.
 //
 // The paper's partial candidates include "immutable files"; open descriptors
-// (which file, current offset, mode) are part of that state, so the table is a
-// plain value type that the interposition attachment copies into each snapshot.
+// (which file, current offset, mode) are part of that state. A session places
+// its table in its guest heap beside its SimFs (see fs.h), so the snapshot
+// engine carries every descriptor and offset with the pages. The slots are an
+// lw::Vec, which allocates through the AllocHooks current at construction.
 // Descriptors 0..2 are reserved for the interposed standard streams and never
 // appear here.
 
@@ -10,9 +12,9 @@
 #define LWSNAP_SRC_SIMFS_FD_TABLE_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/util/status.h"
+#include "src/util/vec.h"
 
 namespace lw {
 
@@ -53,11 +55,8 @@ class FdTable {
 
   size_t open_count() const;
 
-  // Value copy is the snapshot operation.
-  FdTable Clone() const { return *this; }
-
  private:
-  std::vector<FdEntry> slots_;  // index 0 == fd kFirstFd
+  Vec<FdEntry> slots_;  // index 0 == fd kFirstFd
 };
 
 }  // namespace lw

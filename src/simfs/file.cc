@@ -7,20 +7,10 @@
 
 namespace lw {
 
-FileData FileData::FromString(std::string_view bytes) {
-  FileData d;
-  if (!bytes.empty()) {
-    d = d.Write(0, bytes.data(), bytes.size());
-  }
-  return d;
-}
-
 size_t FileData::MaterializedBytes() const {
   size_t total = 0;
-  for (const ChunkPtr& c : chunks_) {
-    if (c != nullptr) {
-      total += kChunkSize;
-    }
+  for (const Vec<uint8_t>& c : chunks_) {
+    total += c.size();
   }
   return total;
 }
@@ -37,8 +27,8 @@ size_t FileData::Read(size_t offset, void* out, size_t len) const {
     size_t chunk = pos / kChunkSize;
     size_t in_chunk = pos % kChunkSize;
     size_t n = std::min(len - done, kChunkSize - in_chunk);
-    if (chunk < chunks_.size() && chunks_[chunk] != nullptr) {
-      std::memcpy(dst + done, chunks_[chunk]->bytes + in_chunk, n);
+    if (chunk < chunks_.size() && !chunks_[chunk].empty()) {
+      std::memcpy(dst + done, chunks_[chunk].data() + in_chunk, n);
     } else {
       std::memset(dst + done, 0, n);
     }
@@ -47,66 +37,45 @@ size_t FileData::Read(size_t offset, void* out, size_t len) const {
   return len;
 }
 
-std::shared_ptr<FileData::Chunk> FileData::MutableChunk(const ChunkPtr& chunk) {
-  auto copy = std::make_shared<Chunk>();
-  if (chunk != nullptr) {
-    std::memcpy(copy->bytes, chunk->bytes, kChunkSize);
-  } else {
-    std::memset(copy->bytes, 0, kChunkSize);
-  }
-  return copy;
-}
-
-FileData FileData::Write(size_t offset, const void* data, size_t len) const {
-  FileData out = *this;  // shares every chunk
+void FileData::Write(size_t offset, const void* data, size_t len) {
   if (len == 0) {
-    return out;
+    return;
   }
   size_t end = offset + len;
   LW_CHECK_MSG(end >= offset, "file write overflows size_t");
   size_t needed_chunks = (end + kChunkSize - 1) / kChunkSize;
-  if (out.chunks_.size() < needed_chunks) {
-    out.chunks_.resize(needed_chunks);  // new slots are holes
+  if (chunks_.size() < needed_chunks) {
+    chunks_.resize(needed_chunks);  // new slots are holes
   }
   const uint8_t* src = static_cast<const uint8_t*>(data);
   size_t done = 0;
   while (done < len) {
     size_t pos = offset + done;
-    size_t chunk = pos / kChunkSize;
     size_t in_chunk = pos % kChunkSize;
     size_t n = std::min(len - done, kChunkSize - in_chunk);
-    // Whole-chunk writes still copy-construct a fresh chunk: the old one may be
-    // shared with a snapshot and must stay immutable.
-    auto fresh = MutableChunk(out.chunks_[chunk]);
-    std::memcpy(fresh->bytes + in_chunk, src + done, n);
-    out.chunks_[chunk] = std::move(fresh);
+    Vec<uint8_t>& chunk = chunks_[pos / kChunkSize];
+    if (chunk.empty()) {
+      chunk.resize(kChunkSize, 0);
+    }
+    std::memcpy(chunk.data() + in_chunk, src + done, n);
     done += n;
   }
-  out.size_ = std::max(out.size_, end);
-  return out;
+  size_ = std::max(size_, end);
 }
 
-FileData FileData::Truncate(size_t new_size) const {
-  FileData out = *this;
-  if (new_size >= size_) {
-    out.size_ = new_size;  // growing: hole, no chunks materialized
-    size_t needed = new_size == 0 ? 0 : (new_size + kChunkSize - 1) / kChunkSize;
-    if (out.chunks_.size() < needed) {
-      out.chunks_.resize(needed);
+void FileData::Truncate(size_t new_size) {
+  if (new_size < size_) {
+    size_t keep_chunks = (new_size + kChunkSize - 1) / kChunkSize;
+    if (chunks_.size() > keep_chunks) {
+      chunks_.resize(keep_chunks);
     }
-    return out;
+    // Zero the dropped tail of the boundary chunk so a later extend reads zeros.
+    size_t in_chunk = new_size % kChunkSize;
+    if (in_chunk != 0 && keep_chunks <= chunks_.size() && !chunks_[keep_chunks - 1].empty()) {
+      std::memset(chunks_[keep_chunks - 1].data() + in_chunk, 0, kChunkSize - in_chunk);
+    }
   }
-  size_t keep_chunks = new_size == 0 ? 0 : (new_size + kChunkSize - 1) / kChunkSize;
-  out.chunks_.resize(keep_chunks);
-  // Zero the dropped tail of the boundary chunk so a later extend reads zeros.
-  size_t in_chunk = new_size % kChunkSize;
-  if (in_chunk != 0 && keep_chunks > 0 && out.chunks_[keep_chunks - 1] != nullptr) {
-    auto fresh = MutableChunk(out.chunks_[keep_chunks - 1]);
-    std::memset(fresh->bytes + in_chunk, 0, kChunkSize - in_chunk);
-    out.chunks_[keep_chunks - 1] = std::move(fresh);
-  }
-  out.size_ = new_size;
-  return out;
+  size_ = new_size;  // growing: a hole, no chunks materialized
 }
 
 std::string FileData::ToString() const {
@@ -125,12 +94,6 @@ bool FileData::ContentEquals(const FileData& other) const {
   uint8_t b[kChunkSize];
   for (size_t off = 0; off < size_; off += kChunkSize) {
     size_t n = std::min(kChunkSize, size_ - off);
-    size_t chunk = off / kChunkSize;
-    // Pointer-equal chunks (including two holes) trivially match.
-    if (chunk < chunks_.size() && chunk < other.chunks_.size() &&
-        chunks_[chunk] == other.chunks_[chunk]) {
-      continue;
-    }
     Read(off, a, n);
     other.Read(off, b, n);
     if (std::memcmp(a, b, n) != 0) {
@@ -138,12 +101,6 @@ bool FileData::ContentEquals(const FileData& other) const {
     }
   }
   return true;
-}
-
-bool FileData::SharesChunkWith(const FileData& other, size_t chunk) const {
-  const ChunkPtr mine = chunk < chunks_.size() ? chunks_[chunk] : nullptr;
-  const ChunkPtr theirs = chunk < other.chunks_.size() ? other.chunks_[chunk] : nullptr;
-  return mine == theirs;
 }
 
 }  // namespace lw

@@ -1,66 +1,105 @@
 #include "src/simfs/fs.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "src/simfs/path.h"
 
 namespace lw {
 
-// Inodes are immutable once stored in the table: every mutation clones the
-// struct (FileData inside shares its chunks) and republishes the pointer.
-struct SimFsInode {
-  uint64_t ino = 0;
-  NodeType type = NodeType::kFile;
-  uint64_t version = 0;
-  FileData data;                             // kFile
-  std::map<std::string, uint64_t> entries;   // kDir
-};
-
 namespace {
 
-std::shared_ptr<SimFsInode> CloneInode(const SimFsInode& inode, uint64_t new_version) {
-  auto copy = std::make_shared<SimFsInode>(inode);
-  copy->version = new_version;
-  return copy;
-}
+std::string_view NameOf(const Vec<char>& name) { return {name.data(), name.size()}; }
 
 }  // namespace
 
-SimFs::SimFs(Options options) : options_(options), inodes_(options.max_inodes) {
-  auto root = std::make_shared<SimFsInode>();
-  root->ino = kRootIno;
-  root->type = NodeType::kDir;
-  root->version = ++version_tick_;
-  inodes_.Set(kRootIno, std::move(root));
+SimFs::SimFs() : hooks_(CurrentAllocHooks()) {
+  inodes_.resize(kRootIno + 1);
+  Inode& root = inodes_[kRootIno];
+  root.live = true;
+  root.type = NodeType::kDir;
+  root.version = ++version_tick_;
   live_inodes_ = 1;
 }
 
-SimFs::InodePtr SimFs::GetInode(uint64_t ino) const {
-  if (ino >= options_.max_inodes) {
+SimFs::Inode* SimFs::GetInode(uint64_t ino) {
+  if (ino >= inodes_.size() || !inodes_[ino].live) {
     return nullptr;
   }
-  return inodes_.Get(static_cast<uint32_t>(ino));
+  return &inodes_[ino];
 }
 
-void SimFs::SetInode(uint64_t ino, InodePtr inode) {
-  inodes_.Set(static_cast<uint32_t>(ino), std::move(inode));
+const SimFs::Inode* SimFs::GetInode(uint64_t ino) const {
+  return const_cast<SimFs*>(this)->GetInode(ino);
+}
+
+Result<SimFs::Inode*> SimFs::GetFile(uint64_t ino) {
+  Inode* node = GetInode(ino);
+  if (node == nullptr) {
+    return NotFound("simfs: no such inode");
+  }
+  if (node->type != NodeType::kFile) {
+    return BadState("simfs: not a regular file");
+  }
+  return node;
+}
+
+size_t SimFs::LowerBound(const Inode& dir, std::string_view name) {
+  const DirEntry* it = std::lower_bound(
+      dir.entries.begin(), dir.entries.end(), name,
+      [](const DirEntry& entry, std::string_view key) { return NameOf(entry.name) < key; });
+  return static_cast<size_t>(it - dir.entries.begin());
+}
+
+uint64_t SimFs::FindEntry(const Inode& dir, std::string_view name) {
+  size_t pos = LowerBound(dir, name);
+  if (pos < dir.entries.size() && NameOf(dir.entries[pos].name) == name) {
+    return dir.entries[pos].ino;
+  }
+  return 0;
+}
+
+void SimFs::SetEntry(Inode& dir, std::string_view name, uint64_t ino) {
+  size_t pos = LowerBound(dir, name);
+  if (pos < dir.entries.size() && NameOf(dir.entries[pos].name) == name) {
+    dir.entries[pos].ino = ino;
+    return;
+  }
+  DirEntry& entry = dir.entries.emplace_back();
+  entry.name.resize(name.size());
+  std::memcpy(entry.name.data(), name.data(), name.size());
+  entry.ino = ino;
+  std::rotate(dir.entries.begin() + pos, dir.entries.end() - 1, dir.entries.end());
+}
+
+void SimFs::EraseEntry(Inode& dir, std::string_view name) {
+  size_t pos = LowerBound(dir, name);
+  LW_CHECK(pos < dir.entries.size() && NameOf(dir.entries[pos].name) == name);
+  std::rotate(dir.entries.begin() + pos, dir.entries.begin() + pos + 1, dir.entries.end());
+  dir.entries.pop_back();
 }
 
 Result<uint64_t> SimFs::AllocIno() {
-  // Linear scan from the cursor; the table is sparse-friendly, so this is O(1)
-  // amortized until the namespace genuinely fills up.
-  for (uint64_t probe = 0; probe < options_.max_inodes; ++probe) {
-    uint64_t candidate = next_ino_ + probe;
-    if (candidate >= options_.max_inodes) {
-      candidate = (candidate % options_.max_inodes) + kRootIno + 1;
+  // Round-robin over [kRootIno + 1, kMaxInodes) from the cursor, so a freed
+  // number is reused only after the rest of the space.
+  constexpr uint64_t kSpan = kMaxInodes - kRootIno - 1;
+  for (uint64_t probe = 0; probe < kSpan; ++probe) {
+    uint64_t candidate = kRootIno + 1 + (next_ino_ - kRootIno - 1 + probe) % kSpan;
+    while (inodes_.size() <= candidate) {
+      inodes_.emplace_back();
     }
-    if (GetInode(candidate) == nullptr) {
+    if (!inodes_[candidate].live) {
       next_ino_ = candidate + 1;
       return candidate;
     }
   }
   return OutOfMemory("simfs: inode table full");
+}
+
+void SimFs::FreeIno(uint64_t ino) {
+  inodes_[ino] = Inode();  // drops the file's chunks or the directory's entries
+  --live_inodes_;
 }
 
 Result<uint64_t> SimFs::ResolveParent(std::string_view path, std::string* name) const {
@@ -75,17 +114,16 @@ Result<uint64_t> SimFs::ResolveParent(std::string_view path, std::string* name) 
   components.pop_back();
   uint64_t ino = kRootIno;
   for (const std::string& part : components) {
-    InodePtr dir = GetInode(ino);
+    const Inode* dir = GetInode(ino);
     if (dir == nullptr || dir->type != NodeType::kDir) {
       return NotFound("simfs: missing directory in path");
     }
-    auto it = dir->entries.find(part);
-    if (it == dir->entries.end()) {
+    ino = FindEntry(*dir, part);
+    if (ino == 0) {
       return NotFound("simfs: missing directory in path");
     }
-    ino = it->second;
   }
-  InodePtr parent = GetInode(ino);
+  const Inode* parent = GetInode(ino);
   if (parent == nullptr || parent->type != NodeType::kDir) {
     return NotFound("simfs: parent is not a directory");
   }
@@ -99,37 +137,35 @@ Result<uint64_t> SimFs::Lookup(std::string_view path) const {
   }
   uint64_t ino = kRootIno;
   for (const std::string& part : components) {
-    InodePtr node = GetInode(ino);
+    const Inode* node = GetInode(ino);
     if (node == nullptr || node->type != NodeType::kDir) {
       return NotFound("simfs: no such path");
     }
-    auto it = node->entries.find(part);
-    if (it == node->entries.end()) {
+    ino = FindEntry(*node, part);
+    if (ino == 0) {
       return NotFound("simfs: no such path");
     }
-    ino = it->second;
   }
   return ino;
 }
 
 Result<uint64_t> SimFs::CreateNode(std::string_view path, NodeType type) {
+  ScopedAllocHooks scoped(hooks_);
   std::string name;
   LW_ASSIGN_OR_RETURN(uint64_t parent_ino, ResolveParent(path, &name));
-  InodePtr parent = GetInode(parent_ino);
-  if (parent->entries.count(name) != 0) {
+  if (FindEntry(inodes_[parent_ino], name) != 0) {
     return AlreadyExists("simfs: entry exists");
   }
-  LW_ASSIGN_OR_RETURN(uint64_t ino, AllocIno());
+  LW_ASSIGN_OR_RETURN(uint64_t ino, AllocIno());  // may grow inodes_
 
-  auto node = std::make_shared<SimFsInode>();
-  node->ino = ino;
-  node->type = type;
-  node->version = ++version_tick_;
-  SetInode(ino, std::move(node));
+  Inode& node = inodes_[ino];
+  node.live = true;
+  node.type = type;
+  node.version = ++version_tick_;
 
-  auto new_parent = CloneInode(*parent, ++version_tick_);
-  new_parent->entries.emplace(std::move(name), ino);
-  SetInode(parent_ino, std::move(new_parent));
+  Inode& parent = inodes_[parent_ino];
+  SetEntry(parent, name, ino);
+  parent.version = ++version_tick_;
   ++live_inodes_;
   return ino;
 }
@@ -143,12 +179,12 @@ Result<uint64_t> SimFs::Mkdir(std::string_view path) {
 }
 
 Result<SimFsStat> SimFs::StatIno(uint64_t ino) const {
-  InodePtr node = GetInode(ino);
+  const Inode* node = GetInode(ino);
   if (node == nullptr) {
     return NotFound("simfs: no such inode");
   }
   SimFsStat st;
-  st.ino = node->ino;
+  st.ino = ino;
   st.type = node->type;
   st.size = node->type == NodeType::kFile ? node->data.size() : node->entries.size();
   st.version = node->version;
@@ -161,62 +197,55 @@ Result<SimFsStat> SimFs::Stat(std::string_view path) const {
 }
 
 Status SimFs::Unlink(std::string_view path) {
+  ScopedAllocHooks scoped(hooks_);
   std::string name;
   LW_ASSIGN_OR_RETURN(uint64_t parent_ino, ResolveParent(path, &name));
-  InodePtr parent = GetInode(parent_ino);
-  auto it = parent->entries.find(name);
-  if (it == parent->entries.end()) {
+  Inode& parent = inodes_[parent_ino];
+  uint64_t victim_ino = FindEntry(parent, name);
+  if (victim_ino == 0) {
     return NotFound("simfs: no such entry");
   }
-  uint64_t victim_ino = it->second;
-  InodePtr victim = GetInode(victim_ino);
+  const Inode* victim = GetInode(victim_ino);
   LW_CHECK(victim != nullptr);
   if (victim->type == NodeType::kDir && !victim->entries.empty()) {
     return BadState("simfs: directory not empty");
   }
-  auto new_parent = CloneInode(*parent, ++version_tick_);
-  new_parent->entries.erase(name);
-  SetInode(parent_ino, std::move(new_parent));
-  SetInode(victim_ino, nullptr);
-  --live_inodes_;
+  EraseEntry(parent, name);
+  parent.version = ++version_tick_;
+  FreeIno(victim_ino);
   return OkStatus();
 }
 
 Status SimFs::Rename(std::string_view from, std::string_view to) {
+  ScopedAllocHooks scoped(hooks_);
   std::string from_name;
   std::string to_name;
   LW_ASSIGN_OR_RETURN(uint64_t from_parent_ino, ResolveParent(from, &from_name));
   LW_ASSIGN_OR_RETURN(uint64_t to_parent_ino, ResolveParent(to, &to_name));
 
-  InodePtr from_parent = GetInode(from_parent_ino);
-  auto from_it = from_parent->entries.find(from_name);
-  if (from_it == from_parent->entries.end()) {
+  uint64_t moved_ino = FindEntry(inodes_[from_parent_ino], from_name);
+  if (moved_ino == 0) {
     return NotFound("simfs: rename source missing");
   }
-  uint64_t moved_ino = from_it->second;
+  const bool moved_is_dir = GetInode(moved_ino)->type == NodeType::kDir;
 
-  InodePtr to_parent = GetInode(to_parent_ino);
-  auto to_it = to_parent->entries.find(to_name);
-  uint64_t replaced_ino = 0;
-  if (to_it != to_parent->entries.end()) {
-    if (to_it->second == moved_ino) {
+  uint64_t replaced_ino = FindEntry(inodes_[to_parent_ino], to_name);
+  if (replaced_ino != 0) {
+    if (replaced_ino == moved_ino) {
       return OkStatus();  // rename to self
     }
-    InodePtr target = GetInode(to_it->second);
+    const Inode* target = GetInode(replaced_ino);
     LW_CHECK(target != nullptr);
     if (target->type == NodeType::kDir) {
       return BadState("simfs: rename onto a directory");
     }
-    InodePtr moved = GetInode(moved_ino);
-    if (moved->type == NodeType::kDir) {
+    if (moved_is_dir) {
       return BadState("simfs: rename directory onto a file");
     }
-    replaced_ino = to_it->second;
   }
 
   // A directory must not be moved under itself (classic rename cycle check).
-  InodePtr moved = GetInode(moved_ino);
-  if (moved->type == NodeType::kDir) {
+  if (moved_is_dir) {
     std::string to_norm = NormalizePath(to);
     std::string from_norm = NormalizePath(from);
     if (to_norm.size() > from_norm.size() && to_norm.compare(0, from_norm.size(), from_norm) == 0 &&
@@ -225,106 +254,50 @@ Status SimFs::Rename(std::string_view from, std::string_view to) {
     }
   }
 
-  if (from_parent_ino == to_parent_ino) {
-    auto p = CloneInode(*from_parent, ++version_tick_);
-    p->entries.erase(from_name);
-    p->entries[to_name] = moved_ino;
-    SetInode(from_parent_ino, std::move(p));
-  } else {
-    auto fp = CloneInode(*from_parent, ++version_tick_);
-    fp->entries.erase(from_name);
-    SetInode(from_parent_ino, std::move(fp));
-    auto tp = CloneInode(*GetInode(to_parent_ino), ++version_tick_);
-    tp->entries[to_name] = moved_ino;
-    SetInode(to_parent_ino, std::move(tp));
-  }
+  Inode& from_parent = inodes_[from_parent_ino];
+  EraseEntry(from_parent, from_name);
+  from_parent.version = ++version_tick_;
+  Inode& to_parent = inodes_[to_parent_ino];
+  SetEntry(to_parent, to_name, moved_ino);
+  to_parent.version = ++version_tick_;
   if (replaced_ino != 0) {
-    SetInode(replaced_ino, nullptr);
-    --live_inodes_;
+    FreeIno(replaced_ino);
   }
   return OkStatus();
 }
 
 Result<std::vector<std::string>> SimFs::Readdir(std::string_view path) const {
   LW_ASSIGN_OR_RETURN(uint64_t ino, Lookup(path));
-  InodePtr node = GetInode(ino);
+  const Inode* node = GetInode(ino);
   if (node->type != NodeType::kDir) {
     return BadState("simfs: not a directory");
   }
   std::vector<std::string> names;
   names.reserve(node->entries.size());
-  for (const auto& [name, child] : node->entries) {
-    names.push_back(name);
+  for (const DirEntry& entry : node->entries) {
+    names.emplace_back(NameOf(entry.name));
   }
-  return names;  // std::map iteration is already sorted
+  return names;  // entries are kept sorted
 }
 
 Result<size_t> SimFs::ReadAt(uint64_t ino, uint64_t offset, void* out, size_t len) const {
-  InodePtr node = GetInode(ino);
-  if (node == nullptr) {
-    return NotFound("simfs: no such inode");
-  }
-  if (node->type != NodeType::kFile) {
-    return BadState("simfs: not a regular file");
-  }
+  LW_ASSIGN_OR_RETURN(Inode * node, const_cast<SimFs*>(this)->GetFile(ino));
   return node->data.Read(offset, out, len);
 }
 
 Result<size_t> SimFs::WriteAt(uint64_t ino, uint64_t offset, const void* data, size_t len) {
-  InodePtr node = GetInode(ino);
-  if (node == nullptr) {
-    return NotFound("simfs: no such inode");
-  }
-  if (node->type != NodeType::kFile) {
-    return BadState("simfs: not a regular file");
-  }
-  auto fresh = CloneInode(*node, ++version_tick_);
-  fresh->data = node->data.Write(offset, data, len);
-  SetInode(ino, std::move(fresh));
+  ScopedAllocHooks scoped(hooks_);
+  LW_ASSIGN_OR_RETURN(Inode * node, GetFile(ino));
+  node->data.Write(offset, data, len);
+  node->version = ++version_tick_;
   return len;
 }
 
 Status SimFs::Truncate(uint64_t ino, uint64_t new_size) {
-  InodePtr node = GetInode(ino);
-  if (node == nullptr) {
-    return NotFound("simfs: no such inode");
-  }
-  if (node->type != NodeType::kFile) {
-    return BadState("simfs: not a regular file");
-  }
-  auto fresh = CloneInode(*node, ++version_tick_);
-  fresh->data = node->data.Truncate(new_size);
-  SetInode(ino, std::move(fresh));
+  LW_ASSIGN_OR_RETURN(Inode * node, GetFile(ino));
+  node->data.Truncate(new_size);
+  node->version = ++version_tick_;
   return OkStatus();
-}
-
-SimFs::State SimFs::TakeSnapshot() const {
-  State state;
-  state.inodes_ = inodes_;  // persistent map: O(1) root copy
-  state.next_ino_ = next_ino_;
-  state.live_inodes_ = live_inodes_;
-  state.version_tick_ = version_tick_;
-  return state;
-}
-
-void SimFs::Restore(const State& state) {
-  LW_CHECK_MSG(state.valid(), "simfs: restoring a default-constructed State");
-  LW_CHECK_MSG(state.inodes_.capacity() == inodes_.capacity(),
-               "simfs: snapshot from a different filesystem");
-  inodes_ = state.inodes_;
-  next_ino_ = state.next_ino_;
-  live_inodes_ = state.live_inodes_;
-  version_tick_ = state.version_tick_;
-}
-
-uint64_t SimFs::MaterializedBytes() const {
-  uint64_t total = 0;
-  inodes_.ForEach([&total](uint32_t /*ino*/, const InodePtr& node) {
-    if (node != nullptr && node->type == NodeType::kFile) {
-      total += node->data.MaterializedBytes();
-    }
-  });
-  return total;
 }
 
 }  // namespace lw

@@ -1,17 +1,23 @@
-// SimFs: an in-memory filesystem whose whole state snapshots in O(1).
+// SimFs: an in-memory filesystem kept as plain mutable data.
 //
-// This is the "logical copy of open disk files" of §3.1 and §4: every partial
-// candidate carries an immutable filesystem image, so file mutations made by an
-// extension step are contained and vanish on backtrack — no undo log. Mechanics:
+// This is the "logical copy of open disk files" of §3.1 and §4. A session
+// places its SimFs in its guest heap, so the inode table, every directory and
+// every file chunk are guest memory: the snapshot engine captures them with
+// the pages at each guess point and restores them on backtrack, and a failed
+// extension's file effects vanish with no undo log. Host-only callers (unit
+// tests) build one on the host heap instead.
 //
-//   * Inodes are immutable once published (shared_ptr<const Inode>); a mutation
-//     clones the inode and swaps the pointer. Regular-file contents are FileData
-//     (chunk-granular CoW), so cloning an inode shares all untouched bytes.
-//   * The ino -> inode table is a PersistentRadixMap, so SimFs::Snapshot() is a
-//     root-pointer copy: O(1), allocation-free, and structurally shared with
-//     every other snapshot.
-//   * Restore(state) swaps the table back. Host callers (the session attachment
-//     in src/interpose) capture/restore around extension evaluation.
+// Every structure is an lw::Vec: the inode table is indexed by inode number, a
+// directory is a Vec of (name, ino) entries sorted by name, and a regular file
+// is a FileData. A SimFs allocates through the AllocHooks current at its
+// construction for its whole life, whatever hooks its callers run under:
+//
+//   ScopedAllocHooks hooks(session.heap()->Hooks());
+//   SimFs* fs = GuestNew<SimFs>(session.heap());
+//
+// Under kCow, build and pre-populate it on the thread that constructed the
+// session, as GuestHeap::Init is: that thread owns the alternate signal stack
+// the arena's write faults need.
 //
 // Only regular files and directories exist, matching the paper's §5 soundness
 // rule ("only open regular files but not devices"); everything else is the
@@ -21,15 +27,14 @@
 #define LWSNAP_SRC_SIMFS_FS_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/simfs/file.h"
-#include "src/util/radix_map.h"
+#include "src/util/alloc_hooks.h"
 #include "src/util/status.h"
+#include "src/util/vec.h"
 
 namespace lw {
 
@@ -42,39 +47,19 @@ struct SimFsStat {
   uint64_t ino = 0;
   NodeType type = NodeType::kFile;
   uint64_t size = 0;     // bytes for files, entry count for directories
-  uint64_t version = 0;  // bumped every time the inode is replaced
+  uint64_t version = 0;  // rises on every mutation of the inode
 };
 
 class SimFs {
  public:
-  struct Options {
-    // Fixed inode-number space (the radix map is capacity-bounded).
-    uint32_t max_inodes = 1u << 16;
-  };
-
-  // An immutable whole-filesystem image. Value-copyable in O(1); alive for as
-  // long as any copy exists. Default-constructed State is empty and must not be
-  // passed to Restore.
-  class State {
-   public:
-    State() = default;
-    bool valid() const { return next_ino_ != 0; }
-
-   private:
-    friend class SimFs;
-    PersistentRadixMap<std::shared_ptr<const struct SimFsInode>> inodes_{0};
-    uint64_t next_ino_ = 0;
-    uint64_t live_inodes_ = 0;
-    uint64_t version_tick_ = 0;
-  };
-
-  SimFs() : SimFs(Options{}) {}
-  explicit SimFs(Options options);
+  SimFs();
 
   SimFs(const SimFs&) = delete;
   SimFs& operator=(const SimFs&) = delete;
 
   static constexpr uint64_t kRootIno = 1;
+  // Size of the inode-number space.
+  static constexpr uint64_t kMaxInodes = 1u << 16;
 
   // --- Namespace operations (absolute normalized-on-entry paths) ---
 
@@ -99,30 +84,41 @@ class SimFs {
   Result<size_t> WriteAt(uint64_t ino, uint64_t offset, const void* data, size_t len);
   Status Truncate(uint64_t ino, uint64_t new_size);
 
-  // --- Snapshots ---
-
-  State TakeSnapshot() const;
-  void Restore(const State& state);
-
-  // --- Introspection ---
-
   uint64_t live_inodes() const { return live_inodes_; }
-  // Bytes of materialized (non-hole) file chunks, counted per inode reference.
-  uint64_t MaterializedBytes() const;
 
  private:
-  using InodePtr = std::shared_ptr<const SimFsInode>;
+  struct DirEntry {
+    Vec<char> name;
+    uint64_t ino = 0;
+  };
+  struct Inode {
+    bool live = false;
+    NodeType type = NodeType::kFile;
+    uint64_t version = 0;
+    FileData data;          // kFile
+    Vec<DirEntry> entries;  // kDir, sorted by name
+  };
 
-  InodePtr GetInode(uint64_t ino) const;
-  void SetInode(uint64_t ino, InodePtr inode);
+  Inode* GetInode(uint64_t ino);
+  const Inode* GetInode(uint64_t ino) const;
+  // Inode `ino` if it is a live regular file, else the error to return.
+  Result<Inode*> GetFile(uint64_t ino);
+  // Index of the first entry of `dir` whose name is not less than `name`.
+  static size_t LowerBound(const Inode& dir, std::string_view name);
+  // The inode `name` names in `dir`, or 0.
+  static uint64_t FindEntry(const Inode& dir, std::string_view name);
+  // Points `name` at `ino` in `dir`, adding the entry if it is missing.
+  static void SetEntry(Inode& dir, std::string_view name, uint64_t ino);
+  static void EraseEntry(Inode& dir, std::string_view name);
   // Resolves the parent directory of `path`; fills `name` with the final
   // component. Fails on "/", invalid paths, or a missing/non-dir parent.
   Result<uint64_t> ResolveParent(std::string_view path, std::string* name) const;
   Result<uint64_t> AllocIno();
+  void FreeIno(uint64_t ino);
   Result<uint64_t> CreateNode(std::string_view path, NodeType type);
 
-  Options options_;
-  PersistentRadixMap<InodePtr> inodes_;
+  AllocHooks hooks_;
+  Vec<Inode> inodes_;  // indexed by inode number
   uint64_t next_ino_ = kRootIno + 1;
   uint64_t live_inodes_ = 0;
   uint64_t version_tick_ = 0;

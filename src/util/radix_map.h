@@ -117,12 +117,6 @@ class PersistentRadixMap {
     return visited;
   }
 
-  // Invokes fn(key, value) for every key whose value differs from T().
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    ForEachRec(root_.get(), 0, height_ - 1, fn);
-  }
-
   // Invokes fn(key, this_value, other_value) for every key where the two maps
   // disagree. Pointer-equal subtrees are skipped without descent — the payoff of
   // structural sharing.
@@ -174,24 +168,6 @@ class PersistentRadixMap {
       copy->children[slot] = SetRec(copy->children[slot], key, std::forward<U>(value), level - 1);
     }
     return copy;
-  }
-
-  template <typename Fn>
-  static void ForEachRec(const Node* node, uint32_t prefix, int level, Fn&& fn) {
-    if (node == nullptr) {
-      return;
-    }
-    if (level == 0) {
-      for (uint32_t slot = 0; slot < kFanout; ++slot) {
-        if (!(node->values[slot] == T())) {
-          fn(prefix * kFanout + slot, node->values[slot]);
-        }
-      }
-      return;
-    }
-    for (uint32_t slot = 0; slot < kFanout; ++slot) {
-      ForEachRec(node->children[slot].get(), prefix * kFanout + slot, level - 1, fn);
-    }
   }
 
   template <typename Fn>

@@ -24,6 +24,20 @@ struct PortfolioArgs {
   int paths_run = 0;
 };
 
+// The session's filesystem and fd table, placed in its guest heap so the
+// snapshot engine carries them with the pages. Built on the thread that
+// constructed the session: under kCow, that thread owns the alternate signal
+// stack the arena's write faults need.
+struct ArenaFiles {
+  SimFs* fs;
+  FdTable* fds;
+};
+
+ArenaFiles NewArenaFiles(BacktrackSession& session) {
+  ScopedAllocHooks hooks(session.heap()->Hooks());
+  return {GuestNew<SimFs>(session.heap()), GuestNew<FdTable>(session.heap())};
+}
+
 // Reads the whole interposed file into a host string (guest helper).
 bool ReadAll(const char* path, std::string* out) {
   int fd = io_open(path, kOpenRead);
@@ -107,21 +121,20 @@ TEST(IntegrationTest, SolverPortfolioOverInterposedFs) {
   }
   const bool expect_sat = reference.Solve().IsTrue();
 
-  SimFs fs;
-  auto ino = fs.Create("/problem.cnf");
-  ASSERT_TRUE(ino.ok());
-  std::string dimacs = problem.ToDimacs();
-  ASSERT_TRUE(fs.WriteAt(*ino, 0, dimacs.data(), dimacs.size()).ok());
-
-  GuestIo io(&fs, InterposePolicy::SoundMinimal());
-  ScopedGuestIo scoped(&io);
-
   std::string emitted;
   SessionOptions options;
   options.arena_bytes = 32ull << 20;
   options.output = [&emitted](std::string_view text) { emitted += text; };
   BacktrackSession session(options);
-  session.AddAttachment(&io);
+  ArenaFiles files = NewArenaFiles(session);
+  SimFs& fs = *files.fs;
+  auto ino = fs.Create("/problem.cnf");
+  ASSERT_TRUE(ino.ok());
+  std::string dimacs = problem.ToDimacs();
+  ASSERT_TRUE(fs.WriteAt(*ino, 0, dimacs.data(), dimacs.size()).ok());
+
+  GuestIo io(files.fs, files.fds, InterposePolicy::SoundMinimal());
+  ScopedGuestIo scoped(&io);
 
   PortfolioArgs args;
   ASSERT_TRUE(session.Run(&PortfolioGuest, &args).ok());
@@ -146,21 +159,21 @@ TEST(IntegrationTest, SolverPortfolioOverInterposedFs) {
 TEST(IntegrationTest, PortfolioUnderBfs) {
   Rng rng(99);
   Cnf problem = RandomKSat(&rng, 40, 120, 3);
-  SimFs fs;
-  auto ino = fs.Create("/problem.cnf");
-  ASSERT_TRUE(ino.ok());
-  std::string dimacs = problem.ToDimacs();
-  ASSERT_TRUE(fs.WriteAt(*ino, 0, dimacs.data(), dimacs.size()).ok());
-
-  GuestIo io(&fs, InterposePolicy::SoundMinimal());
-  ScopedGuestIo scoped(&io);
 
   SessionOptions options;
   options.arena_bytes = 32ull << 20;
   options.strategy.kind = StrategyKind::kBfs;
   options.output = [](std::string_view) {};
   BacktrackSession session(options);
-  session.AddAttachment(&io);
+  ArenaFiles files = NewArenaFiles(session);
+  SimFs& fs = *files.fs;
+  auto ino = fs.Create("/problem.cnf");
+  ASSERT_TRUE(ino.ok());
+  std::string dimacs = problem.ToDimacs();
+  ASSERT_TRUE(fs.WriteAt(*ino, 0, dimacs.data(), dimacs.size()).ok());
+
+  GuestIo io(files.fs, files.fds, InterposePolicy::SoundMinimal());
+  ScopedGuestIo scoped(&io);
 
   PortfolioArgs args;
   // The guest requests kDfs in its scope call; wire the BFS session config in

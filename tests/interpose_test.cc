@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/backtrack.h"
@@ -12,6 +17,8 @@
 #include "src/interpose/policy.h"
 #include "src/interpose/syscall.h"
 #include "src/simfs/fs.h"
+#include "src/simfs/path.h"
+#include "src/util/rng.h"
 
 namespace lw {
 namespace {
@@ -72,9 +79,10 @@ TEST(SyscallStatsTest, NamesAndTotals) {
 
 class GuestIoTest : public ::testing::Test {
  protected:
-  GuestIoTest() : io_(&fs_, InterposePolicy::SoundMinimal()), scoped_(&io_) {}
+  GuestIoTest() : io_(&fs_, &fds_, InterposePolicy::SoundMinimal()), scoped_(&io_) {}
 
   SimFs fs_;
+  FdTable fds_;
   GuestIo io_;
   ScopedGuestIo scoped_;
 };
@@ -208,7 +216,8 @@ TEST(GuestIoNoCurrentTest, CallsFailWithBadState) {
 TEST(GuestIoPolicyTest, ReadOnlyBlocksOpenForWrite) {
   SimFs fs;
   ASSERT_TRUE(fs.Create("/data").ok());
-  GuestIo io(&fs, InterposePolicy::ReadOnly());
+  FdTable fds;
+  GuestIo io(&fs, &fds, InterposePolicy::ReadOnly());
   ScopedGuestIo scoped(&io);
   EXPECT_GE(io_open("/data", kOpenRead), 0);
   EXPECT_EQ(io_open("/data", kOpenRead | kOpenWrite),
@@ -223,7 +232,8 @@ TEST(GuestIoPolicyTest, JailConfinesGuest) {
   ASSERT_TRUE(fs.Create("/secret").ok());
   InterposePolicy policy;
   policy.set_path_jail("/work");
-  GuestIo io(&fs, policy);
+  FdTable fds;
+  GuestIo io(&fs, &fds, policy);
   ScopedGuestIo scoped(&io);
   EXPECT_GE(io_open("/work/f", kOpenWrite | kOpenCreate), 0);
   EXPECT_EQ(io_open("/secret", kOpenRead), -static_cast<int>(ErrorCode::kPermissionDenied));
@@ -231,34 +241,21 @@ TEST(GuestIoPolicyTest, JailConfinesGuest) {
   EXPECT_EQ(io_stat("/secret", &st), -static_cast<int>(ErrorCode::kPermissionDenied));
 }
 
-// --- attachment capture/restore (host-side) ---
-
-TEST(GuestIoAttachmentTest, CaptureRestoreRoundTrip) {
-  SimFs fs;
-  GuestIo io(&fs, InterposePolicy::SoundMinimal());
-  ScopedGuestIo scoped(&io);
-
-  int fd = io_open("/f", kOpenRead | kOpenWrite | kOpenCreate);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(io_write(fd, "base", 4), 4);
-
-  auto snap = io.Capture();
-
-  ASSERT_EQ(io_write(fd, "MORE", 4), 4);
-  ASSERT_EQ(io_close(fd), 0);
-  ASSERT_EQ(io_mkdir("/junk"), 0);
-
-  io.Restore(snap);
-
-  // fd is open again with its captured offset; later writes are gone.
-  SimFsStat st;
-  ASSERT_EQ(io_fstat(fd, &st), 0);
-  EXPECT_EQ(st.size, 4u);
-  EXPECT_EQ(io_lseek(fd, 0, SeekWhence::kCur), 4);
-  EXPECT_EQ(io_stat("/junk", &st), -static_cast<int>(ErrorCode::kNotFound));
-}
-
 // --- end-to-end containment inside a session ---
+
+// The session's filesystem and fd table, placed in its guest heap so the
+// snapshot engine carries them with the pages. Built on the thread that
+// constructed the session: under kCow, that thread owns the alternate signal
+// stack the arena's write faults need.
+struct ArenaFiles {
+  SimFs* fs;
+  FdTable* fds;
+};
+
+ArenaFiles NewArenaFiles(BacktrackSession& session) {
+  ScopedAllocHooks hooks(session.heap()->Hooks());
+  return {GuestNew<SimFs>(session.heap()), GuestNew<FdTable>(session.heap())};
+}
 
 struct FsGuestArg {
   int solutions = 0;
@@ -298,16 +295,15 @@ void FileEffectsGuest(void* arg) {
 }
 
 TEST(InterposeSessionTest, FailedExtensionsLeaveNoFileTrace) {
-  SimFs fs;
-  GuestIo io(&fs, InterposePolicy::SoundMinimal());
-  ScopedGuestIo scoped(&io);
-
   std::string emitted;
   SessionOptions options;
   options.arena_bytes = 8ull << 20;
   options.output = [&emitted](std::string_view text) { emitted += text; };
   BacktrackSession session(options);
-  session.AddAttachment(&io);
+  ArenaFiles files = NewArenaFiles(session);
+  SimFs& fs = *files.fs;
+  GuestIo io(files.fs, files.fds, InterposePolicy::SoundMinimal());
+  ScopedGuestIo scoped(&io);
 
   FsGuestArg arg;
   ASSERT_TRUE(session.Run(&FileEffectsGuest, &arg).ok());
@@ -354,14 +350,12 @@ void YieldFsGuest(void* /*arg*/) {
 }
 
 TEST(InterposeSessionTest, CheckpointsCarryIsolatedFsState) {
-  SimFs fs;
-  GuestIo io(&fs, InterposePolicy::SoundMinimal());
-  ScopedGuestIo scoped(&io);
-
   SessionOptions options;
   options.arena_bytes = 8ull << 20;
   BacktrackSession session(options);
-  session.AddAttachment(&io);
+  ArenaFiles files = NewArenaFiles(session);
+  GuestIo io(files.fs, files.fds, InterposePolicy::SoundMinimal());
+  ScopedGuestIo scoped(&io);
 
   YieldFsArg arg;
   ASSERT_TRUE(session.Run(&YieldFsGuest, &arg).ok());
@@ -374,6 +368,389 @@ TEST(InterposeSessionTest, CheckpointsCarryIsolatedFsState) {
   }
   EXPECT_EQ(session.stats().solutions, 4u);
 }
+
+// --- randomized file-system search, checked per path against a host model ---
+//
+// A seeded guest walks a fixed search tree: kWalkFanout extensions per guess,
+// kWalkDepth guesses deep. After each guess it applies kWalkOps random
+// operations through io_*: namespace calls (create, mkdir, write, truncate,
+// rename, unlink) on a small name pool, and calls on descriptors it holds
+// open across guesses (open, lseek, write, read, close) on two log files. The
+// host places the starting tree in the arena before the run. A step's
+// operations depend only on the seed, the path's guess values and the state
+// they lead to, so the host replays the path from the root on a plain model,
+// expects every call's outcome, and compares every directory, file,
+// descriptor and offset after each step. A write that leaked across a restore
+// shows up as a mismatch.
+
+constexpr int kWalkFanout = 3;
+constexpr int kWalkDepth = 4;
+constexpr int kWalkOps = 8;
+constexpr size_t kWalkMaxFds = 3;
+const char* const kWalkNames[] = {"/a", "/b", "/a/x", "/a/y", "/x", "/y"};
+const char* const kWalkLogs[] = {"/l0", "/l1"};
+
+struct WalkModel {
+  struct HeldFd {
+    int log = 0;
+    uint64_t offset = 0;
+    bool append = false;
+  };
+  std::map<std::string, std::string> files;  // path -> contents
+  std::set<std::string> dirs;                // every directory but "/"
+  std::map<int, HeldFd> fds;
+
+  bool IsDir(const std::string& path) const { return path == "/" || dirs.count(path) != 0; }
+  bool Exists(const std::string& path) const { return IsDir(path) || files.count(path) != 0; }
+  bool HasChildren(const std::string& dir) const {
+    auto under = [&dir](const std::string& path) { return path.rfind(dir + "/", 0) == 0; };
+    return std::any_of(dirs.begin(), dirs.end(), under) ||
+           std::any_of(files.begin(), files.end(), [&](const auto& f) { return under(f.first); });
+  }
+  // Moves `from` (and, for a directory, everything under it) to `to`.
+  void Move(const std::string& from, const std::string& to) {
+    auto rekey = [&](const std::string& path) { return to + path.substr(from.size()); };
+    auto moves = [&from](const std::string& path) {
+      return path == from || path.rfind(from + "/", 0) == 0;
+    };
+    std::set<std::string> new_dirs;
+    for (const std::string& dir : dirs) {
+      new_dirs.insert(moves(dir) ? rekey(dir) : dir);
+    }
+    dirs = std::move(new_dirs);
+    std::map<std::string, std::string> new_files;
+    for (auto& [path, data] : files) {
+      if (!moves(path)) {
+        new_files.emplace(path, data);
+      }
+    }
+    for (auto& [path, data] : files) {
+      if (moves(path)) {
+        new_files[rekey(path)] = data;  // replaces a file at `to`
+      }
+    }
+    files = std::move(new_files);
+  }
+  // Writes `len` bytes of `fill` at `offset` into `path`.
+  void Write(const std::string& path, uint64_t offset, size_t len, char fill) {
+    std::string& data = files[path];
+    if (data.size() < offset + len) {
+      data.resize(offset + len, '\0');
+    }
+    data.replace(offset, len, len, fill);
+  }
+};
+
+// The tree the host places in the arena before the run.
+WalkModel WalkRoot() {
+  WalkModel m;
+  m.dirs = {"/a"};
+  m.files = {{"/a/x", "x"}, {"/x", ""}, {kWalkLogs[0], "seed"}, {kWalkLogs[1], "seed"}};
+  return m;
+}
+
+constexpr int kErrInvalid = -static_cast<int>(ErrorCode::kInvalidArgument);
+
+// Applies one random operation to `m`. When `live`, also issues it through
+// io_* and expects the outcome the model predicts.
+void WalkOp(Rng& rng, WalkModel& m, bool live) {
+  const std::string path = kWalkNames[rng.Below(std::size(kWalkNames))];
+  const std::string to = kWalkNames[rng.Below(std::size(kWalkNames))];
+  const bool parent_ok = m.IsDir(DirnamePath(path));
+  const uint64_t a = rng.Below(3 * FileData::kChunkSize) +
+                     (rng.Below(8) == 0 ? 8 * FileData::kChunkSize : 0);  // some far holes
+  const size_t len = 1 + rng.Below(300);
+  const char fill = static_cast<char>('a' + rng.Below(26));
+  const uint64_t pick = rng.Below(kWalkMaxFds);
+  auto held = m.fds.begin();
+  std::advance(held, m.fds.empty() ? 0 : pick % m.fds.size());
+  std::string buf(len, fill);
+  switch (rng.Below(11)) {
+    case 0: {  // create (opening an existing file without kOpenTrunc keeps it)
+      const bool ok = parent_ok && !m.IsDir(path);
+      if (ok) {
+        m.files.emplace(path, "");
+      }
+      if (live) {
+        int fd = io_open(path.c_str(), kOpenWrite | kOpenCreate);
+        EXPECT_EQ(fd >= 0, ok) << "create " << path;
+        if (fd >= 0) {
+          EXPECT_EQ(io_close(fd), 0);
+        }
+      }
+      break;
+    }
+    case 1: {  // mkdir
+      const bool ok = parent_ok && !m.Exists(path);
+      if (ok) {
+        m.dirs.insert(path);
+      }
+      if (live) {
+        EXPECT_EQ(io_mkdir(path.c_str()) == 0, ok) << "mkdir " << path;
+      }
+      break;
+    }
+    case 2: {  // write at offset `a` through a transient descriptor
+      const bool ok = m.files.count(path) != 0;
+      if (ok) {
+        m.Write(path, a, len, fill);
+      }
+      if (live) {
+        int fd = io_open(path.c_str(), kOpenWrite);
+        EXPECT_EQ(fd >= 0, ok) << "write " << path;
+        if (fd >= 0) {
+          EXPECT_EQ(io_pwrite(fd, buf.data(), len, a), static_cast<int64_t>(len));
+          EXPECT_EQ(io_close(fd), 0);
+        }
+      }
+      break;
+    }
+    case 3: {  // truncate to `a`
+      const bool ok = m.files.count(path) != 0;
+      if (ok) {
+        m.files[path].resize(a, '\0');
+      }
+      if (live) {
+        EXPECT_EQ(io_truncate(path.c_str(), a) == 0, ok) << "truncate " << path;
+      }
+      break;
+    }
+    case 4: {  // rename
+      bool ok = parent_ok && m.IsDir(DirnamePath(to)) && m.Exists(path);
+      if (ok && path != to) {
+        const bool into_self = to.rfind(path + "/", 0) == 0;
+        ok = !(m.Exists(to) && (m.IsDir(to) || m.IsDir(path))) && !(m.IsDir(path) && into_self);
+        if (ok) {
+          m.Move(path, to);
+        }
+      }
+      if (live) {
+        EXPECT_EQ(io_rename(path.c_str(), to.c_str()) == 0, ok) << "rename " << path << " " << to;
+      }
+      break;
+    }
+    case 5: {  // unlink
+      const bool ok = m.Exists(path) && !m.HasChildren(path);
+      if (ok) {
+        m.files.erase(path);
+        m.dirs.erase(path);
+      }
+      if (live) {
+        EXPECT_EQ(io_unlink(path.c_str()) == 0, ok) << "unlink " << path;
+      }
+      break;
+    }
+    case 6: {  // open a log and hold the descriptor
+      if (m.fds.size() == kWalkMaxFds) {
+        break;
+      }
+      int expected_fd = FdTable::kFirstFd;
+      while (m.fds.count(expected_fd) != 0) {
+        ++expected_fd;
+      }
+      const int log = static_cast<int>(pick % 2);
+      const bool append = fill < 'h';
+      m.fds[expected_fd] = {log, 0, append};
+      if (live) {
+        uint32_t flags = kOpenRead | kOpenWrite | (append ? kOpenAppend : 0u);
+        EXPECT_EQ(io_open(kWalkLogs[log], flags), expected_fd);
+      }
+      break;
+    }
+    case 7: {  // lseek a held descriptor
+      if (m.fds.empty()) {
+        break;
+      }
+      const auto whence = static_cast<SeekWhence>(len % 3);
+      const int64_t delta = whence == SeekWhence::kSet ? static_cast<int64_t>(a)
+                                                       : static_cast<int64_t>(len) - 150;
+      WalkModel::HeldFd& h = held->second;
+      int64_t base = 0;
+      if (whence == SeekWhence::kCur) {
+        base = static_cast<int64_t>(h.offset);
+      } else if (whence == SeekWhence::kEnd) {
+        base = static_cast<int64_t>(m.files[kWalkLogs[h.log]].size());
+      }
+      const int64_t target = base + delta;
+      if (target >= 0) {
+        h.offset = static_cast<uint64_t>(target);
+      }
+      if (live) {
+        EXPECT_EQ(io_lseek(held->first, delta, whence), target >= 0 ? target : kErrInvalid);
+      }
+      break;
+    }
+    case 8: {  // write through a held descriptor
+      if (m.fds.empty()) {
+        break;
+      }
+      WalkModel::HeldFd& h = held->second;
+      const std::string log = kWalkLogs[h.log];
+      if (h.append) {
+        h.offset = m.files[log].size();
+      }
+      m.Write(log, h.offset, len, fill);
+      h.offset += len;
+      if (live) {
+        EXPECT_EQ(io_write(held->first, buf.data(), len), static_cast<int64_t>(len));
+      }
+      break;
+    }
+    case 9: {  // read through a held descriptor
+      if (m.fds.empty()) {
+        break;
+      }
+      WalkModel::HeldFd& h = held->second;
+      const std::string& data = m.files[kWalkLogs[h.log]];
+      const std::string expected = h.offset < data.size() ? data.substr(h.offset, len) : "";
+      if (live) {
+        EXPECT_EQ(io_read(held->first, buf.data(), len), static_cast<int64_t>(expected.size()));
+        EXPECT_EQ(buf.substr(0, expected.size()), expected);
+      }
+      h.offset += expected.size();
+      break;
+    }
+    case 10: {  // close a held descriptor
+      if (m.fds.empty()) {
+        break;
+      }
+      if (live) {
+        EXPECT_EQ(io_close(held->first), 0);
+      }
+      m.fds.erase(held);
+      break;
+    }
+  }
+}
+
+uint64_t WalkStepSeed(uint64_t seed, const int* path, int depth) {
+  uint64_t h = seed;
+  for (int i = 0; i < depth; ++i) {
+    h = h * 1000003 + static_cast<uint64_t>(path[i]) + 1;
+  }
+  return h;
+}
+
+// The model of the state after the first `depth` steps of `path`.
+WalkModel ReplayWalk(uint64_t seed, const int* path, int depth) {
+  WalkModel m = WalkRoot();
+  for (int d = 1; d <= depth; ++d) {
+    Rng rng(WalkStepSeed(seed, path, d));
+    for (int op = 0; op < kWalkOps; ++op) {
+      WalkOp(rng, m, /*live=*/false);
+    }
+  }
+  return m;
+}
+
+void ExpectFsMatches(const SimFs& fs, const FdTable& fds, const WalkModel& m) {
+  std::set<std::string> dirs;
+  std::map<std::string, std::string> files;
+  std::vector<std::string> pending{"/"};
+  while (!pending.empty()) {
+    const std::string dir = pending.back();
+    pending.pop_back();
+    auto names = fs.Readdir(dir);
+    ASSERT_TRUE(names.ok()) << dir;
+    for (const std::string& name : *names) {
+      const std::string child = (dir == "/" ? "" : dir) + "/" + name;
+      auto st = fs.Stat(child);
+      ASSERT_TRUE(st.ok()) << child;
+      if (st->type == NodeType::kDir) {
+        dirs.insert(child);
+        pending.push_back(child);
+        continue;
+      }
+      std::string data(st->size, '\0');
+      auto n = fs.ReadAt(st->ino, 0, data.data(), data.size());
+      ASSERT_TRUE(n.ok()) << child;
+      EXPECT_EQ(*n, data.size());
+      files[child] = data;
+    }
+  }
+  EXPECT_EQ(dirs, m.dirs);
+  EXPECT_TRUE(files == m.files);
+  EXPECT_EQ(fds.open_count(), m.fds.size());
+  for (const auto& [fd, held] : m.fds) {
+    const FdEntry* entry = fds.Get(fd);
+    ASSERT_NE(entry, nullptr) << "fd " << fd;
+    EXPECT_EQ(entry->ino, *fs.Lookup(kWalkLogs[held.log])) << "fd " << fd;
+    EXPECT_EQ(entry->offset, held.offset) << "fd " << fd;
+    EXPECT_EQ((entry->flags & kOpenAppend) != 0, held.append) << "fd " << fd;
+  }
+}
+
+struct FsWalk {
+  uint64_t seed = 0;
+  const SimFs* fs = nullptr;
+  const FdTable* fds = nullptr;
+  int checks = 0;  // host memory: counts every checked step on every path
+};
+
+// Runs step `depth` of `path` live and checks the result against the replayed
+// model. Host objects live only inside this call, never across a guess.
+void WalkStep(FsWalk* walk, const int* path, int depth) {
+  WalkModel m = ReplayWalk(walk->seed, path, depth - 1);
+  if (depth > 0) {
+    Rng rng(WalkStepSeed(walk->seed, path, depth));
+    for (int op = 0; op < kWalkOps; ++op) {
+      WalkOp(rng, m, /*live=*/true);
+    }
+  }
+  ExpectFsMatches(*walk->fs, *walk->fds, m);
+  ++walk->checks;
+}
+
+void FsWalkGuest(void* arg) {
+  auto* walk = static_cast<FsWalk*>(arg);
+  int path[kWalkDepth] = {};
+  WalkStep(walk, path, 0);
+  for (int depth = 1; depth <= kWalkDepth; ++depth) {
+    path[depth - 1] = sys_guess(kWalkFanout);
+    WalkStep(walk, path, depth);
+  }
+  sys_note_solution();
+}
+
+class FsWalkTest : public ::testing::TestWithParam<std::tuple<SnapshotMode, uint64_t>> {};
+
+TEST_P(FsWalkTest, EveryPathMatchesItsModel) {
+  SessionOptions options;
+  options.arena_bytes = 8ull << 20;
+  options.snapshot_mode = std::get<0>(GetParam());
+  BacktrackSession session(options);
+  ArenaFiles files = NewArenaFiles(session);
+  const WalkModel root = WalkRoot();
+  for (const std::string& dir : root.dirs) {
+    ASSERT_TRUE(files.fs->Mkdir(dir).ok());
+  }
+  for (const auto& [path, data] : root.files) {
+    auto ino = files.fs->Create(path);
+    ASSERT_TRUE(ino.ok());
+    ASSERT_TRUE(files.fs->WriteAt(*ino, 0, data.data(), data.size()).ok());
+  }
+  GuestIo io(files.fs, files.fds, InterposePolicy::SoundMinimal());
+  ScopedGuestIo scoped(&io);
+
+  FsWalk walk;
+  walk.seed = std::get<1>(GetParam());
+  walk.fs = files.fs;
+  walk.fds = files.fds;
+  ASSERT_TRUE(session.Run(&FsWalkGuest, &walk).ok());
+  constexpr int kLeaves = kWalkFanout * kWalkFanout * kWalkFanout * kWalkFanout;
+  EXPECT_EQ(session.stats().solutions, static_cast<uint64_t>(kLeaves));
+  EXPECT_EQ(walk.checks, 1 + 3 + 9 + 27 + kLeaves);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, FsWalkTest,
+    ::testing::Combine(::testing::Values(SnapshotMode::kCow, SnapshotMode::kIncremental,
+                                         SnapshotMode::kFullCopy),
+                       ::testing::Values(uint64_t{1}, uint64_t{2})),
+    [](const ::testing::TestParamInfo<std::tuple<SnapshotMode, uint64_t>>& info) {
+      return std::string(SnapshotModeName(std::get<0>(info.param))) + "_seed" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace lw

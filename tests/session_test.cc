@@ -294,31 +294,6 @@ TEST(ForkEngineTest, ProcessIsolationMatchesSnapshotSemantics) {
   EXPECT_EQ(captured, "v0;v1;v2;");
 }
 
-TEST(ForkEngineTest, ParallelModeFindsSameSolutions) {
-  ForkSessionOptions options;
-  options.parallel = true;
-  options.max_inflight = 3;
-  std::string captured;
-  options.output = [&captured](std::string_view text) { captured.append(text); };
-  ForkSession session(options);
-  NQueensConfig config{5, StrategyKind::kDfs};
-  ASSERT_TRUE(session
-                  .Run(
-                      [](void* arg) {
-                        auto* cfg = static_cast<NQueensConfig*>(arg);
-                        NQueensBoard board;
-                        board.n = cfg->n;
-                        if (sys_guess_strategy(StrategyKind::kDfs)) {
-                          NQueensSolve(&board);
-                          sys_guess_fail();
-                        }
-                      },
-                      &config)
-                  .ok());
-  // Order is arbitrary in parallel mode; the solution count is not.
-  EXPECT_EQ(session.stats().solutions, 10u);
-}
-
 // --- Strategy behaviour -----------------------------------------------------------------
 
 void DepthOrderGuest(void*) {
@@ -516,16 +491,34 @@ void BufferedOutputGuest(void*) {
   }
 }
 
+// The buffer lives in the guest heap, so each engine rolls it back with the
+// pages.
 TEST(SessionTest, BufferedOutputDropsFailedPaths) {
-  SessionOptions options = SmallOptions();
-  options.buffer_output = true;
-  std::vector<std::string> paths;
-  options.output = [&paths](std::string_view text) { paths.emplace_back(text); };
-  BacktrackSession session(options);
-  ASSERT_TRUE(session.Run(&BufferedOutputGuest, nullptr).ok());
-  ASSERT_EQ(paths.size(), 2u);  // v==1 failed
-  EXPECT_EQ(paths[0], "prefix;v0;");
-  EXPECT_EQ(paths[1], "prefix;v2;");
+  for (SnapshotMode mode :
+       {SnapshotMode::kCow, SnapshotMode::kIncremental, SnapshotMode::kFullCopy}) {
+    SCOPED_TRACE(SnapshotModeName(mode));
+    SessionOptions options = SmallOptions();
+    options.snapshot_mode = mode;
+    options.buffer_output = true;
+    std::vector<std::string> paths;
+    options.output = [&paths](std::string_view text) { paths.emplace_back(text); };
+    BacktrackSession session(options);
+    ASSERT_TRUE(session.Run(&BufferedOutputGuest, nullptr).ok());
+    ASSERT_EQ(paths.size(), 2u);  // v==1 failed
+    EXPECT_EQ(paths[0], "prefix;v0;");
+    EXPECT_EQ(paths[1], "prefix;v2;");
+  }
+}
+
+// A snapshot is its page image plus scheduler bookkeeping (id, depth, the
+// register file's address, the mailbox): all other guest state, the buffered
+// output included, rides in the pages.
+TEST(SessionTest, SnapshotIsThePageImagePlusBookkeeping) {
+#if defined(__x86_64__)
+  EXPECT_EQ(sizeof(Snapshot), 72u);
+#else
+  GTEST_SKIP() << "field layout measured on x86-64";
+#endif
 }
 
 // --- Limits and accounting --------------------------------------------------------------------

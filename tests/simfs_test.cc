@@ -1,11 +1,11 @@
-// simfs unit tests: path normalization, chunk-CoW file contents, namespace
-// operations, whole-FS snapshot/restore, and structural-sharing invariants.
+// simfs unit tests on the host heap: path normalization, chunked file
+// contents, namespace operations and the fd table. Snapshot and restore of the
+// filesystem are the page engine's, checked inside sessions by
+// tests/interpose_test.cc.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "src/simfs/fd_table.h"
@@ -75,20 +75,15 @@ TEST(FileDataTest, EmptyReadsNothing) {
 }
 
 TEST(FileDataTest, WriteThenRead) {
-  FileData d = FileData().Write(0, "hello", 5);
+  FileData d;
+  d.Write(0, "hello", 5);
   EXPECT_EQ(d.size(), 5u);
   EXPECT_EQ(d.ToString(), "hello");
 }
 
-TEST(FileDataTest, WriteIsFunctional) {
-  FileData a = FileData().Write(0, "aaaa", 4);
-  FileData b = a.Write(1, "XX", 2);
-  EXPECT_EQ(a.ToString(), "aaaa");  // original untouched
-  EXPECT_EQ(b.ToString(), "aXXa");
-}
-
 TEST(FileDataTest, SparseWriteReadsZerosInHole) {
-  FileData d = FileData().Write(3 * FileData::kChunkSize, "Z", 1);
+  FileData d;
+  d.Write(3 * FileData::kChunkSize, "Z", 1);
   EXPECT_EQ(d.size(), 3 * FileData::kChunkSize + 1);
   // Chunks 0..2 are holes.
   EXPECT_EQ(d.MaterializedBytes(), FileData::kChunkSize);
@@ -101,61 +96,52 @@ TEST(FileDataTest, SparseWriteReadsZerosInHole) {
 
 TEST(FileDataTest, CrossChunkWrite) {
   std::string big(FileData::kChunkSize + 100, 'q');
-  FileData d = FileData().Write(FileData::kChunkSize - 50, big.data(), big.size());
+  FileData d;
+  d.Write(FileData::kChunkSize - 50, big.data(), big.size());
   EXPECT_EQ(d.size(), FileData::kChunkSize - 50 + big.size());
   std::string out(big.size(), '\0');
   EXPECT_EQ(d.Read(FileData::kChunkSize - 50, out.data(), out.size()), big.size());
   EXPECT_EQ(out, big);
 }
 
-TEST(FileDataTest, UntouchedChunksAreShared) {
-  std::string filler(4 * FileData::kChunkSize, 'f');
-  FileData a = FileData().Write(0, filler.data(), filler.size());
-  FileData b = a.Write(FileData::kChunkSize, "MOD", 3);  // touches chunk 1 only
-  EXPECT_TRUE(b.SharesChunkWith(a, 0));
-  EXPECT_FALSE(b.SharesChunkWith(a, 1));
-  EXPECT_TRUE(b.SharesChunkWith(a, 2));
-  EXPECT_TRUE(b.SharesChunkWith(a, 3));
-}
-
 TEST(FileDataTest, TruncateShrinkZeroesBoundaryTail) {
   std::string filler(2 * FileData::kChunkSize, 'f');
-  FileData a = FileData().Write(0, filler.data(), filler.size());
-  FileData b = a.Truncate(100);
-  EXPECT_EQ(b.size(), 100u);
+  FileData d;
+  d.Write(0, filler.data(), filler.size());
+  d.Truncate(100);
+  EXPECT_EQ(d.size(), 100u);
+  EXPECT_EQ(d.MaterializedBytes(), FileData::kChunkSize);  // chunk 1 dropped
   // Re-extend: bytes past 100 must read as zeros, not stale 'f'.
-  FileData c = b.Truncate(200);
+  d.Truncate(200);
   char buf[100];
-  EXPECT_EQ(c.Read(100, buf, 100), 100u);
+  EXPECT_EQ(d.Read(100, buf, 100), 100u);
   for (char ch : buf) {
     EXPECT_EQ(ch, '\0');
   }
-  EXPECT_EQ(a.size(), 2 * FileData::kChunkSize);  // original untouched
 }
 
 TEST(FileDataTest, TruncateGrowMakesHole) {
-  FileData a = FileData().Write(0, "x", 1);
-  FileData b = a.Truncate(10 * FileData::kChunkSize);
-  EXPECT_EQ(b.size(), 10 * FileData::kChunkSize);
-  EXPECT_EQ(b.MaterializedBytes(), FileData::kChunkSize);  // only chunk 0
+  FileData d;
+  d.Write(0, "x", 1);
+  d.Truncate(10 * FileData::kChunkSize);
+  EXPECT_EQ(d.size(), 10 * FileData::kChunkSize);
+  EXPECT_EQ(d.MaterializedBytes(), FileData::kChunkSize);  // only chunk 0
 }
 
 TEST(FileDataTest, ContentEqualsTreatsHolesAsZeros) {
-  FileData hole = FileData().Truncate(FileData::kChunkSize);
+  FileData hole;
+  hole.Truncate(FileData::kChunkSize);
   std::string zeros(FileData::kChunkSize, '\0');
-  FileData explicit_zeros = FileData().Write(0, zeros.data(), zeros.size());
+  FileData explicit_zeros;
+  explicit_zeros.Write(0, zeros.data(), zeros.size());
   EXPECT_TRUE(hole.ContentEquals(explicit_zeros));
   EXPECT_TRUE(explicit_zeros.ContentEquals(hole));
-  FileData different = explicit_zeros.Write(17, "x", 1);
-  EXPECT_FALSE(hole.ContentEquals(different));
+  explicit_zeros.Write(17, "x", 1);
+  EXPECT_FALSE(hole.ContentEquals(explicit_zeros));
 }
 
-TEST(FileDataTest, FromString) {
-  FileData d = FileData::FromString("content");
-  EXPECT_EQ(d.ToString(), "content");
-}
-
-// Property sweep: random functional writes against a plain-string model.
+// Property sweep: random in-place writes and truncates against a plain-string
+// model.
 class FileDataRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FileDataRandomTest, MatchesStringModel) {
@@ -165,13 +151,13 @@ TEST_P(FileDataRandomTest, MatchesStringModel) {
   for (int op = 0; op < 200; ++op) {
     if (rng.Next() % 4 == 0) {
       size_t new_size = rng.Next() % (3 * FileData::kChunkSize);
-      d = d.Truncate(new_size);
+      d.Truncate(new_size);
       model.resize(new_size, '\0');
     } else {
       size_t off = rng.Next() % (2 * FileData::kChunkSize);
       size_t len = 1 + rng.Next() % 300;
       std::string payload(len, static_cast<char>('a' + op % 26));
-      d = d.Write(off, payload.data(), len);
+      d.Write(off, payload.data(), len);
       if (model.size() < off + len) {
         model.resize(off + len, '\0');
       }
@@ -318,6 +304,21 @@ TEST(SimFsTest, StatReportsSizes) {
   EXPECT_EQ(root->size, 1u);  // one entry
 }
 
+TEST(SimFsTest, VersionRisesOnEveryMutation) {
+  SimFs fs;
+  auto f = fs.Create("/f");
+  ASSERT_TRUE(f.ok());
+  const uint64_t created = fs.StatIno(*f)->version;
+  const uint64_t root_before = fs.Stat("/")->version;
+  ASSERT_TRUE(fs.WriteAt(*f, 0, "x", 1).ok());
+  const uint64_t written = fs.StatIno(*f)->version;
+  EXPECT_GT(written, created);
+  ASSERT_TRUE(fs.Truncate(*f, 0).ok());
+  EXPECT_GT(fs.StatIno(*f)->version, written);
+  ASSERT_TRUE(fs.Rename("/f", "/g").ok());
+  EXPECT_GT(fs.Stat("/")->version, root_before);
+}
+
 TEST(SimFsTest, IoOnDirectoryFails) {
   SimFs fs;
   ASSERT_TRUE(fs.Mkdir("/d").ok());
@@ -328,183 +329,6 @@ TEST(SimFsTest, IoOnDirectoryFails) {
   EXPECT_EQ(fs.WriteAt(*ino, 0, &b, 1).status().code(), ErrorCode::kBadState);
   EXPECT_EQ(fs.Truncate(*ino, 0).code(), ErrorCode::kBadState);
 }
-
-// --- snapshot/restore ---
-
-TEST(SimFsSnapshotTest, RestoreRewindsEverything) {
-  SimFs fs;
-  auto f = fs.Create("/keep");
-  ASSERT_TRUE(f.ok());
-  ASSERT_TRUE(fs.WriteAt(*f, 0, "original", 8).ok());
-
-  SimFs::State snap = fs.TakeSnapshot();
-
-  // Mutate heavily after the snapshot.
-  ASSERT_TRUE(fs.WriteAt(*f, 0, "CLOBBERED", 9).ok());
-  ASSERT_TRUE(fs.Mkdir("/newdir").ok());
-  ASSERT_TRUE(fs.Create("/newdir/x").ok());
-  ASSERT_TRUE(fs.Unlink("/keep").ok());
-
-  fs.Restore(snap);
-
-  char buf[16] = {};
-  auto n = fs.ReadAt(*f, 0, buf, sizeof buf);
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(std::string(buf, *n), "original");
-  EXPECT_EQ(fs.Lookup("/newdir").status().code(), ErrorCode::kNotFound);
-  EXPECT_EQ(fs.live_inodes(), 2u);
-}
-
-TEST(SimFsSnapshotTest, SnapshotIsImmutableUnderLaterWrites) {
-  SimFs fs;
-  auto f = fs.Create("/f");
-  ASSERT_TRUE(f.ok());
-  ASSERT_TRUE(fs.WriteAt(*f, 0, "v1", 2).ok());
-  SimFs::State s1 = fs.TakeSnapshot();
-  ASSERT_TRUE(fs.WriteAt(*f, 0, "v2", 2).ok());
-  SimFs::State s2 = fs.TakeSnapshot();
-
-  fs.Restore(s1);
-  char buf[4] = {};
-  ASSERT_TRUE(fs.ReadAt(*f, 0, buf, 2).ok());
-  EXPECT_EQ(std::string(buf, 2), "v1");
-
-  fs.Restore(s2);
-  ASSERT_TRUE(fs.ReadAt(*f, 0, buf, 2).ok());
-  EXPECT_EQ(std::string(buf, 2), "v2");
-}
-
-TEST(SimFsSnapshotTest, SnapshotTreeBranches) {
-  // Branch two divergent futures off one snapshot, like two extension steps.
-  SimFs fs;
-  auto f = fs.Create("/f");
-  ASSERT_TRUE(f.ok());
-  SimFs::State base = fs.TakeSnapshot();
-
-  ASSERT_TRUE(fs.WriteAt(*f, 0, "left", 4).ok());
-  SimFs::State left = fs.TakeSnapshot();
-
-  fs.Restore(base);
-  ASSERT_TRUE(fs.WriteAt(*f, 0, "right", 5).ok());
-  SimFs::State right = fs.TakeSnapshot();
-
-  char buf[8] = {};
-  fs.Restore(left);
-  auto n = fs.ReadAt(*f, 0, buf, sizeof buf);
-  EXPECT_EQ(std::string(buf, *n), "left");
-  fs.Restore(right);
-  n = fs.ReadAt(*f, 0, buf, sizeof buf);
-  EXPECT_EQ(std::string(buf, *n), "right");
-}
-
-TEST(SimFsSnapshotTest, InodeNumbersStableAcrossRestore) {
-  // An extension holding an ino (via an open fd) must see the same file after
-  // its snapshot is restored.
-  SimFs fs;
-  auto a = fs.Create("/a");
-  ASSERT_TRUE(a.ok());
-  SimFs::State snap = fs.TakeSnapshot();
-  ASSERT_TRUE(fs.Unlink("/a").ok());
-  auto b = fs.Create("/b");  // may reuse the ino
-  ASSERT_TRUE(b.ok());
-  fs.Restore(snap);
-  auto again = fs.Lookup("/a");
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(*again, *a);
-}
-
-TEST(SimFsSnapshotTest, ManySnapshotsShareStructure) {
-  SimFs fs;
-  auto f = fs.Create("/big");
-  ASSERT_TRUE(f.ok());
-  std::string chunk(FileData::kChunkSize, 'd');
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(fs.WriteAt(*f, i * FileData::kChunkSize, chunk.data(), chunk.size()).ok());
-  }
-  uint64_t base_bytes = fs.MaterializedBytes();
-
-  std::vector<SimFs::State> snaps;
-  for (int i = 0; i < 100; ++i) {
-    // Touch one chunk, snapshot.
-    ASSERT_TRUE(fs.WriteAt(*f, (i % 64) * FileData::kChunkSize, "t", 1).ok());
-    snaps.push_back(fs.TakeSnapshot());
-  }
-  // Live materialized bytes unchanged: snapshots share, they don't copy.
-  EXPECT_EQ(fs.MaterializedBytes(), base_bytes);
-}
-
-// Property sweep: random op sequences, snapshot at random points, restore and
-// compare against a std::map<string,string> model captured at the same points.
-class SimFsRandomTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(SimFsRandomTest, RestoreMatchesModel) {
-  Rng rng(GetParam());
-  SimFs fs;
-  std::map<std::string, std::string> model;  // path -> contents (files only)
-  std::vector<std::pair<SimFs::State, std::map<std::string, std::string>>> snaps;
-
-  auto random_name = [&rng]() { return std::string("/f") + std::to_string(rng.Next() % 8); };
-
-  for (int op = 0; op < 400; ++op) {
-    switch (rng.Next() % 5) {
-      case 0: {  // create
-        std::string p = random_name();
-        auto r = fs.Create(p);
-        if (r.ok()) {
-          ASSERT_EQ(model.count(p), 0u);
-          model[p] = "";
-        } else {
-          ASSERT_EQ(model.count(p), 1u);
-        }
-        break;
-      }
-      case 1: {  // write whole contents
-        std::string p = random_name();
-        auto ino = fs.Lookup(p);
-        std::string payload(1 + rng.Next() % 64, static_cast<char>('a' + op % 26));
-        if (ino.ok()) {
-          ASSERT_TRUE(fs.Truncate(*ino, 0).ok());
-          ASSERT_TRUE(fs.WriteAt(*ino, 0, payload.data(), payload.size()).ok());
-          model[p] = payload;
-        }
-        break;
-      }
-      case 2: {  // unlink
-        std::string p = random_name();
-        Status s = fs.Unlink(p);
-        EXPECT_EQ(s.ok(), model.erase(p) == 1);
-        break;
-      }
-      case 3: {  // snapshot
-        snaps.emplace_back(fs.TakeSnapshot(), model);
-        break;
-      }
-      case 4: {  // restore to a random earlier snapshot
-        if (!snaps.empty()) {
-          size_t i = rng.Next() % snaps.size();
-          fs.Restore(snaps[i].first);
-          model = snaps[i].second;
-        }
-        break;
-      }
-    }
-  }
-
-  // Final check: every model file readable with matching contents; no extras.
-  auto names = fs.Readdir("/");
-  ASSERT_TRUE(names.ok());
-  EXPECT_EQ(names->size(), model.size());
-  for (const auto& [path, contents] : model) {
-    auto ino = fs.Lookup(path);
-    ASSERT_TRUE(ino.ok()) << path;
-    std::string buf(contents.size() + 8, '\0');
-    auto n = fs.ReadAt(*ino, 0, buf.data(), buf.size());
-    ASSERT_TRUE(n.ok());
-    EXPECT_EQ(std::string(buf.data(), *n), contents) << path;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SimFsRandomTest, ::testing::Values(7, 99, 12345));
 
 // --- fd_table.h ---
 
@@ -542,18 +366,6 @@ TEST(FdTableTest, InvalidFds) {
   EXPECT_EQ(t.Get(0), nullptr);  // std streams are not in the table
   EXPECT_EQ(t.Get(2), nullptr);
   EXPECT_EQ(t.Get(FdTable::kFirstFd), nullptr);
-}
-
-TEST(FdTableTest, CloneIsIndependent) {
-  FdTable t;
-  auto fd = t.Alloc(7, kOpenRead);
-  ASSERT_TRUE(fd.ok());
-  FdTable snap = t.Clone();
-  t.Get(*fd)->offset = 999;
-  ASSERT_TRUE(t.Close(*fd).ok());
-  EXPECT_EQ(snap.Get(*fd)->offset, 0u);
-  EXPECT_EQ(snap.open_count(), 1u);
-  EXPECT_EQ(t.open_count(), 0u);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include <cstring>
 #include <map>
-#include <set>
 
 #include "src/util/alloc_hooks.h"
 #include "src/util/radix_map.h"
@@ -325,20 +324,6 @@ TEST(RadixMapTest, DiffAgainstEmpty) {
     ++count;
   });
   EXPECT_EQ(count, 1);
-}
-
-TEST(RadixMapTest, ForEachVisitsNonDefault) {
-  PersistentRadixMap<int> m(4096);
-  std::set<uint32_t> keys{3, 500, 1023, 4000};
-  for (uint32_t k : keys) {
-    m.Set(k, 1);
-  }
-  std::set<uint32_t> seen;
-  m.ForEach([&seen](uint32_t k, int v) {
-    EXPECT_EQ(v, 1);
-    seen.insert(k);
-  });
-  EXPECT_EQ(seen, keys);
 }
 
 // Property test: the radix map behaves exactly like std::map under a random
